@@ -22,7 +22,7 @@ from .assembly import (
 )
 from .config import Config, parse_config
 from .diesel import DieselParams, build_diesel_subsystem, governor_residues
-from .engine import Scenario, SimulationTrace, Step, integrate, ise, steady_state
+from .engine import Scenario, SimulationTrace, Step, integrate, ise, steady_state, step_ise
 from .errors import (
     ConfigError,
     ConvergenceFailure,

@@ -11,6 +11,16 @@ stage evaluations collapse into two constant matrices,
 where c = B u + G p is the forcing over the step. This is algebraically
 identical to running the four stages and keeps the hot loop at one
 matrix-vector product per step.
+
+The performance index needs no stepping at all. Over a stretch of rows
+with constant forcing the augmented state z = [x; 1] follows
+z+ = T z with T = [[P, Q c], [0, 1]], so the sum of squared frequency
+deviations over L rows is z' (sum_{j<L} (T^j)' W T^j) z, where W picks
+dFs (and dFt). `step_ise` sums that series by binary doubling,
+S_2m = S_m + (T^m)' S_m T^m, in about 2 log2(L) small matrix products
+and without an inverse (Smith 1968; Van Loan 1978), then applies the
+trapezoid end correction. It returns what `ise(integrate(...))` returns,
+to rounding; `integrate` + `ise` stay as its reference.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from .errors import (
 )
 from .lti import StateSpaceModel, eigenvalues
 
-__all__ = ["Step", "Scenario", "SimulationTrace", "integrate", "steady_state", "ise"]
+__all__ = ["Step", "Scenario", "SimulationTrace", "integrate", "step_ise", "steady_state", "ise"]
 
 # RK4 damps modes only while |lambda|*dt stays inside its stability
 # interval on the negative real axis (about 2.785); warn near the edge.
@@ -140,6 +150,32 @@ def _propagators(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
+def _inputs(scenario: Scenario, n: int, clabels, dlabels):
+    """Grid and input bookkeeping shared by `integrate` and `step_ise`.
+
+    Returns the row count, the constant control vector, one
+    (onset row, disturbance column, magnitude) triple per step, and the
+    initial state. The scenario must already be validated.
+    """
+    dt = scenario.dt
+    rows = int(math.floor(scenario.t_end / dt + 1e-9)) + 1
+    u_const = _input_vector(scenario.controls, clabels, "control")
+    onsets = []
+    for lbl, step in scenario.disturbances.items():
+        if lbl not in dlabels:
+            raise ValueError(f"unknown disturbance input '{lbl}'; model has {dlabels}")
+        onset_idx = int(math.floor(step.onset / dt + 1e-9))
+        onsets.append((onset_idx, dlabels.index(lbl), step.magnitude))
+
+    if scenario.x0 is None:
+        x = np.zeros(n)
+    else:
+        x = np.asarray(scenario.x0, dtype=float).reshape(-1)
+        if x.shape != (n,):
+            raise DimensionMismatch(f"initial state has length {x.size}, model has {n} states")
+    return rows, u_const, onsets, x
+
+
 def integrate(model: Model, scenario: Scenario, outputs=None) -> SimulationTrace:
     """Simulate the model under the scenario's step inputs.
 
@@ -169,23 +205,11 @@ def integrate(model: Model, scenario: Scenario, outputs=None) -> SimulationTrace
             stacklevel=2,
         )
 
-    rows = int(math.floor(scenario.t_end / dt + 1e-9)) + 1
+    rows, u_const, onsets, x = _inputs(scenario, n, clabels, dlabels)
     times = np.arange(rows) * dt
-
-    u_const = _input_vector(scenario.controls, clabels, "control")
     p_rows = np.zeros((rows, len(dlabels)))
-    for lbl, step in scenario.disturbances.items():
-        if lbl not in dlabels:
-            raise ValueError(f"unknown disturbance input '{lbl}'; model has {dlabels}")
-        onset_idx = int(math.floor(step.onset / dt + 1e-9))
-        p_rows[onset_idx:, dlabels.index(lbl)] += step.magnitude
-
-    if scenario.x0 is None:
-        x = np.zeros(n)
-    else:
-        x = np.asarray(scenario.x0, dtype=float).reshape(-1)
-        if x.shape != (n,):
-            raise DimensionMismatch(f"initial state has length {x.size}, model has {n} states")
+    for onset_idx, col, magnitude in onsets:
+        p_rows[onset_idx:, col] += magnitude
 
     p_mat, q_mat = _propagators(a, dt)
     # per-row forcing, already pushed through Q
@@ -220,6 +244,73 @@ def integrate(model: Model, scenario: Scenario, outputs=None) -> SimulationTrace
         state_labels=tuple(labels),
         outputs=out_cols,
     )
+
+
+def _doubling_sum(t: np.ndarray, w: np.ndarray, z: np.ndarray, length: int):
+    """Sum of z' (T^j)' W T^j z over j < length, and T^length z.
+
+    S_m = sum_{j<m} (T^j)' W T^j doubles as S_2m = S_m + (T^m)' S_m T^m;
+    each set bit of `length` consumes one block S_m from the current z.
+    """
+    s, tm, total = w, t, 0.0
+    while True:
+        if length & 1:
+            total += z @ s @ z
+            z = tm @ z
+        length >>= 1
+        if not length:
+            return total, z
+        s = s + tm.T @ s @ tm
+        tm = tm @ tm
+
+
+def step_ise(model: Model, scenario: Scenario, include_ft: bool = False) -> float:
+    """`ise(integrate(model, scenario), include_ft)` without stepping.
+
+    Each stretch of rows between onsets has constant forcing, so its sum
+    of squared deviations is one quadratic form in the augmented state,
+    summed by binary doubling; the last row enters through the trapezoid
+    end correction dt * (sum - (y_0 + y_N) / 2).
+
+    Unlike `integrate` this applies no eigenvalue step guard: its only
+    caller, the tuner, already rejects candidates with |lambda|max*dt
+    above STEP_WARN, a stricter bound, and a second eigenvalue solve per
+    candidate would add about a fifth to a tuner run. Raises
+    NonFiniteState when the sum overflows; on an unstable model this can
+    happen through the matrix powers alone, even from a mode that the
+    scenario never excites and that stays at zero in the stepped trace.
+    """
+    scenario.validate()
+    a, b, g, labels, clabels, dlabels = _model_matrices(model)
+    rows, u_const, onsets, x = _inputs(scenario, a.shape[0], clabels, dlabels)
+    n = a.shape[0]
+    w = np.zeros((n + 1, n + 1))
+    for lbl in ("dFs", "dFt") if include_ft else ("dFs",):
+        w[labels.index(lbl), labels.index(lbl)] = 1.0
+
+    p_mat, q_mat = _propagators(a, scenario.dt)
+    t = np.zeros((n + 1, n + 1))
+    t[:n, :n] = p_mat
+    t[n, n] = 1.0
+    z = np.append(x, 1.0)
+    y0 = z @ w @ z
+    # rows 0 .. rows-2 are summed by segment; the last row needs only its state
+    last = rows - 1
+    starts = sorted(r for r in {0, *(row for row, _, _ in onsets)} if r < last)
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop in zip(starts, starts[1:] + [last]):
+            p = np.zeros(len(dlabels))
+            for row, col, magnitude in onsets:
+                if row <= start:
+                    p[col] += magnitude
+            t[:n, n] = q_mat @ (g @ p + b @ u_const)
+            part, z = _doubling_sum(t, w, z, stop - start)
+            total += part
+        result = scenario.dt * (total + (z @ w @ z - y0) / 2.0)
+    if not math.isfinite(result):
+        raise NonFiniteState("performance index is not finite")
+    return float(result)
 
 
 def steady_state(

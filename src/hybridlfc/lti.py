@@ -65,15 +65,6 @@ class Polynomial:
             acc = acc * s + c
         return acc
 
-    def monic(self) -> "Polynomial":
-        lead = self.coeffs[-1]
-        if lead == 0.0:
-            raise ZeroDivisionError("zero polynomial has no monic form")
-        return Polynomial(tuple(c / lead for c in self.coeffs))
-
-    def scaled(self, k: float) -> "Polynomial":
-        return Polynomial(tuple(c * k for c in self.coeffs))
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(np.convolve(self.coeffs, other.coeffs))
 

@@ -6,6 +6,10 @@ The cost surface has a hard discontinuity at the stability boundary
 pattern search with step halving is used instead of gradient descent.
 No randomized moves are taken; the seed field exists for interface
 stability should stochastic restarts ever be added.
+
+Each candidate's cost is the exact trapezoidal index of its RK4 trace,
+computed in closed form by `engine.step_ise` with no stepping, so a cost
+evaluation takes a fraction of a millisecond instead of a step loop.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .assembly import ControllerGains, SystemParams, build_closed_loop
-from .engine import STEP_WARN, Scenario, Step, integrate, ise
+from .engine import STEP_WARN, Scenario, Step, step_ise
 from .errors import InvariantViolation, NoStableGainsFound
 from .lti import eigenvalues
 
@@ -159,7 +163,7 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
         if float(np.max(lam.real)) >= STABILITY_MARGIN or too_fast:
             c = math.inf
         else:
-            c = ise(integrate(model, scenario), include_ft=spec.eta_include_ft)
+            c = step_ise(model, scenario, include_ft=spec.eta_include_ft)
         cache[key] = c
         return c
 

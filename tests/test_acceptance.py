@@ -3,8 +3,9 @@
 Each test prints one [PASS]/[FAIL] line (visible under pytest -s) so the
 whole gate can be read at a glance, then asserts. The checks exercise the
 governor split, the uncontrolled droop response, the tuned closed loop,
-the spectrum bookkeeping, integrator accuracy, linearity, the PV solver,
-the switched converter and the solar channel block.
+the tuner's search path, the spectrum bookkeeping, integrator accuracy,
+linearity, the PV solver, the switched converter and the solar channel
+block.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import hybridlfc.tuning
 from hybridlfc.assembly import (
     ControllerGains,
     SystemParams,
@@ -82,6 +84,27 @@ def test_tuned_gains_settle_every_channel(default_params, tuned):
         ok = ok and abs(trace.column("dFs")[-1]) < 1e-6
         ok = ok and abs(trace.column("dFt")[-1]) < 1e-6
     report("tuned gains drive both frequency deviations to zero", ok)
+
+
+def test_tuner_search_path(default_params, tuned, monkeypatch):
+    gains, eta = tuned
+    expected = dict(Kdp=85.5, Kdi=35.0, Kpp=100.0, Kpi=43.0, Ksp=10.5, Ksi=0.5)
+    ok = gains == ControllerGains(**expected)
+    ok = ok and eta == pytest.approx(1.0544345933961472e-05, rel=1e-9)
+
+    # the rerun must build exactly the budget's worth of candidates
+    built = []
+    real_build = hybridlfc.tuning.build_closed_loop
+
+    def counting_build(params, candidate):
+        built.append(candidate)
+        return real_build(params, candidate)
+
+    monkeypatch.setattr(hybridlfc.tuning, "build_closed_loop", counting_build)
+    spec = hybridlfc.tuning.TuneSpec(dpiw=0.01, dpis=0.01, eta_include_ft=True)
+    ok = ok and hybridlfc.tuning.tune_gains(default_params, spec) == (gains, eta)
+    ok = ok and len(built) == 300
+    report("acceptance tuning follows its pinned search path", ok)
 
 
 def test_zero_feedback_spectrum(default_params):

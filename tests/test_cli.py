@@ -7,6 +7,7 @@ from hybridlfc.assembly import build_closed_loop
 from hybridlfc.cli import main
 from hybridlfc.config import parse_config
 from hybridlfc.engine import integrate, ise
+from hybridlfc.tuning import tune_gains
 
 SHORT_SIM = "scenario.t_end = 1.0\nscenario.dt = 0.01\n"
 STABLE_GAINS = (
@@ -127,6 +128,19 @@ class TestTune:
             integrate(model, cfg.tune.scenario()), include_ft=cfg.tune.eta_include_ft
         )
         assert replay == pytest.approx(eta_reported, rel=1e-12)
+
+    def test_stdout_fragment_holds_plain_numbers(self, capsys, tmp_path):
+        base = "tune.budget = 20\ntune.t_end = 5.0\ntune.dt = 0.01\n"
+        code, out, err = run_cli(capsys, tmp_path, "tune", base)
+        assert code == 0 and err == ""
+        *gain_lines, eta_line = out.strip().splitlines()
+        cfg = parse_config(base)
+        gains, eta = tune_gains(cfg.system, cfg.tune)
+        assert type(eta) is float
+        # the gain lines parse back to the tuned gains, bit for bit
+        assert parse_config("\n".join(gain_lines)).gains == gains
+        assert eta_line.startswith("# eta = ")
+        assert float(eta_line[len("# eta = "):]) == eta
 
 
 class TestPvCurve:

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from hybridlfc.assembly import assemble_plant, build_closed_loop, output_map
-from hybridlfc.engine import Scenario, SimulationTrace, Step, integrate, ise, steady_state
+from hybridlfc.engine import (
+    Scenario,
+    SimulationTrace,
+    Step,
+    integrate,
+    ise,
+    step_ise,
+    steady_state,
+)
 from hybridlfc.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -173,6 +181,93 @@ class TestClosedLoopTrace:
             plant, Scenario(t_end=60.0, dt=0.005, controls={"dPcd": 0.1})
         )
         assert np.max(np.abs(trace.states[-1] - x_ss)) < 1e-6
+
+
+class TestStepIse:
+    """The closed-form index against the stepped trace it replaces."""
+
+    @staticmethod
+    def _models(params, gains):
+        return {
+            "closed": build_closed_loop(params, gains),
+            "plant": assemble_plant(params),
+        }
+
+    @staticmethod
+    def _assert_matches(model, scenario, include_ft):
+        got = step_ise(model, scenario, include_ft=include_ft)
+        assert type(got) is float
+        want = ise(integrate(model, scenario), include_ft=include_ft)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("include_ft", [False, True])
+    @pytest.mark.parametrize("kind", ["closed", "plant"])
+    def test_single_onset(self, default_params, stable_gains, kind, include_ft):
+        model = self._models(default_params, stable_gains)[kind]
+        sc = Scenario(t_end=20.0, dt=0.005, disturbances={"dPl": Step(0.01, onset=1.0)})
+        self._assert_matches(model, sc, include_ft)
+
+    @pytest.mark.parametrize("include_ft", [False, True])
+    def test_three_onsets_controls_and_initial_state(
+        self, default_params, stable_gains, include_ft
+    ):
+        model = build_closed_loop(default_params, stable_gains)
+        x0 = np.linspace(-0.02, 0.03, model.n_states)
+        sc = Scenario(
+            t_end=10.0,
+            dt=0.01,
+            # onsets at the first row, mid-horizon and the last row
+            disturbances={
+                "dPl": Step(0.01, onset=0.0),
+                "dPiw": Step(-0.004, onset=3.3),
+                "dPis": Step(0.006, onset=10.0),
+            },
+            controls={"dPcd": 0.002, "us": -0.001},
+            x0=x0,
+        )
+        self._assert_matches(model, sc, include_ft)
+
+    # a validated scenario has dt <= t_end, hence at least two rows
+    @pytest.mark.parametrize("rows", [2, 3, 64, 65, 101])
+    def test_row_counts(self, default_params, stable_gains, rows):
+        model = build_closed_loop(default_params, stable_gains)
+        x0 = np.full(model.n_states, 0.01)
+        sc = Scenario(
+            t_end=(rows - 1) * 0.01,
+            dt=0.01,
+            disturbances={"dPl": Step(0.01, onset=0.01)},
+            x0=x0,
+        )
+        assert integrate(model, sc).times.size == rows
+        self._assert_matches(model, sc, include_ft=True)
+
+    def test_truncated_horizon(self, default_params, stable_gains):
+        # t_end that is not a step multiple drops the partial step
+        model = build_closed_loop(default_params, stable_gains)
+        sc = Scenario(t_end=2.557, dt=0.01, disturbances={"dPl": Step(0.01, onset=0.5)})
+        self._assert_matches(model, sc, include_ft=False)
+
+    def test_rejects_unknown_disturbance_like_integrate(self, default_params, stable_gains):
+        model = build_closed_loop(default_params, stable_gains)
+        sc = Scenario(t_end=1.0, dt=0.01, disturbances={"bogus": 1.0})
+        with pytest.raises(ValueError) as stepped:
+            integrate(model, sc)
+        with pytest.raises(ValueError) as closed:
+            step_ise(model, sc)
+        assert str(closed.value) == str(stepped.value)
+
+    def test_overflow_reported(self):
+        model = StateSpaceModel(
+            a=np.array([[50.0]]),
+            b=np.zeros((1, 0)),
+            g=np.zeros((1, 0)),
+            state_labels=("dFs",),
+        )
+        sc = Scenario(t_end=20.0, dt=0.01, x0=np.array([1.0]))
+        with pytest.raises(NonFiniteState):
+            integrate(model, sc)
+        with pytest.raises(NonFiniteState):
+            step_ise(model, sc)
 
 
 class TestSteadyState:
