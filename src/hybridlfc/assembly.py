@@ -5,7 +5,8 @@ and closes the loop.
 The augmentation trick: appending the integrals of dFs and dFt as states
 iFs and iFt turns every PI control law into pure state feedback u = H x,
 so the closed loop is just Ahat = Abar + Bbar H with unchanged
-disturbance topology.
+disturbance topology. The closed loop is itself a `StateSpaceModel`
+(A = Ahat, B = Bbar, G = Gbar) that also carries H.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     MissingFrequencyState,
+    NonFiniteState,
     OrderingMismatch,
 )
 from .lti import StateSpaceModel
@@ -177,6 +179,10 @@ def assemble_plant(p: SystemParams) -> StateSpaceModel:
         b[0, cpos["us"]] += kp_tp * kgs * d
         g[0, dpos["dPis"]] += kp_tp * kgs * d
 
+    # finite but extreme constants (Tp = 1e-320, say) overflow to inf here;
+    # every command assembles the plant, so one check covers them all
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(g).all()):
+        raise NonFiniteState("assembled plant matrices are not finite")
     return StateSpaceModel(
         a=a,
         b=b,
@@ -277,58 +283,37 @@ def augment_with_integrators(
     return abar, bbar, gbar
 
 
-@dataclass(frozen=True)
-class AugmentedModel:
-    """Closed-loop model over the integrator-augmented state vector."""
+@dataclass(frozen=True, kw_only=True)
+class AugmentedModel(StateSpaceModel):
+    """Closed-loop model over the integrator-augmented state vector.
 
-    open_loop: StateSpaceModel
-    ahat: np.ndarray
-    ghat: np.ndarray
+    A is Ahat = Abar + Bbar H, B is Bbar (constant control offsets enter
+    through the plant's own control columns) and G is Gbar; H is the
+    feedback matrix that reconstructs the controller outputs u = H x.
+    """
+
     h: np.ndarray
 
     def __post_init__(self):
-        n = self.open_loop.n_states
-        k = self.open_loop.g.shape[1]
-        m = self.open_loop.b.shape[1]
-        ahat = np.asarray(self.ahat, dtype=float)
-        ghat = np.asarray(self.ghat, dtype=float)
+        super().__post_init__()
+        n = self.n_states - 2
         h = np.asarray(self.h, dtype=float)
-        if ahat.shape != (n + 2, n + 2):
-            raise DimensionMismatch(f"closed-loop A has shape {ahat.shape}, want {(n + 2, n + 2)}")
-        if ghat.shape != (n + 2, k):
-            raise DimensionMismatch(f"closed-loop G has shape {ghat.shape}, want {(n + 2, k)}")
-        if h.shape != (m, n + 2):
-            raise DimensionMismatch(f"feedback matrix has shape {h.shape}, want {(m, n + 2)}")
+        if h.shape != (self.b.shape[1], n + 2):
+            raise DimensionMismatch(
+                f"feedback matrix has shape {h.shape}, want {(self.b.shape[1], n + 2)}"
+            )
         # integrator rows must stay pure selectors no matter the feedback
-        labels = self.open_loop.state_labels
         sel = np.zeros((2, n + 2))
-        sel[0, labels.index("dFs")] = 1.0
-        sel[1, labels.index("dFt")] = 1.0
-        if not np.array_equal(ahat[n:, :], sel):
+        sel[0, self.state_index("dFs")] = 1.0
+        sel[1, self.state_index("dFt")] = 1.0
+        if not (self.a[n:] == sel).all():
             raise ValueError("integrator rows of the closed-loop A are not selectors")
-        if np.any(ghat[n:, :] != 0.0):
+        if self.b[n:].any():
+            raise ValueError("integrator rows of the control matrix must be zero")
+        if self.g[n:].any():
             raise ValueError("integrator rows of the disturbance matrix must be zero")
-        for mtx in (ahat, ghat, h):
-            mtx.flags.writeable = False
-        object.__setattr__(self, "ahat", ahat)
-        object.__setattr__(self, "ghat", ghat)
+        h.flags.writeable = False
         object.__setattr__(self, "h", h)
-
-    @property
-    def state_labels(self) -> tuple[str, ...]:
-        return self.open_loop.state_labels + INTEGRATOR_LABELS
-
-    @property
-    def control_labels(self) -> tuple[str, ...]:
-        return self.open_loop.control_labels
-
-    @property
-    def disturbance_labels(self) -> tuple[str, ...]:
-        return self.open_loop.disturbance_labels
-
-    @property
-    def n_states(self) -> int:
-        return self.open_loop.n_states + 2
 
 
 def close_loop(abar, bbar, gbar, h, open_loop: StateSpaceModel) -> AugmentedModel:
@@ -349,8 +334,15 @@ def close_loop(abar, bbar, gbar, h, open_loop: StateSpaceModel) -> AugmentedMode
         raise DimensionMismatch(
             f"feedback matrix shape {h.shape} incompatible with B {bbar.shape}"
         )
-    ahat = abar + bbar @ h
-    return AugmentedModel(open_loop=open_loop, ahat=ahat, ghat=gbar, h=h)
+    return AugmentedModel(
+        a=abar + bbar @ h,
+        b=bbar,
+        g=gbar,
+        h=h,
+        state_labels=open_loop.state_labels + INTEGRATOR_LABELS,
+        control_labels=open_loop.control_labels,
+        disturbance_labels=open_loop.disturbance_labels,
+    )
 
 
 def build_closed_loop(p: SystemParams, gains: ControllerGains) -> AugmentedModel:

@@ -48,7 +48,7 @@ def _cmd_steady(cfg: Config) -> list[str]:
 
 def _cmd_eigen(cfg: Config) -> list[str]:
     model = build_closed_loop(cfg.system, cfg.gains)
-    lam = eigenvalues(model.ahat)
+    lam = eigenvalues(model.a)
     lines = ["re,im"]
     lines.extend(f"{z.real:.8e},{z.imag:.8e}" for z in lam)
     verdict = "STABLE" if float(np.max(lam.real)) < STABILITY_MARGIN else "UNSTABLE"
@@ -122,7 +122,6 @@ def main(argv=None) -> int:
         choices=("true", "false"),
         help="override system.include_solar",
     )
-    parser.add_argument("--seed", type=int, help="override tune.seed")
     args = parser.parse_args(argv)
 
     try:
@@ -135,8 +134,6 @@ def main(argv=None) -> int:
             cfg = replace(
                 cfg, system=replace(cfg.system, include_solar=args.include_solar == "true")
             )
-        if args.seed is not None:
-            cfg = replace(cfg, tune=replace(cfg.tune, seed=args.seed))
 
         lines = _COMMANDS[args.command](cfg)
         payload = "\n".join(lines) + "\n"

@@ -1,17 +1,23 @@
 """Line-oriented `key = value` configuration with a flat dotted-key
 namespace over every model, scenario and tuner parameter.
 
-Unspecified keys fall back to the built-in defaults below. Comments start
-at `#`; duplicate keys are last-wins. Values are typed by their default:
-decimal reals, integers, `true`/`false` booleans, or comma-separated
-coefficient lists (ascending powers of s) for the converter block.
+Keys and defaults come from the parameter dataclasses: every scalar field
+is `<section>.<field>` (see `_KEY_NAMES` for five other spellings); the
+converter coefficients, scenario inputs and tuner box are generated from
+the default transfer function, the plant's input labels and the default
+bounds. Unspecified keys fall back to these defaults. Comments start at
+`#`; duplicate keys are last-wins. Values are typed by their default:
+finite decimal reals, integers, `true`/`false` booleans, or
+comma-separated coefficient lists (ascending powers of s) for the
+converter block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 
-from .assembly import ControllerGains, SystemParams
+from .assembly import PLANT_CONTROL_ORDER, PLANT_DISTURBANCE_ORDER, ControllerGains, SystemParams
 from .diesel import DieselParams
 from .engine import Scenario, Step
 from .errors import InvalidValue, InvariantViolation, UnknownKey
@@ -22,89 +28,53 @@ from .wind import WindParams
 
 __all__ = ["DEFAULTS", "Config", "parse_config"]
 
-DEFAULTS: dict[str, object] = {
-    # diesel governor and generation
-    "diesel.Kd": 0.3333,
-    "diesel.Td1": 1.0,
-    "diesel.Td2": 2.0,
-    "diesel.Td3": 0.025,
-    "diesel.Td4": 3.0,
-    "diesel.Rd": 5.0,
-    # wind turbine and blade pitch chain
-    "wind.Tw": 4.0,
-    "wind.Kig": 0.9969,
-    "wind.Ktp": 0.003333,
-    "wind.Kpc": 0.08,
-    "wind.Kp1": 1.25,
-    "wind.Kp2": 1.0,
-    "wind.Kp3": 1.4,
-    "wind.Tp1": 0.6,
-    "wind.Tp2": 0.041,
-    "wind.Tp3": 1.0,
-    # solar channel: share gain and converter block coefficients,
-    # ascending powers of s
-    "solar.Kgs": 0.20,
-    "solar.gbc_num": (900.0, -18.0),
-    "solar.gbc_den": (50.0, 100.0, 1.0),
-    # power balance
-    "system.Kp": 72.0,
-    "system.Tp": 14.4,
-    "system.F": 60.0,
-    "system.include_solar": True,
-    # PI controller gains
-    "gains.Kdp": 0.0,
-    "gains.Kdi": 0.0,
-    "gains.Kpp": 0.0,
-    "gains.Kpi": 0.0,
-    "gains.Ksp": 0.0,
-    "gains.Ksi": 0.0,
-    # simulation scenario: step magnitudes (pu kW), onsets (s), and
-    # constant control inputs for open-loop studies
-    "scenario.t_end": 60.0,
-    "scenario.dt": 0.001,
-    "scenario.dPl": 0.0,
-    "scenario.dPl_onset": 0.0,
-    "scenario.dPiw": 0.0,
-    "scenario.dPiw_onset": 0.0,
-    "scenario.dPis": 0.0,
-    "scenario.dPis_onset": 0.0,
-    "scenario.dPcd": 0.0,
-    "scenario.dPcu": 0.0,
-    "scenario.us": 0.0,
-    # PV cell curve; these are tool defaults chosen for a plausible small
-    # panel, not source-data constants
-    "pv.Isc": 3.8,
-    "pv.KI": 0.0024,
-    "pv.Isat": 3.6e-9,
-    "pv.Rs": 0.05,
-    "pv.Aq": 1.3,
-    "pv.T": 25.0,
-    "pv.lambda": 1000.0,
-    "pv.v_step": 0.01,
-    # tuner search box, budget and evaluation scenario
-    "tune.Kdp_min": 0.0,
-    "tune.Kdp_max": 100.0,
-    "tune.Kdi_min": 0.0,
-    "tune.Kdi_max": 50.0,
-    "tune.Kpp_min": 0.0,
-    "tune.Kpp_max": 100.0,
-    "tune.Kpi_min": 0.0,
-    "tune.Kpi_max": 50.0,
-    "tune.Ksp_min": 0.0,
-    "tune.Ksp_max": 100.0,
-    "tune.Ksi_min": 0.0,
-    "tune.Ksi_max": 50.0,
-    "tune.budget": 300,
-    "tune.seed": 0,
-    "tune.per_loop": False,
-    "tune.eta_include_ft": False,
-    "tune.t_end": 30.0,
-    "tune.dt": 0.005,
-    "tune.dPl": 0.01,
-    "tune.dPiw": 0.0,
-    "tune.dPis": 0.0,
-    "tune.onset": 1.0,
+_SECTIONS = {
+    "diesel": DieselParams,
+    "wind": WindParams,
+    "solar": SolarChannelParams,
+    "system": SystemParams,
+    "gains": ControllerGains,
+    "pv": PvCellParams,
+    "tune": TuneSpec,
 }
+
+# config keys whose spelling differs from the dataclass field
+_KEY_NAMES = {
+    "system.Fs_nominal": "system.F",
+    "pv.lam": "pv.lambda",
+    "tune.dpl": "tune.dPl",
+    "tune.dpiw": "tune.dPiw",
+    "tune.dpis": "tune.dPis",
+}
+
+# per section, (config key, field name) for every scalar dataclass field
+_FIELDS = {
+    section: [
+        (_KEY_NAMES.get(f"{section}.{f.name}", f"{section}.{f.name}"), f.name)
+        for f in fields(cls)
+        if f.default is not MISSING and isinstance(f.default, (bool, int, float))
+    ]
+    for section, cls in _SECTIONS.items()
+}
+
+
+def _defaults() -> dict[str, object]:
+    values = {
+        key: getattr(cls, name) for sec, cls in _SECTIONS.items() for key, name in _FIELDS[sec]
+    }
+    gbc = SolarChannelParams().gbc
+    values |= {"solar.gbc_num": gbc.num.coeffs, "solar.gbc_den": gbc.den.coeffs}
+    # the only defaults that no dataclass holds
+    values |= {"scenario.t_end": 60.0, "scenario.dt": 0.001, "pv.v_step": 0.01}
+    for lbl in PLANT_DISTURBANCE_ORDER:
+        values |= {f"scenario.{lbl}": 0.0, f"scenario.{lbl}_onset": 0.0}
+    values |= {f"scenario.{lbl}": 0.0 for lbl in PLANT_CONTROL_ORDER}
+    for name, (lo, hi) in TuneSpec().bounds.items():
+        values |= {f"tune.{name}_min": lo, f"tune.{name}_max": hi}
+    return values
+
+
+DEFAULTS: dict[str, object] = _defaults()
 
 
 @dataclass(frozen=True)
@@ -116,11 +86,8 @@ class Config:
     gains: ControllerGains
     scenario: Scenario
     pv: PvCellParams
+    pv_v_step: float
     tune: TuneSpec
-
-    @property
-    def pv_v_step(self) -> float:
-        return float(self.values["pv.v_step"])
 
 
 def _parse_value(key: str, rhs: str, lineno: int):
@@ -135,8 +102,14 @@ def _parse_value(key: str, rhs: str, lineno: int):
         if isinstance(default, int):
             return int(rhs)
         if isinstance(default, tuple):
-            return tuple(float(x) for x in rhs.split(","))
-        return float(rhs)
+            value = tuple(float(x) for x in rhs.split(","))
+            finite = all(map(math.isfinite, value))
+        else:
+            value = float(rhs)
+            finite = math.isfinite(value)
+        if not finite:
+            raise ValueError("value must be finite")
+        return value
     except ValueError as exc:
         raise InvalidValue(f"line {lineno}: cannot parse '{rhs}' for {key}: {exc}") from None
 
@@ -164,85 +137,31 @@ def parse_config(text: str) -> Config:
 
 
 def _build(v: dict) -> Config:
-    diesel = DieselParams(
-        Kd=v["diesel.Kd"],
-        Td1=v["diesel.Td1"],
-        Td2=v["diesel.Td2"],
-        Td3=v["diesel.Td3"],
-        Td4=v["diesel.Td4"],
-        Rd=v["diesel.Rd"],
-    )
-    wind = WindParams(
-        Tw=v["wind.Tw"],
-        Kig=v["wind.Kig"],
-        Ktp=v["wind.Ktp"],
-        Kpc=v["wind.Kpc"],
-        Kp1=v["wind.Kp1"],
-        Kp2=v["wind.Kp2"],
-        Kp3=v["wind.Kp3"],
-        Tp1=v["wind.Tp1"],
-        Tp2=v["wind.Tp2"],
-        Tp3=v["wind.Tp3"],
-    )
+    def params(section, **nested):
+        scalars = {name: v[key] for key, name in _FIELDS[section]}
+        return _SECTIONS[section](**scalars, **nested)
+
     try:
         gbc = TransferFunction(list(v["solar.gbc_num"]), list(v["solar.gbc_den"]))
     except ZeroDivisionError as exc:
         raise InvalidValue(f"solar.gbc_den: {exc}") from None
-    solar = SolarChannelParams(Kgs=v["solar.Kgs"], gbc=gbc)
-    system = SystemParams(
-        Kp=v["system.Kp"],
-        Tp=v["system.Tp"],
-        Fs_nominal=v["system.F"],
-        diesel=diesel,
-        wind=wind,
-        solar=solar,
-        include_solar=v["system.include_solar"],
+    system = params(
+        "system", diesel=params("diesel"), wind=params("wind"), solar=params("solar", gbc=gbc)
     )
-    gains = ControllerGains(
-        Kdp=v["gains.Kdp"],
-        Kdi=v["gains.Kdi"],
-        Kpp=v["gains.Kpp"],
-        Kpi=v["gains.Kpi"],
-        Ksp=v["gains.Ksp"],
-        Ksi=v["gains.Ksi"],
-    )
+    gains = params("gains")
     scenario = Scenario(
         t_end=v["scenario.t_end"],
         dt=v["scenario.dt"],
         disturbances={
-            "dPl": Step(v["scenario.dPl"], v["scenario.dPl_onset"]),
-            "dPiw": Step(v["scenario.dPiw"], v["scenario.dPiw_onset"]),
-            "dPis": Step(v["scenario.dPis"], v["scenario.dPis_onset"]),
+            lbl: Step(v[f"scenario.{lbl}"], v[f"scenario.{lbl}_onset"])
+            for lbl in PLANT_DISTURBANCE_ORDER
         },
-        controls={
-            "dPcd": v["scenario.dPcd"],
-            "dPcu": v["scenario.dPcu"],
-            "us": v["scenario.us"],
-        },
+        controls={lbl: v[f"scenario.{lbl}"] for lbl in PLANT_CONTROL_ORDER},
     )
-    pv = PvCellParams(
-        Isc=v["pv.Isc"],
-        KI=v["pv.KI"],
-        Isat=v["pv.Isat"],
-        Rs=v["pv.Rs"],
-        Aq=v["pv.Aq"],
-        T=v["pv.T"],
-        lam=v["pv.lambda"],
-    )
-    tune = TuneSpec(
-        bounds={
-            name: (v[f"tune.{name}_min"], v[f"tune.{name}_max"]) for name in GAIN_ORDER
-        },
-        budget=v["tune.budget"],
-        seed=v["tune.seed"],
-        per_loop=v["tune.per_loop"],
-        eta_include_ft=v["tune.eta_include_ft"],
-        t_end=v["tune.t_end"],
-        dt=v["tune.dt"],
-        dpl=v["tune.dPl"],
-        dpiw=v["tune.dPiw"],
-        dpis=v["tune.dPis"],
-        onset=v["tune.onset"],
+    pv = params("pv")
+    tune = params(
+        "tune",
+        bounds={name: (v[f"tune.{name}_min"], v[f"tune.{name}_max"]) for name in GAIN_ORDER},
     )
 
     system.validate()
@@ -252,4 +171,12 @@ def _build(v: dict) -> Config:
     if v["pv.v_step"] <= 0:
         raise InvariantViolation("pv.v_step must be > 0")
     tune.validate()
-    return Config(values=v, system=system, gains=gains, scenario=scenario, pv=pv, tune=tune)
+    return Config(
+        values=v,
+        system=system,
+        gains=gains,
+        scenario=scenario,
+        pv=pv,
+        pv_v_step=v["pv.v_step"],
+        tune=tune,
+    )

@@ -21,6 +21,9 @@ S_2m = S_m + (T^m)' S_m T^m, in about 2 log2(L) small matrix products
 and without an inverse (Smith 1968; Van Loan 1978), then applies the
 trapezoid end correction. It returns what `ise(integrate(...))` returns,
 to rounding; `integrate` + `ise` stay as its reference.
+
+Every function takes an `lti.StateSpaceModel`; a closed loop is one that
+also carries its feedback matrix `h`, so the engine needs only `lti`.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
-from .assembly import AugmentedModel
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -48,8 +50,6 @@ __all__ = ["Step", "Scenario", "SimulationTrace", "integrate", "step_ise", "stea
 # interval on the negative real axis (about 2.785); warn near the edge.
 STEP_WARN = 2.5
 STEP_HARD = 2.785
-
-Model = Union[StateSpaceModel, AugmentedModel]
 
 
 @dataclass(frozen=True)
@@ -104,31 +104,6 @@ class SimulationTrace:
         raise KeyError(label)
 
 
-def _model_matrices(model: Model):
-    if isinstance(model, AugmentedModel):
-        # constant control offsets enter through the plant's own control
-        # columns; the integrator rows take no direct input
-        n_open = model.open_loop.n_states
-        b = np.zeros((model.n_states, len(model.control_labels)))
-        b[:n_open, :] = model.open_loop.b
-        return (
-            model.ahat,
-            b,
-            model.ghat,
-            model.state_labels,
-            model.control_labels,
-            model.disturbance_labels,
-        )
-    return (
-        model.a,
-        model.b,
-        model.g,
-        model.state_labels,
-        model.control_labels,
-        model.disturbance_labels,
-    )
-
-
 def _input_vector(values: Mapping[str, float], labels: tuple[str, ...], kind: str):
     vec = np.zeros(len(labels))
     for lbl, val in values.items():
@@ -150,16 +125,17 @@ def _propagators(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _inputs(scenario: Scenario, n: int, clabels, dlabels):
+def _inputs(model: StateSpaceModel, scenario: Scenario):
     """Grid and input bookkeeping shared by `integrate` and `step_ise`.
 
     Returns the row count, the constant control vector, one
     (onset row, disturbance column, magnitude) triple per step, and the
     initial state. The scenario must already be validated.
     """
+    n, dlabels = model.n_states, model.disturbance_labels
     dt = scenario.dt
     rows = int(math.floor(scenario.t_end / dt + 1e-9)) + 1
-    u_const = _input_vector(scenario.controls, clabels, "control")
+    u_const = _input_vector(scenario.controls, model.control_labels, "control")
     onsets = []
     for lbl, step in scenario.disturbances.items():
         if lbl not in dlabels:
@@ -176,7 +152,7 @@ def _inputs(scenario: Scenario, n: int, clabels, dlabels):
     return rows, u_const, onsets, x
 
 
-def integrate(model: Model, scenario: Scenario, outputs=None) -> SimulationTrace:
+def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> SimulationTrace:
     """Simulate the model under the scenario's step inputs.
 
     Inputs are piecewise constant: each disturbance switches from zero to
@@ -184,12 +160,12 @@ def integrate(model: Model, scenario: Scenario, outputs=None) -> SimulationTrace
     held across every step. Rows run t = 0, dt, ..., floor(t_end/dt)*dt.
 
     When an OutputMap is supplied its derived signals are evaluated along
-    the trace, with controller outputs u = H x reconstructed for
-    closed-loop models.
+    the trace, with controller outputs u = H x reconstructed for models
+    that carry a feedback matrix `h`.
     """
     scenario.validate()
-    a, b, g, labels, clabels, dlabels = _model_matrices(model)
-    n = a.shape[0]
+    a, b, g = model.a, model.b, model.g
+    n = model.n_states
     dt = scenario.dt
 
     lam = eigenvalues(a)
@@ -205,9 +181,9 @@ def integrate(model: Model, scenario: Scenario, outputs=None) -> SimulationTrace
             stacklevel=2,
         )
 
-    rows, u_const, onsets, x = _inputs(scenario, n, clabels, dlabels)
+    rows, u_const, onsets, x = _inputs(model, scenario)
     times = np.arange(rows) * dt
-    p_rows = np.zeros((rows, len(dlabels)))
+    p_rows = np.zeros((rows, g.shape[1]))
     for onset_idx, col, magnitude in onsets:
         p_rows[onset_idx:, col] += magnitude
 
@@ -231,17 +207,18 @@ def integrate(model: Model, scenario: Scenario, outputs=None) -> SimulationTrace
             raise DimensionMismatch(
                 f"output map expects at least {n_open} states, model has {n}"
             )
-        if isinstance(model, AugmentedModel):
-            u_rows = states @ model.h.T + u_const
+        h = getattr(model, "h", None)
+        if h is not None:
+            u_rows = states @ h.T + u_const
         else:
-            u_rows = np.broadcast_to(u_const, (rows, len(clabels)))
+            u_rows = np.broadcast_to(u_const, (rows, len(u_const)))
         y = states[:, :n_open] @ outputs.wx.T + u_rows @ outputs.wu.T + p_rows @ outputs.wp.T
         out_cols = {lbl: y[:, j] for j, lbl in enumerate(outputs.labels)}
 
     return SimulationTrace(
         times=times,
         states=states,
-        state_labels=tuple(labels),
+        state_labels=model.state_labels,
         outputs=out_cols,
     )
 
@@ -264,7 +241,7 @@ def _doubling_sum(t: np.ndarray, w: np.ndarray, z: np.ndarray, length: int):
         tm = tm @ tm
 
 
-def step_ise(model: Model, scenario: Scenario, include_ft: bool = False) -> float:
+def step_ise(model: StateSpaceModel, scenario: Scenario, include_ft: bool = False) -> float:
     """`ise(integrate(model, scenario), include_ft)` without stepping.
 
     Each stretch of rows between onsets has constant forcing, so its sum
@@ -281,9 +258,9 @@ def step_ise(model: Model, scenario: Scenario, include_ft: bool = False) -> floa
     scenario never excites and that stays at zero in the stepped trace.
     """
     scenario.validate()
-    a, b, g, labels, clabels, dlabels = _model_matrices(model)
-    rows, u_const, onsets, x = _inputs(scenario, a.shape[0], clabels, dlabels)
-    n = a.shape[0]
+    a, b, g, labels = model.a, model.b, model.g, model.state_labels
+    n = model.n_states
+    rows, u_const, onsets, x = _inputs(model, scenario)
     w = np.zeros((n + 1, n + 1))
     for lbl in ("dFs", "dFt") if include_ft else ("dFs",):
         w[labels.index(lbl), labels.index(lbl)] = 1.0
@@ -300,7 +277,7 @@ def step_ise(model: Model, scenario: Scenario, include_ft: bool = False) -> floa
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in zip(starts, starts[1:] + [last]):
-            p = np.zeros(len(dlabels))
+            p = np.zeros(g.shape[1])
             for row, col, magnitude in onsets:
                 if row <= start:
                     p[col] += magnitude
@@ -314,7 +291,7 @@ def step_ise(model: Model, scenario: Scenario, include_ft: bool = False) -> floa
 
 
 def steady_state(
-    model: Model,
+    model: StateSpaceModel,
     disturbances: Mapping[str, float] | None = None,
     controls: Mapping[str, float] | None = None,
 ) -> np.ndarray:
@@ -324,9 +301,9 @@ def steady_state(
     smallest singular value falls below 1e-12 of the largest (free
     integrators, for instance, make the equilibrium non-unique).
     """
-    a, b, g, _, clabels, dlabels = _model_matrices(model)
-    u = _input_vector(controls or {}, clabels, "control")
-    p = _input_vector(disturbances or {}, dlabels, "disturbance")
+    a, b, g = model.a, model.b, model.g
+    u = _input_vector(controls or {}, model.control_labels, "control")
+    p = _input_vector(disturbances or {}, model.disturbance_labels, "disturbance")
 
     svals = np.linalg.svd(a, compute_uv=False)
     if svals[-1] <= 1e-12 * svals[0]:

@@ -74,7 +74,7 @@ class UnstableStepSize(ToolkitError):
 
 
 class NonFiniteState(ToolkitError):
-    """Integration produced NaN or infinite state values."""
+    """A plant, a simulated state or a performance index came out NaN or infinite."""
 
 
 class SingularSystem(ToolkitError):

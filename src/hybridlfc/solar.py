@@ -33,10 +33,13 @@ __all__ = [
 ]
 
 NEWTON_CAP = 100
+ELECTRON_CHARGE = 1.602e-19  # q (C)
+BOLTZMANN = 1.380649e-23  # k (J/K)
 # exp() overflows past ~709; clamp the diode exponent well inside that.
 EXP_CLAMP = 700.0
 
 
+# tool defaults chosen for a plausible small panel, not source-data constants
 @dataclass(frozen=True)
 class PvCellParams:
     Isc: float = 3.8  # short-circuit current (A)
@@ -46,8 +49,6 @@ class PvCellParams:
     Aq: float = 1.3  # diode quality factor
     T: float = 25.0  # cell temperature (degC)
     lam: float = 1000.0  # irradiance (W/m^2)
-    q: float = 1.602e-19  # electron charge (C)
-    k: float = 1.380649e-23  # Boltzmann constant (J/K)
 
     def validate(self) -> None:
         if self.Isc <= 0:
@@ -64,7 +65,7 @@ class PvCellParams:
     @property
     def thermal_voltage(self) -> float:
         """Aq*k*TK/q with TK the cell temperature in kelvin."""
-        return self.Aq * self.k * (self.T + 273.15) / self.q
+        return self.Aq * BOLTZMANN * (self.T + 273.15) / ELECTRON_CHARGE
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
             raise _OutOfBudget
         state["evals"] += 1
         model = build_closed_loop(params, ControllerGains(*key))
-        lam = eigenvalues(model.ahat)
+        lam = eigenvalues(model.a)
         too_fast = float(np.max(np.abs(lam))) * spec.dt > STEP_WARN
         if float(np.max(lam.real)) >= STABILITY_MARGIN or too_fast:
             c = math.inf

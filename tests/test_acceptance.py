@@ -110,7 +110,7 @@ def test_tuner_search_path(default_params, tuned, monkeypatch):
 def test_zero_feedback_spectrum(default_params):
     plant = assemble_plant(default_params)
     model = build_closed_loop(default_params, ControllerGains())
-    lam = eigenvalues(model.ahat)
+    lam = eigenvalues(model.a)
     at_origin = lam[np.abs(lam) < 1e-9]
     rest = np.sort_complex(lam[np.abs(lam) >= 1e-9])
     plant_lam = np.sort_complex(eigenvalues(plant.a))

@@ -131,20 +131,20 @@ class TestClosedLoop:
         plant = assemble_plant(default_params)
         abar, bbar, gbar = augment_with_integrators(plant)
         model = close_loop(abar, bbar, gbar, np.zeros((3, 12)), plant)
-        np.testing.assert_array_equal(model.ahat, abar)
-        np.testing.assert_array_equal(model.ghat, gbar)
+        np.testing.assert_array_equal(model.a, abar)
+        np.testing.assert_array_equal(model.g, gbar)
         assert model.state_labels == PLANT_STATE_ORDER + INTEGRATOR_LABELS
         assert model.n_states == 12
 
     def test_zero_feedback_keeps_two_integrator_modes(self, default_params):
         model = build_closed_loop(default_params, ControllerGains())
-        lam = eigenvalues(model.ahat)
+        lam = eigenvalues(model.a)
         assert int(np.sum(np.abs(lam) < 1e-9)) == 2
 
     def test_matrices_read_only(self, default_params, stable_gains):
         model = build_closed_loop(default_params, stable_gains)
         with pytest.raises(ValueError):
-            model.ahat[0, 0] = 1.0
+            model.a[0, 0] = 1.0
 
     def test_rejects_misshapen_feedback(self, default_params):
         plant = assemble_plant(default_params)
@@ -153,6 +153,13 @@ class TestClosedLoop:
             close_loop(abar, bbar, gbar, np.zeros((3, 11)), plant)
         with pytest.raises(DimensionMismatch):
             close_loop(abar, bbar[:11], gbar, np.zeros((3, 12)), plant)
+
+    def test_integrator_rows_take_no_control(self, default_params):
+        plant = assemble_plant(default_params)
+        abar, bbar, gbar = augment_with_integrators(plant)
+        bbar[10, 0] = 1.0
+        with pytest.raises(ValueError, match="control matrix"):
+            close_loop(abar, bbar, gbar, np.zeros((3, 12)), plant)
 
     def test_zero_gain_equilibrium_is_singular(self, default_params):
         model = build_closed_loop(default_params, ControllerGains())
@@ -180,8 +187,8 @@ class TestClosedLoop:
         sel = np.zeros((2, 12))
         sel[0, 0] = 1.0
         sel[1, 1] = 1.0
-        np.testing.assert_array_equal(model.ahat[10:], sel)
-        np.testing.assert_array_equal(model.ghat[10:], 0.0)
+        np.testing.assert_array_equal(model.a[10:], sel)
+        np.testing.assert_array_equal(model.g[10:], 0.0)
 
 
 class TestOutputMap:

@@ -171,6 +171,22 @@ class TestFailureModes:
         assert code == 2
         assert err.startswith("error: InvariantViolation:")
 
+    def test_non_finite_value_is_config_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, tmp_path, "steady", "system.Kp = inf\n")
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidValue: line 1:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["eigen", "steady", "tune"])
+    @pytest.mark.parametrize(
+        "line", ["system.Tp = 1e-320", "diesel.Td3 = 1e-310"], ids=["tiny_Tp", "tiny_Td3"]
+    )
+    def test_overflowing_plant_is_numeric_error(self, capsys, tmp_path, command, line):
+        code, out, err = run_cli(capsys, tmp_path, command, line + "\n")
+        assert code == 3 and out == ""
+        assert err.startswith("error: NonFiniteState:")
+        assert len(err.splitlines()) == 1
+
     def test_missing_config_file(self, capsys, tmp_path):
         code = main(["--command", "eigen", "--config", str(tmp_path / "absent.conf")])
         err = capsys.readouterr().err

@@ -3,6 +3,21 @@ import pytest
 from hybridlfc.config import DEFAULTS, parse_config
 from hybridlfc.errors import InvalidValue, InvariantViolation, UnknownKey
 
+# the key namespace per section, as the README's configuration table lists it
+NAMESPACE = {
+    "diesel": "Kd Td1 Td2 Td3 Td4 Rd",
+    "wind": "Tw Kig Ktp Kpc Kp1 Kp2 Kp3 Tp1 Tp2 Tp3",
+    "solar": "Kgs gbc_num gbc_den",
+    "system": "Kp Tp F include_solar",
+    "gains": "Kdp Kdi Kpp Kpi Ksp Ksi",
+    "scenario": "t_end dt dPl dPl_onset dPiw dPiw_onset dPis dPis_onset dPcd dPcu us",
+    "pv": "Isc KI Isat Rs Aq T lambda v_step",
+    "tune": (
+        "Kdp_min Kdp_max Kdi_min Kdi_max Kpp_min Kpp_max Kpi_min Kpi_max Ksp_min Ksp_max"
+        " Ksi_min Ksi_max budget seed per_loop eta_include_ft t_end dt dPl dPiw dPis onset"
+    ),
+}
+
 
 class TestParsing:
     def test_empty_text_gives_defaults(self):
@@ -77,6 +92,21 @@ class TestParsing:
                 rhs = repr(val)
             cfg = parse_config(f"{key} = {rhs}\n")
             assert cfg.values[key] == val
+
+    def test_namespace_is_pinned(self):
+        # a new dataclass field must not become a config key unnoticed
+        pinned = {f"{sec}.{name}" for sec, names in NAMESPACE.items() for name in names.split()}
+        assert set(DEFAULTS) == pinned
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, bad):
+        real_keys = [k for k, v in DEFAULTS.items() if type(v) in (float, tuple)]
+        assert len(real_keys) == 65
+        for key in real_keys:
+            with pytest.raises(InvalidValue, match=f"line 1: .*{key}: value must be finite"):
+                parse_config(f"{key} = {bad}\n")
+        with pytest.raises(InvalidValue, match="finite"):
+            parse_config(f"solar.gbc_den = 50.0, {bad}, 1.0\n")
 
 
 class TestConstraints:

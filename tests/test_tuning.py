@@ -15,7 +15,7 @@ QUICK = TuneSpec(budget=60, t_end=10.0, dt=0.01)
 
 def closed_loop_max_real(params, gains):
     model = build_closed_loop(params, gains)
-    return float(np.max(eigenvalues(model.ahat).real))
+    return float(np.max(eigenvalues(model.a).real))
 
 
 class TestSpec:
