@@ -9,7 +9,6 @@ stderr, `error: <Class>: <message>`.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
@@ -20,7 +19,12 @@ from .config import Config, parse_config
 from .engine import integrate, steady_state
 from .errors import ConfigError, ToolkitError, UnstableStepSize
 from .lti import eigenvalues
-from .solar import mppt_operating_point, open_circuit_voltage, solve_pv_current
+from .solar import (
+    mppt_operating_point,
+    open_circuit_voltage,
+    solve_pv_current,
+    voltage_grid_points,
+)
 from .tuning import GAIN_ORDER, STABILITY_MARGIN, tune_gains
 
 __all__ = ["main"]
@@ -69,7 +73,7 @@ def _cmd_pvcurve(cfg: Config) -> list[str]:
     v_step = cfg.pv_v_step
     voc = open_circuit_voltage(p)
     rows = []
-    for i in range(int(math.floor(voc / v_step)) + 1):
+    for i in range(voltage_grid_points(voc, v_step)):
         v = i * v_step
         amps = solve_pv_current(p, v)
         rows.append([v, amps, v * amps, 0])

@@ -51,6 +51,11 @@ __all__ = ["Step", "Scenario", "SimulationTrace", "integrate", "step_ise", "stea
 STEP_WARN = 2.5
 STEP_HARD = 2.785
 
+# `integrate` stores every row, and `simulate` holds about 0.8 kB per row
+# in states, forcing and CSV text, so this keeps a run near 1.6 GB; the
+# default 60 s / 1 ms scenario has 60 001 rows
+MAX_ROWS = 2_000_000
+
 
 @dataclass(frozen=True)
 class Step:
@@ -81,6 +86,8 @@ class Scenario:
             raise InvariantViolation("scenario.dt must be > 0")
         if self.dt > self.t_end:
             raise InvariantViolation("scenario.dt must not exceed scenario.t_end")
+        if not math.isfinite(self.t_end / self.dt):
+            raise InvariantViolation("scenario.t_end / scenario.dt overflows")
         for lbl, step in self.disturbances.items():
             if not 0.0 <= step.onset <= self.t_end:
                 raise InvariantViolation(
@@ -157,7 +164,8 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
 
     Inputs are piecewise constant: each disturbance switches from zero to
     its magnitude at the sample on (or just before) its onset time and is
-    held across every step. Rows run t = 0, dt, ..., floor(t_end/dt)*dt.
+    held across every step. Rows run t = 0, dt, ..., floor(t_end/dt)*dt;
+    more than MAX_ROWS of them raise InvariantViolation before allocating.
 
     When an OutputMap is supplied its derived signals are evaluated along
     the trace, with controller outputs u = H x reconstructed for models
@@ -182,6 +190,11 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
         )
 
     rows, u_const, onsets, x = _inputs(model, scenario)
+    if rows > MAX_ROWS:
+        raise InvariantViolation(
+            f"scenario has {rows:.7g} rows, above the cap of {MAX_ROWS}; "
+            "raise scenario.dt or lower scenario.t_end"
+        )
     times = np.arange(rows) * dt
     p_rows = np.zeros((rows, g.shape[1]))
     for onset_idx, col, magnitude in onsets:
@@ -247,7 +260,11 @@ def step_ise(model: StateSpaceModel, scenario: Scenario, include_ft: bool = Fals
     Each stretch of rows between onsets has constant forcing, so its sum
     of squared deviations is one quadratic form in the augmented state,
     summed by binary doubling; the last row enters through the trapezoid
-    end correction dt * (sum - (y_0 + y_N) / 2).
+    end correction dt * (sum - (y_0 + y_N) / 2). A stretch that starts at
+    rest (x = 0) with zero forcing stays at rest, and since W ignores the
+    constant component each of its rows adds exactly 0.0; such a stretch,
+    like the quiet rows before a step onset, is skipped, which leaves the
+    result bit-for-bit unchanged.
 
     Unlike `integrate` this applies no eigenvalue step guard: its only
     caller, the tuner, already rejects candidates with |lambda|max*dt
@@ -282,6 +299,8 @@ def step_ise(model: StateSpaceModel, scenario: Scenario, include_ft: bool = Fals
                 if row <= start:
                     p[col] += magnitude
             t[:n, n] = q_mat @ (g @ p + b @ u_const)
+            if not (z[:n].any() or t[:n, n].any()):
+                continue  # at rest and unforced: every row adds 0.0, z stays
             part, z = _doubling_sum(t, w, z, stop - start)
             total += part
         result = scenario.dt * (total + (z @ w @ z - y0) / 2.0)

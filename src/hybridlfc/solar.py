@@ -26,6 +26,7 @@ __all__ = [
     "photocurrent",
     "open_circuit_voltage",
     "solve_pv_current",
+    "voltage_grid_points",
     "mppt_operating_point",
     "boost_switched_step",
     "build_solar_subsystem",
@@ -37,6 +38,10 @@ ELECTRON_CHARGE = 1.602e-19  # q (C)
 BOLTZMANN = 1.380649e-23  # k (J/K)
 # exp() overflows past ~709; clamp the diode exponent well inside that.
 EXP_CLAMP = 700.0
+# pvcurve solves the cell twice per grid point, for its own rows and in
+# the MPPT scan, at about 26 us a point, so at this cap it ends within
+# half a minute; the default 0.01 V step gives about 70 points
+MAX_GRID_POINTS = 1_000_000
 
 
 # tool defaults chosen for a plausible small panel, not source-data constants
@@ -61,6 +66,8 @@ class PvCellParams:
             raise InvariantViolation("pv.Aq must be > 0")
         if self.Rs < 0:
             raise InvariantViolation("pv.Rs must be >= 0")
+        if self.T <= -273.15:
+            raise InvariantViolation("pv.T must be above absolute zero (-273.15 degC)")
 
     @property
     def thermal_voltage(self) -> float:
@@ -162,6 +169,21 @@ def solve_pv_current(p: PvCellParams, vpv: float) -> float:
     raise NoConvergence(f"diode current solve stalled at vpv = {vpv}")
 
 
+def voltage_grid_points(voc: float, v_step: float) -> int:
+    """Size of the voltage grid {0, v_step, 2*v_step, ...} up to voc.
+
+    Raises InvariantViolation when it exceeds MAX_GRID_POINTS, so a caller
+    checks before its first solve.
+    """
+    ratio = voc / v_step
+    if not ratio < MAX_GRID_POINTS:
+        raise InvariantViolation(
+            f"voltage grid of {ratio:.3g} points exceeds the cap of "
+            f"{MAX_GRID_POINTS}; raise pv.v_step"
+        )
+    return int(math.floor(ratio)) + 1
+
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -197,8 +219,7 @@ def mppt_operating_point(p: PvCellParams, v_step: float) -> tuple[float, float, 
         return 0.0, 0.0, 0.0
 
     power = lambda v: v * solve_pv_current(p, v)
-    n = int(math.floor(voc / v_step))
-    grid = [i * v_step for i in range(n + 1)]
+    grid = [i * v_step for i in range(voltage_grid_points(voc, v_step))]
     best = max(grid, key=power)
 
     lo = max(best - v_step, 0.0)

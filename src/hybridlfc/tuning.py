@@ -7,7 +7,9 @@ pattern search with step halving is used instead of gradient descent.
 No randomized moves are taken; the seed field exists for interface
 stability should stochastic restarts ever be added.
 
-Each candidate's cost is the exact trapezoidal index of its RK4 trace,
+The plant does not depend on the gains, so a run assembles and augments
+it once; each candidate then only builds its feedback matrix and closes
+the loop. Its cost is the exact trapezoidal index of its RK4 trace,
 computed in closed form by `engine.step_ise` with no stepping, so a cost
 evaluation takes a fraction of a millisecond instead of a step loop.
 """
@@ -20,7 +22,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .assembly import ControllerGains, SystemParams, build_closed_loop
+from .assembly import (
+    INTEGRATOR_LABELS,
+    ControllerGains,
+    SystemParams,
+    assemble_plant,
+    augment_with_integrators,
+    build_feedback_matrix,
+    close_loop,
+)
 from .engine import STEP_WARN, Scenario, Step, step_ise
 from .errors import InvariantViolation, NoStableGainsFound
 from .lti import eigenvalues
@@ -73,6 +83,8 @@ class TuneSpec:
             raise InvariantViolation("tune.dt must be > 0")
         if self.t_end < self.dt:
             raise InvariantViolation("tune.t_end must be >= tune.dt")
+        if not math.isfinite(self.t_end / self.dt):
+            raise InvariantViolation("tune.t_end / tune.dt overflows")
         if not 0.0 <= self.onset <= self.t_end:
             raise InvariantViolation("tune.onset must lie within [0, tune.t_end]")
 
@@ -135,6 +147,9 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
     spec.validate()
     scenario = spec.scenario()
     scenario.validate()
+    plant = assemble_plant(params)
+    abar, bbar, gbar = augment_with_integrators(plant)
+    labels = plant.state_labels + INTEGRATOR_LABELS
 
     active = list(GAIN_ORDER) if params.include_solar else list(GAIN_ORDER[:4])
     start = {
@@ -157,7 +172,8 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
         if state["evals"] >= state["cap"]:
             raise _OutOfBudget
         state["evals"] += 1
-        model = build_closed_loop(params, ControllerGains(*key))
+        h = build_feedback_matrix(ControllerGains(*key), labels, params.wind.Kig)
+        model = close_loop(abar, bbar, gbar, h, plant)
         lam = eigenvalues(model.a)
         too_fast = float(np.max(np.abs(lam))) * spec.dt > STEP_WARN
         if float(np.max(lam.real)) >= STABILITY_MARGIN or too_fast:

@@ -92,15 +92,15 @@ def test_tuner_search_path(default_params, tuned, monkeypatch):
     ok = gains == ControllerGains(**expected)
     ok = ok and eta == pytest.approx(1.0544345933961472e-05, rel=1e-9)
 
-    # the rerun must build exactly the budget's worth of candidates
+    # the rerun must close exactly the budget's worth of candidate loops
     built = []
-    real_build = hybridlfc.tuning.build_closed_loop
+    real_close = hybridlfc.tuning.close_loop
 
-    def counting_build(params, candidate):
-        built.append(candidate)
-        return real_build(params, candidate)
+    def counting_close(abar, bbar, gbar, h, plant):
+        built.append(h)
+        return real_close(abar, bbar, gbar, h, plant)
 
-    monkeypatch.setattr(hybridlfc.tuning, "build_closed_loop", counting_build)
+    monkeypatch.setattr(hybridlfc.tuning, "close_loop", counting_close)
     spec = hybridlfc.tuning.TuneSpec(dpiw=0.01, dpis=0.01, eta_include_ft=True)
     ok = ok and hybridlfc.tuning.tune_gains(default_params, spec) == (gains, eta)
     ok = ok and len(built) == 300

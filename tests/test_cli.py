@@ -208,6 +208,39 @@ class TestFailureModes:
         assert code == 3
         assert err.startswith("error: NoStableGainsFound:")
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("simulate", "scenario.dt = 1e-300\n", "scenario has 6e+301 rows, above the cap"),
+            ("simulate", "scenario.t_end = 1e9\n", "scenario has 1e+12 rows, above the cap"),
+            ("simulate", "scenario.t_end = 1e300\nscenario.dt = 1e-10\n", "overflows"),
+            ("tune", "tune.t_end = 1e300\ntune.dt = 1e-10\n", "tune.t_end / tune.dt overflows"),
+            ("pvcurve", "pv.v_step = 1e-12\n", "voltage grid of 6.94e+11 points"),
+        ],
+        ids=["tiny_dt", "long_t_end", "overflowing_rows", "overflowing_tune_rows", "tiny_v_step"],
+    )
+    def test_oversized_work_rejected_before_allocating(self, tmp_path, command, text, message):
+        # in a child process, so an unbounded run fails on the timeout
+        # instead of holding the suite
+        path = tmp_path / "case.conf"
+        path.write_text(text)
+        result = subprocess.run(
+            [sys.executable, "-m", "hybridlfc", "--command", command, "--config", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: InvariantViolation: ")
+        assert message in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_temperature_below_absolute_zero(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, tmp_path, "pvcurve", "pv.T = -400\n")
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvariantViolation: pv.T must be above absolute zero")
+        assert len(err.splitlines()) == 1
+
     def test_unknown_command_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["--command", "explode"])

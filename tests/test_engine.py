@@ -46,6 +46,8 @@ class TestScenario:
             Scenario(t_end=1.0, dt=0.0).validate()
         with pytest.raises(InvariantViolation):
             Scenario(t_end=1.0, dt=2.0).validate()
+        with pytest.raises(InvariantViolation):
+            Scenario(t_end=1e300, dt=1e-10).validate()
 
     def test_validate_rejects_onset_outside_horizon(self):
         sc = Scenario(t_end=1.0, dt=0.1, disturbances={"w": Step(1.0, onset=2.0)})
@@ -201,10 +203,27 @@ class TestStepIse:
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("include_ft", [False, True])
-    @pytest.mark.parametrize("kind", ["closed", "plant"])
-    def test_single_onset(self, default_params, stable_gains, kind, include_ft):
+    @pytest.mark.parametrize(
+        "kind, onset, controls",
+        [
+            # at rest and unforced before the onset: the skipped stretch
+            pytest.param("closed", 1.0, {}, id="closed"),
+            pytest.param("plant", 1.0, {}, id="plant"),
+            # at rest but forced by the controls before the onset
+            pytest.param("closed", 10.0, {"dPcd": 0.002, "us": -0.001}, id="closed-forced_rest"),
+            pytest.param("plant", 10.0, {"dPcd": 0.002, "us": -0.001}, id="plant-forced_rest"),
+        ],
+    )
+    def test_single_onset(
+        self, default_params, stable_gains, kind, onset, controls, include_ft
+    ):
         model = self._models(default_params, stable_gains)[kind]
-        sc = Scenario(t_end=20.0, dt=0.005, disturbances={"dPl": Step(0.01, onset=1.0)})
+        sc = Scenario(
+            t_end=20.0,
+            dt=0.005,
+            disturbances={"dPl": Step(0.01, onset=onset)},
+            controls=controls,
+        )
         self._assert_matches(model, sc, include_ft)
 
     @pytest.mark.parametrize("include_ft", [False, True])

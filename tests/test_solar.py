@@ -135,6 +135,9 @@ class TestMppt:
     def test_rejects_bad_step(self):
         with pytest.raises(InvariantViolation):
             mppt_operating_point(PvCellParams(), 0.0)
+        # a grid past the cap is refused before its first solve
+        with pytest.raises(InvariantViolation, match="exceeds the cap"):
+            mppt_operating_point(PvCellParams(), 1e-12)
 
 
 BOOST = BoostParams(L=1e-3, C=1e-3, R=10.0, Ts=1e-5, duty=0.5)

@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hybridlfc.tuning
 from hybridlfc.assembly import ControllerGains, SystemParams, build_closed_loop
-from hybridlfc.engine import integrate, ise
+from hybridlfc.engine import integrate, ise, step_ise
 from hybridlfc.errors import InvariantViolation, NoStableGainsFound
 from hybridlfc.lti import eigenvalues
 from hybridlfc.tuning import GAIN_ORDER, STABILITY_MARGIN, TuneSpec, tune_gains
@@ -41,6 +42,8 @@ class TestSpec:
             TuneSpec(bounds=bad).validate()
         with pytest.raises(InvariantViolation):
             TuneSpec(onset=50.0, t_end=30.0).validate()
+        with pytest.raises(InvariantViolation):
+            TuneSpec(t_end=1e300, dt=1e-10).validate()
 
 
 class TestSearch:
@@ -106,3 +109,34 @@ class TestSearch:
             default_params, replace(QUICK, budget=10, eta_include_ft=True)
         )
         assert eta_both > eta_fs  # the added dFt^2 term can only grow it
+
+    @pytest.mark.parametrize("include_solar", [True, False])
+    def test_costs_match_a_fresh_build(self, default_params, include_solar, monkeypatch):
+        # the plant is assembled once per run; every cost must equal one
+        # computed from a closed loop built from scratch for its gains
+        params = replace(default_params, include_solar=include_solar)
+        spec = replace(QUICK, budget=40)
+        gains_seen, costed = [], []
+        real_feedback = hybridlfc.tuning.build_feedback_matrix
+        real_cost = hybridlfc.tuning.step_ise
+
+        def recording_feedback(gains, labels, kig):
+            gains_seen.append(gains)
+            return real_feedback(gains, labels, kig)
+
+        def recording_cost(model, scenario, include_ft=False):
+            cost = real_cost(model, scenario, include_ft=include_ft)
+            costed.append((gains_seen[-1], cost))
+            return cost
+
+        monkeypatch.setattr(hybridlfc.tuning, "build_feedback_matrix", recording_feedback)
+        monkeypatch.setattr(hybridlfc.tuning, "step_ise", recording_cost)
+        tune_gains(params, spec)
+        assert len(gains_seen) == 40 and len(costed) > 20
+        for gains, cost in costed:
+            fresh = step_ise(
+                build_closed_loop(params, gains),
+                spec.scenario(),
+                include_ft=spec.eta_include_ft,
+            )
+            assert cost == fresh
