@@ -13,23 +13,17 @@ import sys
 
 import numpy as np
 
-from hybridlfc.solar import (
-    PvCellParams,
-    mppt_operating_point,
-    open_circuit_voltage,
-    solve_pv_current,
-)
+from hybridlfc.solar import PvCellParams, open_circuit_voltage, pv_curve, solve_pv_current
 
 
 def sweep(cell: PvCellParams, v_step: float):
     """Rows of (V, I, P) plus the refined maximum power point."""
-    voc = open_circuit_voltage(cell)
-    grid = np.arange(0.0, voc + 0.5 * v_step, v_step)
-    rows = []
-    for v in grid:
-        i = solve_pv_current(cell, float(v))
-        rows.append((float(v), i, float(v) * i))
-    return rows, mppt_operating_point(cell, v_step)
+    _, amps, mpp = pv_curve(cell, v_step)
+    # the sweep's grid runs on to the point past Voc when Voc lies in the
+    # upper half of a step; pv_curve stops at Voc
+    grid = np.arange(0.0, open_circuit_voltage(cell) + 0.5 * v_step, v_step).tolist()
+    amps += [solve_pv_current(cell, v) for v in grid[len(amps) :]]
+    return [(v, i, v * i) for v, i in zip(grid, amps)], mpp
 
 
 def run(args):

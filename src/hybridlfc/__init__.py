@@ -60,6 +60,7 @@ from .solar import (
     mppt_operating_point,
     open_circuit_voltage,
     photocurrent,
+    pv_curve,
     solve_pv_current,
 )
 from .tuning import TuneSpec, tune_gains

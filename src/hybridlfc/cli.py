@@ -19,15 +19,19 @@ from .config import Config, parse_config
 from .engine import integrate, steady_state
 from .errors import ConfigError, ToolkitError, UnstableStepSize
 from .lti import eigenvalues
-from .solar import (
-    mppt_operating_point,
-    open_circuit_voltage,
-    solve_pv_current,
-    voltage_grid_points,
-)
+from .solar import pv_curve
 from .tuning import GAIN_ORDER, STABILITY_MARGIN, tune_gains
 
 __all__ = ["main"]
+
+
+def _csv_rows(data: np.ndarray) -> list[str]:
+    """Each row of a 2-D array as one line of %.8e values, the same bytes
+    as joining f"{x:.8e}" per value but with one format call per row."""
+    row = ",".join(["%.8e"] * data.shape[1])
+    # row by row: data.tolist() would hold every value of a long trace
+    # as a Python float at once
+    return [row % tuple(r.tolist()) for r in data]
 
 
 def _cmd_simulate(cfg: Config) -> list[str]:
@@ -38,23 +42,21 @@ def _cmd_simulate(cfg: Config) -> list[str]:
     data = np.column_stack(
         [trace.times, trace.states] + [trace.outputs[lbl] for lbl in outs.labels]
     )
-    lines = [header]
-    lines.extend(",".join(f"{x:.8e}" for x in row) for row in data)
-    return lines
+    return [header, *_csv_rows(data)]
 
 
 def _cmd_steady(cfg: Config) -> list[str]:
     plant = assemble_plant(cfg.system)
     dist = {lbl: s.magnitude for lbl, s in cfg.scenario.disturbances.items()}
     x = steady_state(plant, dist, dict(cfg.scenario.controls))
-    return [f"{lbl} = {val:.6f}" for lbl, val in zip(plant.state_labels, x)]
+    return [f"{lbl} = {val:.6f}" for lbl, val in zip(plant.state_labels, x.tolist())]
 
 
 def _cmd_eigen(cfg: Config) -> list[str]:
     model = build_closed_loop(cfg.system, cfg.gains)
     lam = eigenvalues(model.a)
     lines = ["re,im"]
-    lines.extend(f"{z.real:.8e},{z.imag:.8e}" for z in lam)
+    lines.extend(f"{z.real:.8e},{z.imag:.8e}" for z in lam.tolist())
     verdict = "STABLE" if float(np.max(lam.real)) < STABILITY_MARGIN else "UNSTABLE"
     lines.append(f"verdict,{verdict}")
     return lines
@@ -69,16 +71,8 @@ def _cmd_tune(cfg: Config) -> list[str]:
 
 
 def _cmd_pvcurve(cfg: Config) -> list[str]:
-    p = cfg.pv
-    v_step = cfg.pv_v_step
-    voc = open_circuit_voltage(p)
-    rows = []
-    for i in range(voltage_grid_points(voc, v_step)):
-        v = i * v_step
-        amps = solve_pv_current(p, v)
-        rows.append([v, amps, v * amps, 0])
-
-    vm, im, pm = mppt_operating_point(p, v_step)
+    volts, amps, (vm, im, pm) = pv_curve(cfg.pv, cfg.pv_v_step)
+    rows = [[v, i, v * i, 0] for v, i in zip(volts, amps)]
     for row in rows:
         if abs(row[0] - vm) < 1e-12:
             row[3] = 1
@@ -88,7 +82,7 @@ def _cmd_pvcurve(cfg: Config) -> list[str]:
         rows.insert(at, [vm, im, pm, 1])
 
     lines = ["V,I,P,mpp"]
-    lines.extend(f"{v:.8e},{amps:.8e},{watts:.8e},{flag}" for v, amps, watts, flag in rows)
+    lines.extend("%.8e,%.8e,%.8e,%d" % tuple(row) for row in rows)
     return lines
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "TransferFunction",
     "StateSpaceModel",
     "tf_dc_gain",
+    "tf_feedthrough",
     "tf_to_ss",
     "eigenvalues",
 ]
@@ -152,6 +153,20 @@ def tf_dc_gain(tf: TransferFunction) -> float:
     return tf.num.coeffs[0] / d0
 
 
+def tf_feedthrough(tf: TransferFunction) -> float:
+    """Direct term d of a proper transfer function, num = d*den + remainder
+    (0 when the block is strictly proper). Equal to the feedthrough that
+    `tf_to_ss` returns, without building the realization."""
+    if not tf.is_proper:
+        raise ImproperTransferFunction(
+            f"numerator degree {tf.num.degree} exceeds denominator degree {tf.den.degree}"
+        )
+    n = tf.den.degree
+    if n < 1:
+        raise ImproperTransferFunction("denominator must have degree >= 1")
+    return tf.num.coeffs[n] / tf.den.coeffs[n] if tf.num.degree == n else 0.0
+
+
 def tf_to_ss(
     tf: TransferFunction,
     state_prefix: str = "x",
@@ -169,21 +184,13 @@ def tf_to_ss(
     companion matrix is formed, so the eigenvalues of A are exactly the
     denominator roots.
     """
-    if not tf.is_proper:
-        raise ImproperTransferFunction(
-            f"numerator degree {tf.num.degree} exceeds denominator degree {tf.den.degree}"
-        )
+    d = tf_feedthrough(tf)
     n = tf.den.degree
-    if n < 1:
-        raise ImproperTransferFunction("denominator must have degree >= 1")
-
     lead = tf.den.coeffs[-1]
     den = [c / lead for c in tf.den.coeffs]
     num = [c / lead for c in tf.num.coeffs]
     num += [0.0] * (n + 1 - len(num))
-
-    # Split off the direct feedthrough: num = d*den + remainder.
-    d = num[n]
+    # the strictly-proper remainder num - d*den fills the input column
     b = np.array([num[i] - d * den[i] for i in range(n)])
 
     a = np.zeros((n, n))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation, NoConvergence
-from .lti import StateSpaceModel, TransferFunction, tf_to_ss
+from .lti import StateSpaceModel, TransferFunction, tf_feedthrough, tf_to_ss
 
 __all__ = [
     "PvCellParams",
@@ -27,6 +27,7 @@ __all__ = [
     "open_circuit_voltage",
     "solve_pv_current",
     "voltage_grid_points",
+    "pv_curve",
     "mppt_operating_point",
     "boost_switched_step",
     "build_solar_subsystem",
@@ -38,9 +39,9 @@ ELECTRON_CHARGE = 1.602e-19  # q (C)
 BOLTZMANN = 1.380649e-23  # k (J/K)
 # exp() overflows past ~709; clamp the diode exponent well inside that.
 EXP_CLAMP = 700.0
-# pvcurve solves the cell twice per grid point, for its own rows and in
-# the MPPT scan, at about 26 us a point, so at this cap it ends within
-# half a minute; the default 0.01 V step gives about 70 points
+# pvcurve solves the cell once per grid point, at about 11 us a point,
+# so at this cap it ends within about 12 s; the default 0.01 V step
+# gives about 70 points
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -119,11 +120,6 @@ def open_circuit_voltage(p: PvCellParams) -> float:
     return p.thermal_voltage * math.log1p(iph / p.Isat)
 
 
-def _diode_residual(p: PvCellParams, vpv: float, ipv: float, iph: float) -> float:
-    arg = min((vpv + ipv * p.Rs) / p.thermal_voltage, EXP_CLAMP)
-    return iph - p.Isat * math.expm1(arg) - ipv
-
-
 def solve_pv_current(p: PvCellParams, vpv: float) -> float:
     """Terminal current at voltage vpv from the implicit single-diode law.
 
@@ -133,16 +129,19 @@ def solve_pv_current(p: PvCellParams, vpv: float) -> float:
     the residual of the returned current is below 1e-10*Iph.
     """
     iph = photocurrent(p)
-    if p.Rs == 0.0:
-        arg = min(vpv / p.thermal_voltage, EXP_CLAMP)
-        return iph - p.Isat * math.expm1(arg)
+    vt, rs, isat = p.thermal_voltage, p.Rs, p.Isat
+    if rs == 0.0:
+        arg = min(vpv / vt, EXP_CLAMP)
+        return iph - isat * math.expm1(arg)
 
-    f = lambda i: _diode_residual(p, vpv, i, iph)
+    def f(i: float) -> float:
+        return iph - isat * math.expm1(min((vpv + i * rs) / vt, EXP_CLAMP)) - i
+
     # The residual is strictly decreasing in the current, so a single sign
     # change brackets the root. Above the open-circuit voltage the root
     # sits below -Isat; walk the lower bound out until the sign flips.
     hi = iph
-    lo = -p.Isat
+    lo = -isat
     for _ in range(200):
         if f(lo) >= 0.0:
             break
@@ -151,7 +150,6 @@ def solve_pv_current(p: PvCellParams, vpv: float) -> float:
         raise NoConvergence(f"could not bracket the diode current at vpv = {vpv}")
 
     tol = max(1e-10 * iph, 1e-16)
-    vt = p.thermal_voltage
     x = 0.5 * (lo + hi)
     for _ in range(NEWTON_CAP):
         fx = f(x)
@@ -161,8 +159,8 @@ def solve_pv_current(p: PvCellParams, vpv: float) -> float:
             lo = x
         else:
             hi = x
-        arg = min((vpv + x * p.Rs) / vt, EXP_CLAMP)
-        dfx = -p.Isat * math.exp(arg) * (p.Rs / vt) - 1.0
+        arg = min((vpv + x * rs) / vt, EXP_CLAMP)
+        dfx = -isat * math.exp(arg) * (rs / vt) - 1.0
         step = x - fx / dfx
         # fall back to bisection whenever Newton leaves the bracket
         x = step if lo < step < hi else 0.5 * (lo + hi)
@@ -205,30 +203,40 @@ def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def mppt_operating_point(p: PvCellParams, v_step: float) -> tuple[float, float, float]:
-    """Maximum power point (V, I, P) of the cell curve.
+def pv_curve(
+    p: PvCellParams, v_step: float
+) -> tuple[list[float], list[float], tuple[float, float, float]]:
+    """Cell curve on the grid {0, v_step, 2*v_step, ...} up to the
+    open-circuit voltage, and its maximum power point.
 
-    Scans the grid {0, v_step, 2*v_step, ...} up to the open-circuit
-    voltage, then refines around the best grid sample by golden-section
-    search to 1e-6 V. Zero irradiance short-circuits to (0, 0, 0).
+    Returns ``(volts, amps, (vm, im, pm))``. Each grid voltage is solved
+    once; the best grid sample is then refined by golden-section search
+    to 1e-6 V. Zero irradiance leaves the single point V = 0 and the
+    maximum power point (0, 0, 0).
     """
     if v_step <= 0:
         raise InvariantViolation("v_step must be > 0")
     voc = open_circuit_voltage(p)
+    volts = [i * v_step for i in range(voltage_grid_points(voc, v_step))]
+    amps = [solve_pv_current(p, v) for v in volts]
     if voc <= 0.0:
-        return 0.0, 0.0, 0.0
+        return volts, amps, (0.0, 0.0, 0.0)
 
-    power = lambda v: v * solve_pv_current(p, v)
-    grid = [i * v_step for i in range(voltage_grid_points(voc, v_step))]
-    best = max(grid, key=power)
-
+    watts = [v * i for v, i in zip(volts, amps)]
+    k = max(range(len(watts)), key=watts.__getitem__)
+    best = volts[k]
     lo = max(best - v_step, 0.0)
     hi = min(best + v_step, voc)
-    v = _golden_max(power, lo, hi, 1e-6)
-    if power(v) < power(best):
-        v = best
+    v = _golden_max(lambda x: x * solve_pv_current(p, x), lo, hi, 1e-6)
     i = solve_pv_current(p, v)
-    return v, i, v * i
+    if v * i < watts[k]:
+        return volts, amps, (best, amps[k], watts[k])
+    return volts, amps, (v, i, v * i)
+
+
+def mppt_operating_point(p: PvCellParams, v_step: float) -> tuple[float, float, float]:
+    """Maximum power point (V, I, P) of the cell curve; see `pv_curve`."""
+    return pv_curve(p, v_step)[2]
 
 
 def boost_switched_step(
@@ -287,5 +295,4 @@ def build_solar_subsystem(p: SolarChannelParams) -> StateSpaceModel:
 def solar_feedthrough(p: SolarChannelParams) -> float:
     """Direct input-to-output term of the converter block (0 when the
     block is strictly proper, as the default is)."""
-    _, d = tf_to_ss(p.gbc)
-    return d
+    return tf_feedthrough(p.gbc)

@@ -1,12 +1,19 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from hybridlfc.assembly import build_closed_loop
-from hybridlfc.cli import main
+from hybridlfc.assembly import build_closed_loop, output_map
+from hybridlfc.cli import _csv_rows, main
 from hybridlfc.config import parse_config
 from hybridlfc.engine import integrate, ise
+from hybridlfc.solar import (
+    _golden_max,
+    open_circuit_voltage,
+    solve_pv_current,
+    voltage_grid_points,
+)
 from hybridlfc.tuning import tune_gains
 
 SHORT_SIM = "scenario.t_end = 1.0\nscenario.dt = 0.01\n"
@@ -30,6 +37,57 @@ def run_cli(capsys, tmp_path, command, config_text=None, extra=()):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def per_value_csv(data):
+    return [",".join(f"{x:.8e}" for x in row) for row in data]
+
+
+class TestCsvRows:
+    EDGES = [
+        -0.0,
+        0.0,
+        5e-324,
+        -5e-324,
+        1e-320,
+        2.2250738585072014e-308,
+        1.7976931348623157e308,
+        -1.7976931348623157e308,
+        9.9999999996e-3,  # rounds up into the next decade
+        -9.9999999996e-3,
+        9.99999999995e2,
+        0.1,
+        -2.5e-7,
+        123456789.0,
+        1.0,
+        -1e300,
+    ]
+
+    def test_edge_values_match_per_value_format(self):
+        data = np.array(self.EDGES).reshape(4, 4)
+        assert _csv_rows(data) == per_value_csv(data)
+        assert _csv_rows(data.T) == per_value_csv(data.T)
+
+    def test_random_magnitudes_match_per_value_format(self):
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((50, 16)) * 10.0 ** rng.integers(-310, 308, (50, 16))
+        assert _csv_rows(data) == per_value_csv(data)
+
+    def test_simulate_output_matches_per_value_format(self, capsys, tmp_path):
+        # quiet all-zero rows up to the 0.5 s onset, then a response
+        text = SHORT_SIM + STABLE_GAINS + "scenario.dPl = 0.01\nscenario.dPl_onset = 0.5\n"
+        code, out, _ = run_cli(capsys, tmp_path, "simulate", text)
+        assert code == 0
+
+        cfg = parse_config(text)
+        model = build_closed_loop(cfg.system, cfg.gains)
+        outs = output_map(cfg.system)
+        trace = integrate(model, cfg.scenario, outputs=outs)
+        data = np.column_stack(
+            [trace.times, trace.states] + [trace.outputs[lbl] for lbl in outs.labels]
+        )
+        assert not data[1:40, 1:].any() and data[-1, 1:].any()
+        assert out == "\n".join([EXPECTED_HEADER] + per_value_csv(data)) + "\n"
 
 
 class TestSimulate:
@@ -158,6 +216,52 @@ class TestPvCurve:
         assert volts == sorted(volts)
         # columns are serialized at 8 significant digits
         assert all(abs(r[0] * r[1] - r[2]) < 1e-6 for r in rows)
+
+
+def two_pass_pvcurve(p, v_step):
+    """pvcurve lines computed the former way: solve every grid voltage for
+    the rows, then scan and solve the grid again for the maximum power
+    point and refine it by golden-section search."""
+    voc = open_circuit_voltage(p)
+    grid = [i * v_step for i in range(voltage_grid_points(voc, v_step))]
+    rows = [[v, solve_pv_current(p, v), v * solve_pv_current(p, v), 0] for v in grid]
+
+    vm, im, pm = 0.0, 0.0, 0.0
+    if voc > 0.0:
+        power = lambda v: v * solve_pv_current(p, v)
+        best = max(grid, key=power)
+        v = _golden_max(power, max(best - v_step, 0.0), min(best + v_step, voc), 1e-6)
+        if power(v) < power(best):
+            v = best
+        vm, im, pm = v, solve_pv_current(p, v), v * solve_pv_current(p, v)
+
+    for row in rows:
+        if abs(row[0] - vm) < 1e-12:
+            row[3] = 1
+            break
+    else:
+        at = next((j for j, row in enumerate(rows) if row[0] > vm), len(rows))
+        rows.insert(at, [vm, im, pm, 1])
+    return ["V,I,P,mpp"] + [f"{v:.8e},{i:.8e},{w:.8e},{flag}" for v, i, w, flag in rows]
+
+
+class TestPvCurveOutput:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "pv.lambda = 0\n",
+            "pv.Rs = 0\n",
+            "pv.T = 75\npv.lambda = 640\n",
+            "pv.lambda = 150\npv.v_step = 0.003\n",
+        ],
+        ids=["nominal", "dark", "Rs0", "hot", "low"],
+    )
+    def test_matches_two_pass_reference(self, capsys, tmp_path, text):
+        code, out, err = run_cli(capsys, tmp_path, "pvcurve", text)
+        assert code == 0 and err == ""
+        cfg = parse_config(text)
+        assert out == "\n".join(two_pass_pvcurve(cfg.pv, cfg.pv_v_step)) + "\n"
 
 
 class TestFailureModes:

@@ -1,13 +1,16 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridlfc import solar
 from hybridlfc.engine import steady_state
 from hybridlfc.errors import InvariantViolation
-from hybridlfc.lti import TransferFunction, eigenvalues, tf_dc_gain
+from hybridlfc.lti import TransferFunction, eigenvalues, tf_dc_gain, tf_to_ss
 from hybridlfc.solar import (
     BoostParams,
     PvCellParams,
@@ -17,6 +20,7 @@ from hybridlfc.solar import (
     mppt_operating_point,
     open_circuit_voltage,
     photocurrent,
+    pv_curve,
     solar_feedthrough,
     solve_pv_current,
 )
@@ -140,6 +144,76 @@ class TestMppt:
             mppt_operating_point(PvCellParams(), 1e-12)
 
 
+class TestPvCurve:
+    def count_solves(self, monkeypatch, p, v_step):
+        """pv_curve's result, every voltage it solved and its golden-section probes."""
+        solved, probes = [], []
+        solve, golden = solar.solve_pv_current, solar._golden_max
+
+        def counting_solve(cell, v):
+            solved.append(v)
+            return solve(cell, v)
+
+        def counting_golden(fn, lo, hi, tol):
+            return golden(lambda v: probes.append(v) or fn(v), lo, hi, tol)
+
+        monkeypatch.setattr(solar, "solve_pv_current", counting_solve)
+        monkeypatch.setattr(solar, "_golden_max", counting_golden)
+        return pv_curve(p, v_step), solved, probes
+
+    @pytest.mark.parametrize(
+        "p", [PvCellParams(), PvCellParams(lam=300.0, T=60.0), PvCellParams(Rs=0.0)]
+    )
+    def test_each_grid_voltage_solved_once(self, monkeypatch, p):
+        (volts, amps, _), solved, probes = self.count_solves(monkeypatch, p, 0.01)
+        assert solved[: len(volts)] == volts
+        # after the grid: the golden-section probes and the refined point
+        assert len(solved) == len(volts) + len(probes) + 1
+        assert not set(solved[len(volts) :]) & set(volts)
+        assert amps == [solve_pv_current(p, v) for v in volts]
+
+    def test_default_cell_solve_count(self, monkeypatch):
+        # 70 grid points, 23 golden-section probes and the refined point;
+        # the grid scan used to be solved twice, 166 solves in all
+        _, solved, _ = self.count_solves(monkeypatch, PvCellParams(), 0.01)
+        assert len(solved) == 94
+
+    def test_darkness_solves_only_the_origin(self, monkeypatch):
+        (volts, amps, mpp), solved, _ = self.count_solves(
+            monkeypatch, PvCellParams(lam=0.0), 0.01
+        )
+        assert volts == solved == [0.0]
+        assert mpp == (0.0, 0.0, 0.0)
+
+
+def load_pv_sweep():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "pv_sweep.py"
+    spec = importlib.util.spec_from_file_location("pv_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPvSweepScript:
+    # at 0.005 V, Voc of the 1000 W/m^2 cell lies in the upper half of a
+    # step, so the sweep's grid runs one point past Voc; 200 W/m^2 stops
+    # below it
+    @pytest.mark.parametrize("lam", [1000.0, 200.0, 0.0])
+    def test_rows_solve_the_whole_sweep_grid(self, lam):
+        cell = PvCellParams(lam=lam)
+        rows, mpp = load_pv_sweep().sweep(cell, 0.005)
+        voc = open_circuit_voltage(cell)
+        grid = np.arange(0.0, voc + 0.5 * 0.005, 0.005)
+        expected = []
+        for v in grid:
+            i = solve_pv_current(cell, float(v))
+            expected.append((float(v), i, float(v) * i))
+        assert rows == expected
+        assert mpp == mppt_operating_point(cell, 0.005)
+        if lam == 1000.0:
+            assert rows[-1][0] > voc
+
+
 BOOST = BoostParams(L=1e-3, C=1e-3, R=10.0, Ts=1e-5, duty=0.5)
 
 
@@ -239,6 +313,23 @@ class TestChannel:
         assert m.n_states == 1
         x = steady_state(m, controls={"us": 1.0})
         assert p.Kgs * (x[0] + d) == pytest.approx(p.Kgs * 2.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            ([900.0, -18.0], [50.0, 100.0, 1.0]),  # strictly proper, the default
+            ([0.3], [0.7, 3.0]),
+            ([2.0, 1.0], [1.0, 1.0]),  # biproper
+            ([3.0, -1.0, 0.7], [2.0, 5.0, 3.0]),  # biproper, lead coefficient 3
+        ],
+    )
+    def test_feedthrough_bit_equal_to_realization(self, num, den):
+        p = SolarChannelParams(gbc=TransferFunction(num, den))
+        _, d = tf_to_ss(p.gbc)
+        # num = d*den + remainder on the coefficients scaled by den's lead
+        n = len(den) - 1
+        scaled = [c / den[-1] for c in num] + [0.0] * (n + 1 - len(num))
+        assert solar_feedthrough(p) == d == scaled[n]
 
     def test_validate_rejects_improper_block(self):
         p = SolarChannelParams(gbc=TransferFunction([0.0, 0.0, 1.0], [1.0, 1.0]))
