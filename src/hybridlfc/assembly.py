@@ -1,6 +1,7 @@
-"""Wires the diesel, wind and solar subsystems into the open-loop plant,
-builds the PI feedback matrix over an integrator-augmented state vector
-and closes the loop.
+"""Fills the open-loop plant from the subsystem balance equations, builds
+the PI feedback matrix over an integrator-augmented state vector and
+closes the loop. The subsystem builders' models, wired by label, are the
+tests' reference for that fill.
 
 The augmentation trick: appending the integrals of dFs and dFt as states
 iFs and iFt turns every PI control law into pure state feedback u = H x,
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diesel import DieselParams, build_diesel_subsystem
+from .diesel import DieselParams, governor_residues
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -23,9 +24,9 @@ from .errors import (
     NonFiniteState,
     OrderingMismatch,
 )
-from .lti import StateSpaceModel
-from .solar import SolarChannelParams, build_solar_subsystem, solar_feedthrough
-from .wind import WindParams, build_pitch_subsystem, build_turbine_subsystem
+from .lti import StateSpaceModel, companion_coefficients
+from .solar import SolarChannelParams, solar_feedthrough
+from .wind import WindParams
 
 __all__ = [
     "SystemParams",
@@ -45,20 +46,14 @@ __all__ = [
 ]
 
 PLANT_STATE_ORDER = (
-    "dFs",
-    "dFt",
-    "dPgd",
-    "dXED11",
-    "dXED21",
-    "dPcw",
-    "dPC1",
-    "dPC2",
-    "xs1",
-    "xs2",
+    "dFs", "dFt", "dPgd", "dXED11", "dXED21", "dPcw", "dPC1", "dPC2", "xs1", "xs2"
 )
 PLANT_CONTROL_ORDER = ("dPcd", "dPcu", "us")
 PLANT_DISTURBANCE_ORDER = ("dPl", "dPiw", "dPis")
 INTEGRATOR_LABELS = ("iFs", "iFt")
+FS, FT, PGD, XED11, XED21, PCW, PC1, PC2, XS1, XS2 = range(len(PLANT_STATE_ORDER))
+PCD, PCU, US = range(len(PLANT_CONTROL_ORDER))
+PL, PIW, PIS = range(len(PLANT_DISTURBANCE_ORDER))
 
 
 @dataclass(frozen=True)
@@ -85,6 +80,10 @@ class SystemParams:
         self.diesel.validate()
         self.wind.validate()
         self.solar.validate()
+        if self.solar.gbc.den.degree != 2:  # the plant has two channel states
+            raise InvariantViolation(
+                f"solar.gbc_den must be second order, got degree {self.solar.gbc.den.degree}"
+            )
 
 
 @dataclass(frozen=True)
@@ -121,63 +120,56 @@ class OutputMap:
     wp: np.ndarray
 
 
-def _wire_subsystem(sub: StateSpaceModel, a, b, g, spos, cpos, dpos) -> None:
-    rows = [spos[lbl] for lbl in sub.state_labels]
-    for i, ri in enumerate(rows):
-        for j, rj in enumerate(rows):
-            a[ri, rj] += sub.a[i, j]
-        for j, lbl in enumerate(sub.control_labels):
-            b[ri, cpos[lbl]] += sub.b[i, j]
-        for j, lbl in enumerate(sub.disturbance_labels):
-            # couplings that name another plant state land in A, true
-            # exogenous inputs land in the disturbance matrix
-            if lbl in spos:
-                a[ri, spos[lbl]] += sub.g[i, j]
-            else:
-                g[ri, dpos[lbl]] += sub.g[i, j]
-
-
 def assemble_plant(p: SystemParams) -> StateSpaceModel:
     """Ten-state open-loop hybrid system model.
 
     State order is fixed: [dFs, dFt, dPgd, dXED11, dXED21, dPcw, dPC1,
     dPC2, xs1, xs2]; controls [dPcd, dPcu, us]; disturbances
-    [dPl, dPiw, dPis]. The dFs row balances generation against load,
+    [dPl, dPiw, dPis]. Each row is one subsystem balance equation, written
+    at fixed indices for validated parameters (a second-order converter
+    block). The dFs row balances generation against load,
 
         d/dt dFs = [-dFs + Kp*(dPgd + Kig*(dFt - dFs) + dPgs - dPl)] / Tp
 
     with the dPgs term present only when include_solar is set.
     """
+    dsl, wnd, sol = p.diesel, p.wind, p.solar
     n = len(PLANT_STATE_ORDER)
-    spos = {lbl: i for i, lbl in enumerate(PLANT_STATE_ORDER)}
-    cpos = {lbl: i for i, lbl in enumerate(PLANT_CONTROL_ORDER)}
-    dpos = {lbl: i for i, lbl in enumerate(PLANT_DISTURBANCE_ORDER)}
-
     a = np.zeros((n, n))
     b = np.zeros((n, len(PLANT_CONTROL_ORDER)))
     g = np.zeros((n, len(PLANT_DISTURBANCE_ORDER)))
 
-    for sub in (
-        build_diesel_subsystem(p.diesel),
-        build_turbine_subsystem(p.wind),
-        build_pitch_subsystem(p.wind),
-        build_solar_subsystem(p.solar),
-    ):
-        _wire_subsystem(sub, a, b, g, spos, cpos, dpos)
+    # diesel: governor branches on dPcd - dFs/Rd, then the generation lag
+    k1, k2 = governor_residues(dsl)
+    a[XED11, [FS, XED11]] = [-k1 / (dsl.Rd * dsl.Td2), -1.0 / dsl.Td2]
+    a[XED21, [FS, XED21]] = [-k2 / (dsl.Rd * dsl.Td3), -1.0 / dsl.Td3]
+    b[[XED11, XED21], PCD] = [k1 / dsl.Td2, k2 / dsl.Td3]
+    a[PGD, [PGD, XED11, XED21]] = [-1.0 / dsl.Td4, 1.0 / dsl.Td4, 1.0 / dsl.Td4]
+    # wind turbine: slip coupling to dFs, pitch power and wind input
+    a[FT, [FS, FT, PCW]] = [wnd.Kig / wnd.Tw, -(1.0 + wnd.Kig - wnd.Ktp) / wnd.Tw, 1.0 / wnd.Tw]
+    g[FT, PIW] = 1.0 / wnd.Tw
+    # pitch chain from dPcu
+    c = wnd.Kpc * wnd.Kp3 * wnd.Kp1 / wnd.Tp3
+    a[PCW, [PCW, PC1, PC2]] = [-1.0 / wnd.Tp3, c, c * wnd.Tp1]
+    a[PC1, [PC1, PC2]] = [-1.0, 1.0 - wnd.Tp1]
+    a[PC2, PC2] = -1.0 / wnd.Tp2
+    b[PC2, PCU] = wnd.Kp2 / wnd.Tp2
+    # solar channel: companion form of gbc, with us and dPis summed at its input
+    den, col, d = companion_coefficients(sol.gbc)
+    a[XS1:, XS1:] = [[0.0, -den[0]], [1.0, -den[1]]]
+    b[XS1:, US] = g[XS1:, PIS] = col
 
-    # frequency balance row
     kp_tp = p.Kp / p.Tp
-    kig = p.wind.Kig
-    a[0, spos["dFs"]] = -(1.0 + kig * p.Kp) / p.Tp
-    a[0, spos["dFt"]] = kig * kp_tp
-    a[0, spos["dPgd"]] = kp_tp
-    g[0, dpos["dPl"]] = -kp_tp
     if p.include_solar:
-        kgs = p.solar.Kgs
-        d = solar_feedthrough(p.solar)
-        a[0, spos["xs2"]] += kp_tp * kgs
-        b[0, cpos["us"]] += kp_tp * kgs * d
-        g[0, dpos["dPis"]] += kp_tp * kgs * d
+        a[FS, XS2] = kp_tp * sol.Kgs
+        b[FS, US] = g[FS, PIS] = kp_tp * sol.Kgs * d
+    # as in a sum over the subsystem models, -0.0 is stored as +0.0 (K1 = 0
+    # when Td1 = Td2, say); the balance terms below are set and keep their sign
+    a += 0.0
+    b += 0.0
+    g += 0.0
+    a[FS, [FS, FT, PGD]] = [-(1.0 + wnd.Kig * p.Kp) / p.Tp, wnd.Kig * kp_tp, kp_tp]
+    g[FS, PL] = -kp_tp
 
     # finite but extreme constants (Tp = 1e-320, say) overflow to inf here;
     # every command assembles the plant, so one check covers them all
@@ -195,32 +187,27 @@ def assemble_plant(p: SystemParams) -> StateSpaceModel:
 
 def output_map(p: SystemParams) -> OutputMap:
     """Derived-signal weights for [dPgw, dPgs, dP1] over the plant ordering."""
-    n = len(PLANT_STATE_ORDER)
-    spos = {lbl: i for i, lbl in enumerate(PLANT_STATE_ORDER)}
-    cpos = {lbl: i for i, lbl in enumerate(PLANT_CONTROL_ORDER)}
-    dpos = {lbl: i for i, lbl in enumerate(PLANT_DISTURBANCE_ORDER)}
-
-    wx = np.zeros((3, n))
+    wx = np.zeros((3, len(PLANT_STATE_ORDER)))
     wu = np.zeros((3, len(PLANT_CONTROL_ORDER)))
     wp = np.zeros((3, len(PLANT_DISTURBANCE_ORDER)))
 
     kig = p.wind.Kig
-    wx[0, spos["dFt"]] = kig
-    wx[0, spos["dFs"]] = -kig
+    wx[0, FT] = kig
+    wx[0, FS] = -kig
 
     kgs = p.solar.Kgs
     d = solar_feedthrough(p.solar)
-    wx[1, spos["xs2"]] = kgs
-    wu[1, cpos["us"]] = kgs * d
-    wp[1, dpos["dPis"]] = kgs * d
+    wx[1, XS2] = kgs
+    wu[1, US] = kgs * d
+    wp[1, PIS] = kgs * d
 
     wx[2] = wx[0]
-    wx[2, spos["dPgd"]] += 1.0
+    wx[2, PGD] += 1.0
     if p.include_solar:
         wx[2] += wx[1]
         wu[2] += wu[1]
         wp[2] += wp[1]
-    wp[2, dpos["dPl"]] += -1.0
+    wp[2, PL] += -1.0
 
     return OutputMap(labels=("dPgw", "dPgs", "dP1"), wx=wx, wu=wu, wp=wp)
 

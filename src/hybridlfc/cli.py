@@ -9,6 +9,7 @@ stderr, `error: <Class>: <message>`.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -99,7 +100,9 @@ def _report(exc: BaseException) -> None:
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import; parse_args leaves it unchanged
     parser = argparse.ArgumentParser(
         prog="hybridlfc",
         description=(
@@ -120,7 +123,11 @@ def main(argv=None) -> int:
         choices=("true", "false"),
         help="override system.include_solar",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         text = ""

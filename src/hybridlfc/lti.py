@@ -24,6 +24,7 @@ __all__ = [
     "StateSpaceModel",
     "tf_dc_gain",
     "tf_feedthrough",
+    "companion_coefficients",
     "tf_to_ss",
     "eigenvalues",
 ]
@@ -167,6 +168,20 @@ def tf_feedthrough(tf: TransferFunction) -> float:
     return tf.num.coeffs[n] / tf.den.coeffs[n] if tf.num.degree == n else 0.0
 
 
+def companion_coefficients(tf: TransferFunction) -> tuple[list[float], list[float], float]:
+    """Companion-form coefficients of a proper transfer function, scaled by
+    the denominator's leading coefficient: ``(den, col, d)``, the n =
+    deg(den) lower denominator coefficients (ascending), the input column
+    (the strictly-proper remainder num - d*den) and the feedthrough d."""
+    d = tf_feedthrough(tf)
+    n = tf.den.degree
+    lead = tf.den.coeffs[-1]
+    den = [c / lead for c in tf.den.coeffs[:n]]
+    num = [c / lead for c in tf.num.coeffs]
+    num += [0.0] * (n - len(num))
+    return den, [num[i] - d * den[i] for i in range(n)], d
+
+
 def tf_to_ss(
     tf: TransferFunction,
     state_prefix: str = "x",
@@ -181,27 +196,18 @@ def tf_to_ss(
     familiar first-order pattern K/(1+sT) -> dx/dt = -x/T + (K/T) u, y = x.
 
     The denominator is normalized to unit leading coefficient before the
-    companion matrix is formed, so the eigenvalues of A are exactly the
-    denominator roots.
+    companion matrix is formed (`companion_coefficients`), so the
+    eigenvalues of A are exactly the denominator roots.
     """
-    d = tf_feedthrough(tf)
-    n = tf.den.degree
-    lead = tf.den.coeffs[-1]
-    den = [c / lead for c in tf.den.coeffs]
-    num = [c / lead for c in tf.num.coeffs]
-    num += [0.0] * (n + 1 - len(num))
-    # the strictly-proper remainder num - d*den fills the input column
-    b = np.array([num[i] - d * den[i] for i in range(n)])
-
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i + 1, i] = 1.0
-    a[:, n - 1] = [-c for c in den[:n]]
+    den, col, d = companion_coefficients(tf)
+    n = len(den)
+    a = np.eye(n, k=-1)
+    a[:, n - 1] = [-c for c in den]
 
     labels = tuple(f"{state_prefix}{i + 1}" for i in range(n))
     model = StateSpaceModel(
         a=a,
-        b=b.reshape(n, 1),
+        b=np.array(col).reshape(n, 1),
         g=np.zeros((n, 0)),
         state_labels=labels,
         control_labels=(input_label,),

@@ -1,3 +1,6 @@
+import random
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,12 +23,15 @@ from hybridlfc.assembly import (
 from hybridlfc.engine import steady_state
 from hybridlfc.errors import (
     DimensionMismatch,
+    InvariantViolation,
     MissingFrequencyState,
     OrderingMismatch,
     SingularSystem,
 )
-from hybridlfc.lti import eigenvalues
-from hybridlfc.wind import build_turbine_subsystem
+from hybridlfc.diesel import build_diesel_subsystem
+from hybridlfc.lti import TransferFunction, eigenvalues
+from hybridlfc.solar import build_solar_subsystem, solar_feedthrough
+from hybridlfc.wind import build_pitch_subsystem, build_turbine_subsystem
 
 # Steady frequency deviation for a 0.01 pu load step with all controllers
 # off: the droop and slip contributions in closed form,
@@ -70,6 +76,136 @@ class TestPlantMatrix:
     def test_plant_is_stable(self, default_params):
         lam = eigenvalues(assemble_plant(default_params).a)
         assert np.max(lam.real) < 0.0
+
+
+def wired_plant(p):
+    """Reference plant: the public subsystem builders' models summed into
+    zero matrices by label, then the frequency balance row."""
+    spos = {lbl: i for i, lbl in enumerate(PLANT_STATE_ORDER)}
+    cpos = {lbl: i for i, lbl in enumerate(PLANT_CONTROL_ORDER)}
+    dpos = {lbl: i for i, lbl in enumerate(PLANT_DISTURBANCE_ORDER)}
+    a = np.zeros((10, 10))
+    b = np.zeros((10, 3))
+    g = np.zeros((10, 3))
+    for sub in (
+        build_diesel_subsystem(p.diesel),
+        build_turbine_subsystem(p.wind),
+        build_pitch_subsystem(p.wind),
+        build_solar_subsystem(p.solar),
+    ):
+        rows = [spos[lbl] for lbl in sub.state_labels]
+        for i, ri in enumerate(rows):
+            for j, rj in enumerate(rows):
+                a[ri, rj] += sub.a[i, j]
+            for j, lbl in enumerate(sub.control_labels):
+                b[ri, cpos[lbl]] += sub.b[i, j]
+            # a coupling that names a plant state lands in A
+            for j, lbl in enumerate(sub.disturbance_labels):
+                if lbl in spos:
+                    a[ri, spos[lbl]] += sub.g[i, j]
+                else:
+                    g[ri, dpos[lbl]] += sub.g[i, j]
+
+    kp_tp = p.Kp / p.Tp
+    kig = p.wind.Kig
+    a[0, spos["dFs"]] = -(1.0 + kig * p.Kp) / p.Tp
+    a[0, spos["dFt"]] = kig * kp_tp
+    a[0, spos["dPgd"]] = kp_tp
+    g[0, dpos["dPl"]] = -kp_tp
+    if p.include_solar:
+        kgs = p.solar.Kgs
+        d = solar_feedthrough(p.solar)
+        a[0, spos["xs2"]] += kp_tp * kgs
+        b[0, cpos["us"]] += kp_tp * kgs * d
+        g[0, dpos["dPis"]] += kp_tp * kgs * d
+    return a, b, g
+
+
+def _draw(rng, value):
+    """A scalar near `value`, or an edge: zero of either sign, one, or a
+    flipped sign."""
+    pick = rng.random()
+    if pick < 0.04:
+        return rng.choice([0.0, -0.0, 1.0])
+    scaled = value * 10.0 ** rng.uniform(-1.0, 1.0)
+    return -scaled if pick < 0.08 else scaled
+
+
+def draw_system(rng, include_solar):
+    """A valid plant with every parameter drawn around its default; the
+    converter block is strictly proper or biproper, with any leading
+    coefficient."""
+
+    def section(params):
+        return {
+            f.name: _draw(rng, getattr(params, f.name))
+            for f in fields(params)
+            if isinstance(getattr(params, f.name), float)
+        }
+
+    base = SystemParams()
+    while True:
+        num = [_draw(rng, c) for c in (900.0, -18.0, 1.0)[: rng.randint(1, 3)]]
+        den = [_draw(rng, c) for c in (50.0, 100.0)] + [rng.choice([1.0, _draw(rng, 3.0)])]
+        p = replace(
+            base,
+            diesel=replace(base.diesel, **section(base.diesel)),
+            wind=replace(base.wind, **section(base.wind)),
+            solar=replace(base.solar, gbc=TransferFunction(num, den), **section(base.solar)),
+            include_solar=include_solar,
+            **section(base),
+        )
+        try:
+            p.validate()
+        except InvariantViolation:
+            continue
+        return p
+
+
+class TestDirectFill:
+    """assemble_plant writes the balance equations straight into A, B and
+    G; it must match the wired subsystem models bit for bit, signed zeros
+    included."""
+
+    def assert_bit_equal(self, p):
+        plant = assemble_plant(p)
+        for got, want in zip((plant.a, plant.b, plant.g), wired_plant(p)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("include_solar", [True, False])
+    def test_matches_wired_subsystems_on_draws(self, include_solar):
+        rng = random.Random(6101 + include_solar)
+        for _ in range(1000):
+            self.assert_bit_equal(draw_system(rng, include_solar))
+
+    @pytest.mark.parametrize("include_solar", [True, False])
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"gbc": TransferFunction([3.0, -1.0, 0.7], [2.0, 5.0, 3.0])},  # biproper, lead 3
+            {"gbc": TransferFunction([0.0, 2.0], [0.0, 4.0, -2.0])},  # zero constant terms
+            {"Tp1": 1.0},  # no dynamic part in the pitch lead-lag
+            {"Td1": 2.0},  # K1 = 0
+            {"Kpc": 0.0, "Tp1": -0.6},
+            {"Kgs": -0.0},
+        ],
+        ids=["biproper_lead_3", "zero_constants", "Tp1_1", "K1_0", "zero_pitch_gain", "Kgs_neg_zero"],
+    )
+    def test_matches_wired_subsystems_at_edges(self, include_solar, change):
+        base = SystemParams(include_solar=include_solar)
+        parts = {"diesel": base.diesel, "wind": base.wind, "solar": base.solar}
+        for name, part in parts.items():
+            own = {k: v for k, v in change.items() if hasattr(part, k)}
+            parts[name] = replace(part, **own)
+        self.assert_bit_equal(replace(base, **parts))
+
+    def test_zero_residue_stores_positive_zero(self, default_params):
+        # Td1 = Td2 makes K1 = 0, so the droop term -K1/(Rd*Td2) is -0.0;
+        # summed into a zero matrix it is +0.0
+        p = replace(default_params, diesel=replace(default_params.diesel, Td1=2.0))
+        a = assemble_plant(p).a
+        entry = a[PLANT_STATE_ORDER.index("dXED11"), PLANT_STATE_ORDER.index("dFs")]
+        assert entry == 0.0 and np.copysign(1.0, entry) == 1.0
 
 
 class TestFeedbackMatrix:

@@ -349,6 +349,63 @@ class TestFailureModes:
         with pytest.raises(SystemExit):
             main(["--command", "explode"])
 
+    @pytest.mark.parametrize("command", ["eigen", "steady", "simulate", "tune"])
+    @pytest.mark.parametrize(
+        "den, degree", [("2.0, 1.0", 1), ("1.0, 2.0, 3.0, 1.0", 3)], ids=["first", "third"]
+    )
+    def test_converter_block_must_be_second_order(self, capsys, tmp_path, command, den, degree):
+        # the plant has exactly the two channel states xs1 and xs2
+        text = SHORT_SIM + f"solar.gbc_den = {den}\n"
+        code, out, err = run_cli(capsys, tmp_path, command, text)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: InvariantViolation: solar.gbc_den must be second order, got degree {degree}\n"
+        )
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; a later call must not
+    see anything of an earlier one."""
+
+    TEXT = "scenario.dPl = 0.01\nscenario.dPis = 0.01\n"
+
+    def fresh_process(self, path):
+        result = subprocess.run(
+            [sys.executable, "-m", "hybridlfc", "--command", "steady", "--config", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0 and result.stderr == ""
+        return result.stdout
+
+    def test_later_call_matches_fresh_process(self, capsys, tmp_path):
+        path = tmp_path / "case.conf"
+        path.write_text(self.TEXT)
+        fresh = self.fresh_process(path)
+        steady = ["--command", "steady", "--config", str(path)]
+
+        assert main([*steady, "--include-solar", "false"]) == 0
+        assert capsys.readouterr().out != fresh
+        assert main(steady) == 0
+        assert capsys.readouterr().out == fresh
+
+        out = tmp_path / "steady.txt"
+        assert main([*steady, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(steady) == 0
+        assert capsys.readouterr().out == fresh
+        assert out.read_text() == fresh
+
+    def test_unknown_command_exits_2_on_every_call(self, capsys, tmp_path):
+        for _ in range(3):
+            with pytest.raises(SystemExit) as exc:
+                main(["--command", "explode"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'explode'" in capsys.readouterr().err
+            assert main(["--command", "eigen"]) == 0
+            assert capsys.readouterr().out.endswith("verdict,UNSTABLE\n")
+
 
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
