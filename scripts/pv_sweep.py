@@ -21,9 +21,9 @@ def sweep(cell: PvCellParams, v_step: float):
     _, amps, mpp = pv_curve(cell, v_step)
     # the sweep's grid runs on to the point past Voc when Voc lies in the
     # upper half of a step; pv_curve stops at Voc
-    grid = np.arange(0.0, open_circuit_voltage(cell) + 0.5 * v_step, v_step).tolist()
-    amps += [solve_pv_current(cell, v) for v in grid[len(amps) :]]
-    return [(v, i, v * i) for v, i in zip(grid, amps)], mpp
+    grid = np.arange(0.0, open_circuit_voltage(cell) + 0.5 * v_step, v_step)
+    amps += solve_pv_current(cell, grid[len(amps) :]).tolist()
+    return [(v, i, v * i) for v, i in zip(grid.tolist(), amps)], mpp
 
 
 def run(args):

@@ -127,12 +127,14 @@ def assemble_plant(p: SystemParams) -> StateSpaceModel:
     dPC2, xs1, xs2]; controls [dPcd, dPcu, us]; disturbances
     [dPl, dPiw, dPis]. Each row is one subsystem balance equation, written
     at fixed indices for validated parameters (a second-order converter
-    block). The dFs row balances generation against load,
+    block); `SystemParams.validate` runs first. The dFs row balances
+    generation against load,
 
         d/dt dFs = [-dFs + Kp*(dPgd + Kig*(dFt - dFs) + dPgs - dPl)] / Tp
 
     with the dPgs term present only when include_solar is set.
     """
+    p.validate()
     dsl, wnd, sol = p.diesel, p.wind, p.solar
     n = len(PLANT_STATE_ORDER)
     a = np.zeros((n, n))

@@ -52,7 +52,7 @@ class DegenerateTimeConstants(ToolkitError):
 
 
 class NoConvergence(ToolkitError):
-    """Implicit PV-current solve exhausted its iteration budget."""
+    """PV-current solve did not settle, or its series-resistance drop overflows."""
 
 
 class OrderingMismatch(ToolkitError):

@@ -30,7 +30,8 @@ from hybridlfc.errors import (
 )
 from hybridlfc.diesel import build_diesel_subsystem
 from hybridlfc.lti import TransferFunction, eigenvalues
-from hybridlfc.solar import build_solar_subsystem, solar_feedthrough
+from hybridlfc.solar import SolarChannelParams, build_solar_subsystem, solar_feedthrough
+from hybridlfc.tuning import TuneSpec, tune_gains
 from hybridlfc.wind import build_pitch_subsystem, build_turbine_subsystem
 
 # Steady frequency deviation for a 0.01 pu load step with all controllers
@@ -260,6 +261,24 @@ class TestAugmentation:
         turbine = build_turbine_subsystem(SystemParams().wind)
         with pytest.raises(MissingFrequencyState):
             augment_with_integrators(turbine)
+
+
+@pytest.mark.parametrize("den", [[2.0, 1.0], [1.0, 2.0, 3.0, 1.0]], ids=["first", "third"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        assemble_plant,
+        lambda p: build_closed_loop(p, ControllerGains()),
+        lambda p: tune_gains(p, TuneSpec(budget=5)),
+    ],
+    ids=["assemble_plant", "build_closed_loop", "tune_gains"],
+)
+def test_library_entry_points_validate(build, den):
+    # the CLI validates every config first; a library caller gets the same
+    # InvariantViolation instead of an indexing or broadcasting error
+    p = SystemParams(solar=SolarChannelParams(gbc=TransferFunction([900.0, -18.0], den)))
+    with pytest.raises(InvariantViolation, match="solar.gbc_den must be second order"):
+        build(p)
 
 
 class TestClosedLoop:

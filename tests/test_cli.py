@@ -254,8 +254,13 @@ class TestPvCurveOutput:
             "pv.Rs = 0\n",
             "pv.T = 75\npv.lambda = 640\n",
             "pv.lambda = 150\npv.v_step = 0.003\n",
+            "pv.Rs = 2\n",
+            "pv.Rs = 5\n",
+            "pv.Rs = 50\n",
+            "pv.T = -270\n",
+            "pv.KI = 0.1\npv.T = -100\n",
         ],
-        ids=["nominal", "dark", "Rs0", "hot", "low"],
+        ids=["nominal", "dark", "Rs0", "hot", "low", "Rs2", "Rs5", "Rs50", "cold", "negative_iph"],
     )
     def test_matches_two_pass_reference(self, capsys, tmp_path, text):
         code, out, err = run_cli(capsys, tmp_path, "pvcurve", text)
@@ -343,6 +348,18 @@ class TestFailureModes:
         code, out, err = run_cli(capsys, tmp_path, "pvcurve", "pv.T = -400\n")
         assert code == 2 and out == ""
         assert err.startswith("error: InvariantViolation: pv.T must be above absolute zero")
+        assert len(err.splitlines()) == 1
+
+    def test_thermal_voltage_underflow(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, tmp_path, "pvcurve", "pv.Aq = 5e-324\n")
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvariantViolation: pv.Aq*(pv.T + 273.15) underflows")
+        assert len(err.splitlines()) == 1
+
+    def test_overflowing_series_drop_is_numeric_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, tmp_path, "pvcurve", "pv.Rs = 1e307\n")
+        assert code == 3 and out == ""
+        assert err.startswith("error: NoConvergence: series-resistance drop")
         assert len(err.splitlines()) == 1
 
     def test_unknown_command_rejected_by_parser(self, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hybridlfc import solar
 from hybridlfc.engine import steady_state
-from hybridlfc.errors import InvariantViolation
+from hybridlfc.errors import InvariantViolation, NoConvergence
 from hybridlfc.lti import TransferFunction, eigenvalues, tf_dc_gain, tf_to_ss
 from hybridlfc.solar import (
     BoostParams,
@@ -86,7 +86,7 @@ class TestPvCurrent:
         assert all(a >= b - 1e-12 for a, b in zip(currents, currents[1:]))
 
     def test_beyond_open_circuit_goes_negative(self):
-        # needs the bracket extended below -Isat before the solve can start
+        # past Voc the diode current exceeds Iph, so the terminal current turns negative
         p = PvCellParams()
         i = solve_pv_current(p, 1.2 * VOC_DEFAULT)
         assert i < 0.0
@@ -104,6 +104,86 @@ class TestPvCurrent:
         p = PvCellParams(T=t, lam=lam)
         i = solve_pv_current(p, v)
         assert abs(diode_residual(p, v, i)) <= 1e-8 * max(photocurrent(p), 1.0)
+
+
+# The accuracy gate's grid: series resistances from none through denormal
+# to far past a panel's, cells from near absolute zero to hot, negative to
+# large photocurrents and saturation currents over 300 decades.
+GATE_RS = [0.0, 1e-320, 1e-12, 0.05, 2.0, 5.0, 50.0]
+GATE_CELLS = [
+    {"T": t, "KI": ki, "lam": lam, "Isat": isat}
+    for t in (-270.0, -100.0, 25.0, 150.0)
+    for ki in (0.0024, 0.1, -0.1)
+    for lam in (0.0, 200.0, 1000.0, 2600.0)
+    for isat in (1e-300, 3.6e-9, 1.0)
+]
+
+
+def gate_voltages(p, n):
+    return np.linspace(0.0, 1.2 * max(open_circuit_voltage(p), 0.1), n)
+
+
+def newton_correction(p, v, i):
+    """|f(I)/f'(I)| for the residual f of the single-diode law, in float64.
+
+    Where Isat*expm1(u) would overflow, the diode term is taken in the log
+    form exp(u + ln Isat) - Isat. The correction, unlike the bare residual,
+    stays at rounding size when f' is large (high Rs on a cold cell).
+    """
+    vt = p.thermal_voltage
+    u = (v + i * p.Rs) / vt
+    far = u > 700.0
+    diode = np.where(
+        far,
+        np.exp(np.where(far, u, 0.0) + math.log(p.Isat)) - p.Isat,
+        p.Isat * np.expm1(np.minimum(u, 700.0)),
+    )
+    f = photocurrent(p) - diode - i
+    slope = -(p.Rs / vt) * (diode + p.Isat) - 1.0
+    return np.abs(f / slope)
+
+
+class TestLambertSolve:
+    @pytest.mark.parametrize("rs", GATE_RS)
+    def test_accuracy_gate(self, rs):
+        for cell in GATE_CELLS:
+            p = PvCellParams(Rs=rs, **cell)
+            v = gate_voltages(p, 41)
+            i = solve_pv_current(p, v)
+            assert np.all(np.isfinite(i)), cell
+            bound = 1e-12 * np.maximum(max(1.0, abs(photocurrent(p))), np.abs(i))
+            assert np.all(newton_correction(p, v, i) <= bound), cell
+
+    @pytest.mark.parametrize("rs", GATE_RS)
+    def test_scalar_matches_array(self, rs):
+        for cell in GATE_CELLS:
+            p = PvCellParams(Rs=rs, **cell)
+            v = gate_voltages(p, 9)
+            assert solve_pv_current(p, v).tolist() == [solve_pv_current(p, x) for x in v.tolist()]
+
+    def test_float_in_float_out(self):
+        p = PvCellParams()
+        assert type(solve_pv_current(p, 0.3)) is float
+        assert type(solve_pv_current(PvCellParams(Rs=0.0), 0.3)) is float
+        grid = np.linspace(0.0, VOC_DEFAULT, 6).reshape(2, 3)
+        assert solve_pv_current(p, grid).shape == (2, 3)
+        assert solve_pv_current(p, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("rs", [1e6, 1e15, 1e300])
+    def test_series_resistance_far_past_a_panel(self, rs):
+        # the drop Rs*Iph/Vt reaches 1e302 thermal voltages, and the start
+        # must not lose the root to rounding in it; the current is then
+        # about (Voc - V)/Rs, within rounding of Iph
+        p = PvCellParams(Rs=rs)
+        v = gate_voltages(p, 41)
+        i = solve_pv_current(p, v)
+        near = (open_circuit_voltage(p) - v) / rs
+        assert np.all(np.abs(i - near) <= 1e-12 * photocurrent(p))
+
+    def test_unsettled_voltage_is_named(self):
+        # nan never settles, so the check after the last step reports it
+        with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="at vpv = nan"):
+            solve_pv_current(PvCellParams(), np.array([0.1, np.nan, 0.3]))
 
 
 class TestMppt:
@@ -146,12 +226,15 @@ class TestMppt:
 
 class TestPvCurve:
     def count_solves(self, monkeypatch, p, v_step):
-        """pv_curve's result, every voltage it solved and its golden-section probes."""
+        """pv_curve's result, every voltage it solved and its golden-section probes.
+
+        A call on an array of voltages records each of them.
+        """
         solved, probes = [], []
         solve, golden = solar.solve_pv_current, solar._golden_max
 
         def counting_solve(cell, v):
-            solved.append(v)
+            solved.extend(np.ravel(v).tolist())
             return solve(cell, v)
 
         def counting_golden(fn, lo, hi, tol):
