@@ -14,7 +14,6 @@ from .assembly import (
     OutputMap,
     SystemParams,
     assemble_plant,
-    augment_with_integrators,
     build_closed_loop,
     build_feedback_matrix,
     close_loop,
@@ -29,9 +28,9 @@ from .errors import (
     DegenerateTimeConstants,
     DimensionMismatch,
     ImproperTransferFunction,
+    InvalidArgument,
     InvalidValue,
     InvariantViolation,
-    MissingFrequencyState,
     NoConvergence,
     NonFiniteState,
     NonSquareMatrix,

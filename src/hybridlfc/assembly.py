@@ -1,13 +1,13 @@
-"""Fills the open-loop plant from the subsystem balance equations, builds
-the PI feedback matrix over an integrator-augmented state vector and
-closes the loop. The subsystem builders' models, wired by label, are the
-tests' reference for that fill.
+"""Fills the open-loop plant from the subsystem balance equations and
+closes the PI loop around it, both at fixed indices. The subsystem
+builders' models, wired by label, are the tests' reference for the fill.
 
 The augmentation trick: appending the integrals of dFs and dFt as states
 iFs and iFt turns every PI control law into pure state feedback u = H x,
 so the closed loop is just Ahat = Abar + Bbar H with unchanged
-disturbance topology. The closed loop is itself a `StateSpaceModel`
-(A = Ahat, B = Bbar, G = Gbar) that also carries H.
+disturbance topology. `close_loop` owns that 12-state layout: the ten
+plant states, then iFs and iFt. The closed loop is itself a
+`StateSpaceModel` (A = Ahat, B = Bbar, G = Gbar) that also carries H.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 from .diesel import DieselParams, governor_residues
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     InvariantViolation,
-    MissingFrequencyState,
     NonFiniteState,
     OrderingMismatch,
 )
@@ -40,7 +40,6 @@ __all__ = [
     "assemble_plant",
     "output_map",
     "build_feedback_matrix",
-    "augment_with_integrators",
     "close_loop",
     "build_closed_loop",
 ]
@@ -54,6 +53,8 @@ INTEGRATOR_LABELS = ("iFs", "iFt")
 FS, FT, PGD, XED11, XED21, PCW, PC1, PC2, XS1, XS2 = range(len(PLANT_STATE_ORDER))
 PCD, PCU, US = range(len(PLANT_CONTROL_ORDER))
 PL, PIW, PIS = range(len(PLANT_DISTURBANCE_ORDER))
+IFS, IFT = len(PLANT_STATE_ORDER), len(PLANT_STATE_ORDER) + 1
+N_AUGMENTED = IFT + 1
 
 
 @dataclass(frozen=True)
@@ -214,62 +215,23 @@ def output_map(p: SystemParams) -> OutputMap:
     return OutputMap(labels=("dPgw", "dPgs", "dP1"), wx=wx, wu=wu, wp=wp)
 
 
-def build_feedback_matrix(g: ControllerGains, ordering, kig: float) -> np.ndarray:
+def build_feedback_matrix(g: ControllerGains, kig: float) -> np.ndarray:
     """PI feedback matrix H mapping the augmented state to [dPcd, dPcu, us].
 
-    Rows, by named column lookup in the supplied ordering:
+    Rows, written at the fixed augmented indices (IFS, IFT follow XS2):
         diesel  u1 = -Kdp*dFs - Kdi*iFs
         pitch   u2 =  Kig*Kpp*(dFs - dFt) + Kig*Kpi*(iFs - iFt)
         solar   u3 = -Ksp*dFs - Ksi*iFs
     The pitch controller acts on the wind generation deviation, which is
     why its gains appear scaled by Kig.
     """
-    expected = PLANT_STATE_ORDER + INTEGRATOR_LABELS
-    ordering = tuple(ordering)
-    if ordering != expected:
-        raise OrderingMismatch(
-            f"state ordering {ordering} does not match the assembled order {expected}"
-        )
-    col = {lbl: i for i, lbl in enumerate(ordering)}
-    h = np.zeros((3, len(ordering)))
-    h[0, col["dFs"]] = -g.Kdp
-    h[0, col["iFs"]] = -g.Kdi
-    h[1, col["dFs"]] = kig * g.Kpp
-    h[1, col["dFt"]] = -kig * g.Kpp
-    h[1, col["iFs"]] = kig * g.Kpi
-    h[1, col["iFt"]] = -kig * g.Kpi
-    h[2, col["dFs"]] = -g.Ksp
-    h[2, col["iFs"]] = -g.Ksi
+    h = np.zeros((len(PLANT_CONTROL_ORDER), N_AUGMENTED))
+    # every loop reads dFs and iFs (rows dPcd, dPcu, us); only pitch reads dFt and iFt
+    h[:, FS] = [-g.Kdp, kig * g.Kpp, -g.Ksp]
+    h[:, IFS] = [-g.Kdi, kig * g.Kpi, -g.Ksi]
+    h[PCU, FT] = -kig * g.Kpp
+    h[PCU, IFT] = -kig * g.Kpi
     return h
-
-
-def augment_with_integrators(
-    plant: StateSpaceModel,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Append integrator states iFs = int dFs dt and iFt = int dFt dt.
-
-    Returns (Abar, Bbar, Gbar) where the two extra rows are pure
-    selectors on dFs and dFt and receive no control or disturbance input.
-    """
-    labels = plant.state_labels
-    if "dFs" not in labels or "dFt" not in labels:
-        raise MissingFrequencyState(
-            "plant must carry dFs and dFt states to be augmented"
-        )
-    n = plant.n_states
-    m = plant.b.shape[1]
-    k = plant.g.shape[1]
-
-    abar = np.zeros((n + 2, n + 2))
-    abar[:n, :n] = plant.a
-    abar[n, labels.index("dFs")] = 1.0
-    abar[n + 1, labels.index("dFt")] = 1.0
-
-    bbar = np.zeros((n + 2, m))
-    bbar[:n, :] = plant.b
-    gbar = np.zeros((n + 2, k))
-    gbar[:n, :] = plant.g
-    return abar, bbar, gbar
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -296,49 +258,48 @@ class AugmentedModel(StateSpaceModel):
         sel[0, self.state_index("dFs")] = 1.0
         sel[1, self.state_index("dFt")] = 1.0
         if not (self.a[n:] == sel).all():
-            raise ValueError("integrator rows of the closed-loop A are not selectors")
+            raise InvalidArgument("integrator rows of the closed-loop A are not selectors")
         if self.b[n:].any():
-            raise ValueError("integrator rows of the control matrix must be zero")
+            raise InvalidArgument("integrator rows of the control matrix must be zero")
         if self.g[n:].any():
-            raise ValueError("integrator rows of the disturbance matrix must be zero")
+            raise InvalidArgument("integrator rows of the disturbance matrix must be zero")
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
 
 
-def close_loop(abar, bbar, gbar, h, open_loop: StateSpaceModel) -> AugmentedModel:
-    """Apply state feedback u = H x to the augmented matrices.
+def close_loop(plant: StateSpaceModel, gains: ControllerGains, kig: float) -> AugmentedModel:
+    """Closed loop of an `assemble_plant` model under PI gains.
 
-    Ahat = Abar + Bbar H; the disturbance matrix passes through untouched.
+    Appends iFs and iFt at IFS and IFT as pure selectors on dFs and dFt
+    (Abar, with Bbar and Gbar zero in their rows), builds H and applies
+    u = H x: Ahat = Abar + Bbar H, the disturbance matrix untouched.
+    Raises OrderingMismatch unless the plant carries the assembled state
+    and control orderings.
     """
-    abar = np.asarray(abar, dtype=float)
-    bbar = np.asarray(bbar, dtype=float)
-    gbar = np.asarray(gbar, dtype=float)
-    h = np.asarray(h, dtype=float)
-    n2 = abar.shape[0]
-    if abar.shape != (n2, n2):
-        raise DimensionMismatch(f"augmented A has shape {abar.shape}")
-    if bbar.shape[0] != n2 or gbar.shape[0] != n2:
-        raise DimensionMismatch("augmented B and G must have as many rows as A")
-    if h.shape != (bbar.shape[1], n2):
-        raise DimensionMismatch(
-            f"feedback matrix shape {h.shape} incompatible with B {bbar.shape}"
+    if (plant.state_labels, plant.control_labels) != (PLANT_STATE_ORDER, PLANT_CONTROL_ORDER):
+        raise OrderingMismatch(
+            f"plant orderings {plant.state_labels}, {plant.control_labels} do not match "
+            f"the assembled {PLANT_STATE_ORDER}, {PLANT_CONTROL_ORDER}"
         )
+    abar = np.zeros((N_AUGMENTED, N_AUGMENTED))
+    abar[:IFS, :IFS] = plant.a
+    abar[IFS, FS] = abar[IFT, FT] = 1.0
+    bbar = np.zeros((N_AUGMENTED, plant.b.shape[1]))
+    bbar[:IFS] = plant.b
+    gbar = np.zeros((N_AUGMENTED, plant.g.shape[1]))
+    gbar[:IFS] = plant.g
+    h = build_feedback_matrix(gains, kig)
     return AugmentedModel(
         a=abar + bbar @ h,
         b=bbar,
         g=gbar,
         h=h,
-        state_labels=open_loop.state_labels + INTEGRATOR_LABELS,
-        control_labels=open_loop.control_labels,
-        disturbance_labels=open_loop.disturbance_labels,
+        state_labels=PLANT_STATE_ORDER + INTEGRATOR_LABELS,
+        control_labels=plant.control_labels,
+        disturbance_labels=plant.disturbance_labels,
     )
 
 
 def build_closed_loop(p: SystemParams, gains: ControllerGains) -> AugmentedModel:
-    """Convenience chain: assemble, augment, build H, close the loop."""
-    plant = assemble_plant(p)
-    abar, bbar, gbar = augment_with_integrators(plant)
-    h = build_feedback_matrix(
-        gains, plant.state_labels + INTEGRATOR_LABELS, p.wind.Kig
-    )
-    return close_loop(abar, bbar, gbar, h, plant)
+    """Convenience chain: assemble the plant, then close the loop."""
+    return close_loop(assemble_plant(p), gains, p.wind.Kig)

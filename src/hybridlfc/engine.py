@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     InvariantViolation,
     NonFiniteState,
     SingularSystem,
@@ -44,12 +45,22 @@ from .errors import (
 )
 from .lti import StateSpaceModel, eigenvalues
 
-__all__ = ["Step", "Scenario", "SimulationTrace", "integrate", "step_ise", "steady_state", "ise"]
+__all__ = [
+    "Step",
+    "Scenario",
+    "SimulationTrace",
+    "rk4_growth",
+    "integrate",
+    "step_ise",
+    "steady_state",
+    "ise",
+]
 
-# RK4 damps modes only while |lambda|*dt stays inside its stability
-# interval on the negative real axis (about 2.785); warn near the edge.
-STEP_WARN = 2.5
-STEP_HARD = 2.785
+# `integrate` warns while a step this many times longer would leave a
+# decaying mode undamped; on the negative real axis, where RK4 stops damping
+# at |lambda|*dt = 2.78529... (the real root of 24 + 12x + 4x^2 + x^3),
+# that is from |lambda|*dt = 2.5 on
+STEP_HEADROOM = 2.785293563405282 / 2.5
 
 # `integrate` stores every row, and `simulate` holds about 0.8 kB per row
 # in states, forcing and CSV text, so this keeps a run near 1.6 GB; the
@@ -115,7 +126,7 @@ def _input_vector(values: Mapping[str, float], labels: tuple[str, ...], kind: st
     vec = np.zeros(len(labels))
     for lbl, val in values.items():
         if lbl not in labels:
-            raise ValueError(f"unknown {kind} input '{lbl}'; model has {labels}")
+            raise InvalidArgument(f"unknown {kind} input '{lbl}'; model has {labels}")
         vec[labels.index(lbl)] += float(val)
     return vec
 
@@ -132,6 +143,24 @@ def _propagators(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
+def rk4_growth(lam: np.ndarray, dt: float) -> float:
+    """max |R(lambda*dt)| - 1 over the eigenvalues with Re lambda < 0, where
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 is the factor by which one RK4
+    step multiplies a mode: below 0 while every decaying mode is damped,
+    -1.0 when no mode decays.
+
+    Evaluated from w = R - 1: e = |R|^2 - 1 = (2 + Re w) Re w + (Im w)^2,
+    then |R| - 1 = e / (sqrt(1 + e) + 1), so a barely decaying mode near
+    z = 0 reads just below 0 instead of a rounded |R| of 1.0.
+    """
+    z = lam[lam.real < 0.0] * dt
+    if not z.size:
+        return -1.0
+    w = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    e = float(np.max((2.0 + w.real) * w.real + w.imag**2))
+    return e / (math.sqrt(1.0 + e) + 1.0)
+
+
 def _inputs(model: StateSpaceModel, scenario: Scenario):
     """Grid and input bookkeeping shared by `integrate` and `step_ise`.
 
@@ -146,7 +175,7 @@ def _inputs(model: StateSpaceModel, scenario: Scenario):
     onsets = []
     for lbl, step in scenario.disturbances.items():
         if lbl not in dlabels:
-            raise ValueError(f"unknown disturbance input '{lbl}'; model has {dlabels}")
+            raise InvalidArgument(f"unknown disturbance input '{lbl}'; model has {dlabels}")
         onset_idx = int(math.floor(step.onset / dt + 1e-9))
         onsets.append((onset_idx, dlabels.index(lbl), step.magnitude))
 
@@ -166,6 +195,8 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
     its magnitude at the sample on (or just before) its onset time and is
     held across every step. Rows run t = 0, dt, ..., floor(t_end/dt)*dt;
     more than MAX_ROWS of them raise InvariantViolation before allocating.
+    A step that does not damp every decaying mode (`rk4_growth` >= 0)
+    raises UnstableStepSize; one within STEP_HEADROOM of that edge warns.
 
     When an OutputMap is supplied its derived signals are evaluated along
     the trace, with controller outputs u = H x reconstructed for models
@@ -177,14 +208,17 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
     dt = scenario.dt
 
     lam = eigenvalues(a)
-    scale = float(np.max(np.abs(lam))) * dt if n else 0.0
-    if scale > STEP_HARD:
+    growth = rk4_growth(lam, dt)
+    if growth >= 0.0:
         raise UnstableStepSize(
-            f"|lambda|max*dt = {scale:.3f} exceeds the RK4 stability bound {STEP_HARD}"
+            f"max|R(lambda*dt)| = {1.0 + growth:.4f} >= 1: an RK4 step of {dt:g} s "
+            "does not damp every decaying mode"
         )
-    if scale >= STEP_WARN:
+    if rk4_growth(lam, dt * STEP_HEADROOM) >= 0.0:
+        # slow modes keep max|R| near 1 on any plant, so name the headroom
         warnings.warn(
-            f"|lambda|max*dt = {scale:.3f} is at the RK4 stability margin",
+            f"dt = {dt:g} s is within {STEP_HEADROOM - 1.0:.1%} of the RK4 stability "
+            "edge: a step that much longer would not damp every decaying mode",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -268,11 +302,13 @@ def step_ise(model: StateSpaceModel, scenario: Scenario, include_ft: bool = Fals
 
     Unlike `integrate` this applies no eigenvalue step guard: its only
     caller, the tuner, already rejects candidates with |lambda|max*dt
-    above STEP_WARN, a stricter bound, and a second eigenvalue solve per
-    candidate would add about a fifth to a tuner run. Raises
-    NonFiniteState when the sum overflows; on an unstable model this can
-    happen through the matrix powers alone, even from a mode that the
-    scenario never excites and that stays at zero in the stepped trace.
+    above 2.5, inside the region where RK4 damps every decaying mode
+    (`rk4_growth` < 0 out to |lambda|*dt = 2.615 in every direction), and
+    a second eigenvalue solve per candidate would add about a fifth to a
+    tuner run. Raises NonFiniteState when the sum overflows; on an
+    unstable model this can happen through the matrix powers alone, even
+    from a mode that the scenario never excites and that stays at zero in
+    the stepped trace.
     """
     scenario.validate()
     a, b, g, labels = model.a, model.b, model.g, model.state_labels

@@ -56,21 +56,27 @@ class NoConvergence(ToolkitError):
 
 
 class OrderingMismatch(ToolkitError):
-    """State ordering handed to the feedback builder disagrees with the plant's."""
+    """A plant handed to `close_loop` does not carry the assembled state and
+    control orderings."""
 
 
-class MissingFrequencyState(ToolkitError):
-    """Plant lacks the frequency states required for integrator augmentation."""
+class InvalidArgument(ToolkitError, ValueError):
+    """A library call got an argument it cannot use: an input label the model
+    lacks, duplicate state labels, integrator rows that are not selectors, or
+    non-finite entries. Also a ValueError, so callers that catch ValueError
+    still catch it."""
 
 
-class DimensionMismatch(ToolkitError):
-    pass
+class DimensionMismatch(InvalidArgument):
+    """Counts or shapes disagree: labels against matrix sides, a feedback
+    matrix against B, an initial state against the model."""
 
 
 # --- simulation ------------------------------------------------------------
 
 class UnstableStepSize(ToolkitError):
-    """max|eigenvalue| * dt exceeds the RK4 stability bound."""
+    """An RK4 step fails to damp a decaying mode: |R(lambda*dt)| >= 1 for some
+    eigenvalue with Re lambda < 0, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
 
 
 class NonFiniteState(ToolkitError):

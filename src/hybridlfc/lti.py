@@ -13,7 +13,9 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
+    DimensionMismatch,
     ImproperTransferFunction,
+    InvalidArgument,
     NonSquareMatrix,
     ZeroDcDenominator,
 )
@@ -94,6 +96,16 @@ class TransferFunction:
         return self.num(s) / self.den(s)
 
 
+def _input_matrix(m, n: int, name: str) -> np.ndarray:
+    """B or G as a matrix of n rows; a flat array fills the rows in order."""
+    m = np.asarray(m, dtype=float)
+    if not m.size:
+        return np.zeros((n, 0))
+    if (m.ndim == 2 and m.shape[0] != n) or not n or m.size % n:
+        raise DimensionMismatch(f"{name} has shape {m.shape}, want {n} rows")
+    return m.reshape(n, -1)
+
+
 @dataclass(frozen=True)
 class StateSpaceModel:
     """Linear model dx/dt = A x + B u + G p with named states and inputs.
@@ -114,17 +126,17 @@ class StateSpaceModel:
         n = a.shape[0]
         if a.shape != (n, n):
             raise NonSquareMatrix(f"state matrix has shape {a.shape}")
-        b = np.asarray(self.b, dtype=float).reshape(n, -1) if np.size(self.b) else np.zeros((n, 0))
-        g = np.asarray(self.g, dtype=float).reshape(n, -1) if np.size(self.g) else np.zeros((n, 0))
+        b = _input_matrix(self.b, n, "control matrix")
+        g = _input_matrix(self.g, n, "disturbance matrix")
         labels = tuple(self.state_labels)
         if len(labels) != n:
-            raise ValueError(f"{len(labels)} state labels for {n} states")
+            raise DimensionMismatch(f"{len(labels)} state labels for {n} states")
         if len(set(labels)) != n:
-            raise ValueError("state labels must be unique")
+            raise InvalidArgument("state labels must be unique")
         if b.shape[1] != len(self.control_labels):
-            raise ValueError("control label count does not match B columns")
+            raise DimensionMismatch("control label count does not match B columns")
         if g.shape[1] != len(self.disturbance_labels):
-            raise ValueError("disturbance label count does not match G columns")
+            raise DimensionMismatch("disturbance label count does not match G columns")
         for m in (a, b, g):
             m.flags.writeable = False
         object.__setattr__(self, "a", a)
@@ -225,7 +237,7 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSquareMatrix(f"matrix has shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise InvalidArgument("matrix entries must be finite")
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolation, NoConvergence
+from .errors import InvalidArgument, InvariantViolation, NoConvergence
 from .lti import StateSpaceModel, TransferFunction, tf_feedthrough, tf_to_ss
 
 __all__ = [
@@ -131,10 +131,14 @@ def solve_pv_current(p: PvCellParams, vpv: float | np.ndarray) -> float | np.nda
     c = ln Isat + (vpv + Rs*(Iph + Isat))/Vt and ln z = c + ln(Rs/Vt). Newton
     steps on s + (Rs/Vt)*exp(s) = c, convex and increasing in s, fall from
     a start above the root monotonically onto it, and nothing overflows.
+    A nan or infinite voltage raises InvalidArgument.
     """
     iph = photocurrent(p)
     vt, rs, isat = p.thermal_voltage, p.Rs, p.Isat
     v = np.asarray(vpv, dtype=float)
+    # math.isfinite on a 0-d array is a few microseconds cheaper than a reduction
+    if not (math.isfinite(v) if v.ndim == 0 else np.isfinite(v).all()):
+        raise InvalidArgument(f"pv voltage must be finite, got {v[~np.isfinite(v)][0]}")
     if rs == 0.0:
         # expm1(x) overflows past x = 709.8, Isat*expm1(x) only later: from
         # x = 700 on, where the forms agree to rounding, take exp(x + ln Isat) - Isat

@@ -96,9 +96,9 @@ def test_tuner_search_path(default_params, tuned, monkeypatch):
     built = []
     real_close = hybridlfc.tuning.close_loop
 
-    def counting_close(abar, bbar, gbar, h, plant):
-        built.append(h)
-        return real_close(abar, bbar, gbar, h, plant)
+    def counting_close(plant, gains, kig):
+        built.append(gains)
+        return real_close(plant, gains, kig)
 
     monkeypatch.setattr(hybridlfc.tuning, "close_loop", counting_close)
     spec = hybridlfc.tuning.TuneSpec(dpiw=0.01, dpis=0.01, eta_include_ft=True)

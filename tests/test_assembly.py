@@ -11,10 +11,10 @@ from hybridlfc.assembly import (
     PLANT_CONTROL_ORDER,
     PLANT_DISTURBANCE_ORDER,
     PLANT_STATE_ORDER,
+    AugmentedModel,
     ControllerGains,
     SystemParams,
     assemble_plant,
-    augment_with_integrators,
     build_closed_loop,
     build_feedback_matrix,
     close_loop,
@@ -23,15 +23,15 @@ from hybridlfc.assembly import (
 from hybridlfc.engine import steady_state
 from hybridlfc.errors import (
     DimensionMismatch,
+    InvalidArgument,
     InvariantViolation,
-    MissingFrequencyState,
     OrderingMismatch,
     SingularSystem,
 )
 from hybridlfc.diesel import build_diesel_subsystem
-from hybridlfc.lti import TransferFunction, eigenvalues
+from hybridlfc.lti import StateSpaceModel, TransferFunction, eigenvalues
 from hybridlfc.solar import SolarChannelParams, build_solar_subsystem, solar_feedthrough
-from hybridlfc.tuning import TuneSpec, tune_gains
+from hybridlfc.tuning import GAIN_ORDER, TuneSpec, tune_gains
 from hybridlfc.wind import build_pitch_subsystem, build_turbine_subsystem
 
 # Steady frequency deviation for a 0.01 pu load step with all controllers
@@ -209,43 +209,101 @@ class TestDirectFill:
         assert entry == 0.0 and np.copysign(1.0, entry) == 1.0
 
 
+def labelled_closed_loop(plant, g, kig):
+    """Reference closed loop wired by label: iFs and iFt appended as
+    selectors on the states named dFs and dFt, H filled by named row and
+    column, then Ahat = Abar + Bbar H. Returns (Ahat, Bbar, Gbar, H)."""
+    labels = plant.state_labels + INTEGRATOR_LABELS
+    col = {lbl: i for i, lbl in enumerate(labels)}
+    row = {lbl: i for i, lbl in enumerate(plant.control_labels)}
+    n = plant.n_states
+    abar = np.zeros((n + 2, n + 2))
+    abar[:n, :n] = plant.a
+    abar[col["iFs"], col["dFs"]] = 1.0
+    abar[col["iFt"], col["dFt"]] = 1.0
+    bbar = np.zeros((n + 2, plant.b.shape[1]))
+    bbar[:n, :] = plant.b
+    gbar = np.zeros((n + 2, plant.g.shape[1]))
+    gbar[:n, :] = plant.g
+    h = np.zeros((len(row), n + 2))
+    h[row["dPcd"], col["dFs"]] = -g.Kdp
+    h[row["dPcd"], col["iFs"]] = -g.Kdi
+    h[row["dPcu"], col["dFs"]] = kig * g.Kpp
+    h[row["dPcu"], col["dFt"]] = -kig * g.Kpp
+    h[row["dPcu"], col["iFs"]] = kig * g.Kpi
+    h[row["dPcu"], col["iFt"]] = -kig * g.Kpi
+    h[row["us"], col["dFs"]] = -g.Ksp
+    h[row["us"], col["iFs"]] = -g.Ksi
+    return abar + bbar @ h, bbar, gbar, h
+
+
+def draw_gains(rng):
+    """Gains anywhere in the tuner's default box, each an exact zero of
+    either sign 4 % of the time."""
+    return ControllerGains(
+        *(
+            rng.choice([0.0, -0.0]) if rng.random() < 0.04 else rng.uniform(lo, hi)
+            for lo, hi in (TuneSpec().bounds[name] for name in GAIN_ORDER)
+        )
+    )
+
+
+def relabelled(plant, state_labels=None, control_labels=None):
+    return StateSpaceModel(
+        a=plant.a,
+        b=plant.b,
+        g=plant.g,
+        state_labels=state_labels or plant.state_labels,
+        control_labels=control_labels or plant.control_labels,
+        disturbance_labels=plant.disturbance_labels,
+    )
+
+
 class TestFeedbackMatrix:
     ORDER = PLANT_STATE_ORDER + INTEGRATOR_LABELS
 
     def test_zero_gains_zero_matrix(self):
-        h = build_feedback_matrix(ControllerGains(), self.ORDER, kig=0.9969)
+        h = build_feedback_matrix(ControllerGains(), kig=0.9969)
         np.testing.assert_array_equal(h, np.zeros((3, 12)))
 
     def test_diesel_proportional_entry(self):
-        h = build_feedback_matrix(ControllerGains(Kdp=1.0), self.ORDER, kig=0.9969)
+        h = build_feedback_matrix(ControllerGains(Kdp=1.0), kig=0.9969)
         expected = np.zeros((3, 12))
         expected[0, self.ORDER.index("dFs")] = -1.0
         np.testing.assert_array_equal(h, expected)
 
     def test_pitch_gains_scaled_by_slip_coupling(self):
-        h = build_feedback_matrix(ControllerGains(Kpp=1.0), self.ORDER, kig=0.9969)
+        h = build_feedback_matrix(ControllerGains(Kpp=1.0), kig=0.9969)
         assert h[1, self.ORDER.index("dFs")] == pytest.approx(0.9969)
         assert h[1, self.ORDER.index("dFt")] == pytest.approx(-0.9969)
         assert np.all(h[0] == 0.0) and np.all(h[2] == 0.0)
 
     def test_integral_gains_hit_integrators(self):
-        h = build_feedback_matrix(
-            ControllerGains(Kdi=2.0, Ksi=3.0), self.ORDER, kig=0.9969
-        )
+        h = build_feedback_matrix(ControllerGains(Kdi=2.0, Ksi=3.0), kig=0.9969)
         assert h[0, self.ORDER.index("iFs")] == -2.0
         assert h[2, self.ORDER.index("iFs")] == -3.0
         assert np.all(h[:, : len(PLANT_STATE_ORDER)] == 0.0)
 
-    def test_rejects_foreign_ordering(self):
-        shuffled = self.ORDER[1:] + self.ORDER[:1]
+    def test_rejects_foreign_ordering(self, default_params):
+        # H is written at the assembled indices, so close_loop refuses a
+        # plant whose states are ordered otherwise
+        plant = assemble_plant(default_params)
+        shuffled = PLANT_STATE_ORDER[1:] + PLANT_STATE_ORDER[:1]
         with pytest.raises(OrderingMismatch):
-            build_feedback_matrix(ControllerGains(), shuffled, kig=0.9969)
+            close_loop(relabelled(plant, state_labels=shuffled), ControllerGains(), 0.9969)
+
+    def test_rejects_foreign_control_ordering(self, default_params):
+        plant = assemble_plant(default_params)
+        swapped = ("dPcu", "dPcd", "us")
+        with pytest.raises(OrderingMismatch):
+            close_loop(relabelled(plant, control_labels=swapped), ControllerGains(), 0.9969)
 
 
 class TestAugmentation:
     def test_shapes_and_selectors(self, default_params):
         plant = assemble_plant(default_params)
-        abar, bbar, gbar = augment_with_integrators(plant)
+        model = close_loop(plant, ControllerGains(), default_params.wind.Kig)
+        abar, bbar, gbar = model.a, model.b, model.g
         assert abar.shape == (12, 12)
         assert bbar.shape == (12, 3)
         assert gbar.shape == (12, 3)
@@ -259,8 +317,25 @@ class TestAugmentation:
 
     def test_requires_both_frequency_states(self):
         turbine = build_turbine_subsystem(SystemParams().wind)
-        with pytest.raises(MissingFrequencyState):
-            augment_with_integrators(turbine)
+        with pytest.raises(OrderingMismatch):
+            close_loop(turbine, ControllerGains(), 0.9969)
+
+
+class TestLabelledReference:
+    """close_loop writes the augmentation and H at fixed indices; it must
+    match the loop wired by label bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("include_solar", [True, False])
+    def test_matches_labelled_loop_on_draws(self, include_solar):
+        rng = random.Random(8101 + include_solar)
+        for _ in range(1000):
+            p = draw_system(rng, include_solar)
+            gains = draw_gains(rng)
+            model = build_closed_loop(p, gains)
+            want = labelled_closed_loop(assemble_plant(p), gains, p.wind.Kig)
+            for got, ref in zip((model.a, model.b, model.g, model.h), want):
+                assert got.tobytes() == ref.tobytes()
+            assert model.state_labels == PLANT_STATE_ORDER + INTEGRATOR_LABELS
 
 
 @pytest.mark.parametrize("den", [[2.0, 1.0], [1.0, 2.0, 3.0, 1.0]], ids=["first", "third"])
@@ -281,13 +356,28 @@ def test_library_entry_points_validate(build, den):
         build(p)
 
 
+def augmented(model, **change):
+    """An AugmentedModel built directly from `model`'s fields, some replaced."""
+    fields = dict(
+        a=model.a,
+        b=model.b,
+        g=model.g,
+        h=model.h,
+        state_labels=model.state_labels,
+        control_labels=model.control_labels,
+        disturbance_labels=model.disturbance_labels,
+    )
+    return AugmentedModel(**{**fields, **change})
+
+
 class TestClosedLoop:
     def test_zero_feedback_passthrough(self, default_params):
         plant = assemble_plant(default_params)
-        abar, bbar, gbar = augment_with_integrators(plant)
-        model = close_loop(abar, bbar, gbar, np.zeros((3, 12)), plant)
+        abar, bbar, gbar, _ = labelled_closed_loop(plant, ControllerGains(), 0.9969)
+        model = close_loop(plant, ControllerGains(), default_params.wind.Kig)
         np.testing.assert_array_equal(model.a, abar)
         np.testing.assert_array_equal(model.g, gbar)
+        np.testing.assert_array_equal(model.h, 0.0)
         assert model.state_labels == PLANT_STATE_ORDER + INTEGRATOR_LABELS
         assert model.n_states == 12
 
@@ -302,19 +392,31 @@ class TestClosedLoop:
             model.a[0, 0] = 1.0
 
     def test_rejects_misshapen_feedback(self, default_params):
-        plant = assemble_plant(default_params)
-        abar, bbar, gbar = augment_with_integrators(plant)
+        # close_loop builds H itself; a caller constructing the model directly
+        # still gets its shapes checked
+        model = build_closed_loop(default_params, ControllerGains())
         with pytest.raises(DimensionMismatch):
-            close_loop(abar, bbar, gbar, np.zeros((3, 11)), plant)
+            augmented(model, h=np.zeros((3, 11)))
         with pytest.raises(DimensionMismatch):
-            close_loop(abar, bbar[:11], gbar, np.zeros((3, 12)), plant)
+            augmented(model, b=model.b[:11])
 
     def test_integrator_rows_take_no_control(self, default_params):
-        plant = assemble_plant(default_params)
-        abar, bbar, gbar = augment_with_integrators(plant)
-        bbar[10, 0] = 1.0
-        with pytest.raises(ValueError, match="control matrix"):
-            close_loop(abar, bbar, gbar, np.zeros((3, 12)), plant)
+        model = build_closed_loop(default_params, ControllerGains())
+        b = model.b.copy()
+        b[10, 0] = 1.0
+        with pytest.raises(InvalidArgument, match="control matrix"):
+            augmented(model, b=b)
+
+    def test_integrator_rows_stay_selectors(self, default_params):
+        model = build_closed_loop(default_params, ControllerGains())
+        a = model.a.copy()
+        a[11, 0] = 1.0
+        with pytest.raises(InvalidArgument, match="not selectors"):
+            augmented(model, a=a)
+        g = model.g.copy()
+        g[11, 1] = 1.0
+        with pytest.raises(InvalidArgument, match="disturbance matrix"):
+            augmented(model, g=g)
 
     def test_zero_gain_equilibrium_is_singular(self, default_params):
         model = build_closed_loop(default_params, ControllerGains())

@@ -1,21 +1,24 @@
+import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from hybridlfc.assembly import assemble_plant, build_closed_loop, output_map
+from hybridlfc.assembly import ControllerGains, assemble_plant, build_closed_loop, output_map
 from hybridlfc.engine import (
     Scenario,
     SimulationTrace,
     Step,
     integrate,
     ise,
+    rk4_growth,
     step_ise,
     steady_state,
 )
 from hybridlfc.errors import (
     DimensionMismatch,
+    InvalidArgument,
     InvariantViolation,
     NonFiniteState,
     SingularSystem,
@@ -146,11 +149,107 @@ class TestIntegrate:
                 scalar_decay(), Scenario(t_end=1.0, dt=0.1, controls={"bogus": 1.0})
             )
 
+    def test_unknown_labels_are_toolkit_errors(self, default_params):
+        model = build_closed_loop(default_params, ControllerGains())
+        sc = Scenario(t_end=1.0, dt=0.01, controls={"dPcx": 1.0})
+        for run in (integrate, step_ise):
+            with pytest.raises(InvalidArgument, match="unknown control input 'dPcx'"):
+                run(model, sc)
+        with pytest.raises(InvalidArgument, match="unknown disturbance input 'dPx'"):
+            steady_state(model, disturbances={"dPx": 0.01})
+
     def test_column_lookup(self):
         trace = integrate(scalar_decay(), Scenario(t_end=1.0, dt=0.1))
         assert trace.column("x").shape == (11,)
         with pytest.raises(KeyError):
             trace.column("bogus")
+
+
+def rk4_factor(z: complex) -> float:
+    """|R(z)| of one RK4 step, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    return abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+
+
+def boundary_radius(degrees: float) -> float:
+    """Radius along the ray at `degrees` where |R| first reaches 1."""
+    ray = cmath.exp(1j * math.radians(degrees))
+    lo, hi = 1.0, 3.0  # |R| < 1 at radius 1 and > 1 at 3 on every ray here
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if rk4_factor(mid * ray) >= 1.0 else (mid, hi)
+    return hi
+
+
+def oscillator(lam: complex) -> StateSpaceModel:
+    """Two-state model with eigenvalues lam and its conjugate."""
+    return StateSpaceModel(
+        a=np.array([[lam.real, lam.imag], [-lam.imag, lam.real]]),
+        b=np.zeros((2, 0)),
+        g=np.zeros((2, 0)),
+        state_labels=("x1", "x2"),
+    )
+
+
+class TestStepGuard:
+    """`integrate` rejects exactly the steps with |R(lambda*dt)| >= 1 for a
+    decaying mode, whatever its direction in the left half plane."""
+
+    ANGLES = [90.01, *range(91, 181), 122.7]
+    DT = 0.5
+
+    @pytest.mark.parametrize(
+        "degrees, radius", [(90.01, 2.828), (122.7, 2.616), (180.0, 2.785)]
+    )
+    def test_boundary_radius(self, degrees, radius):
+        assert boundary_radius(degrees) == pytest.approx(radius, abs=1e-3)
+
+    @pytest.mark.parametrize("degrees", ANGLES)
+    def test_rejects_from_the_boundary_on(self, degrees):
+        ray = cmath.exp(1j * math.radians(degrees))
+        edge = boundary_radius(degrees)
+        for radius in (edge * (1 + 1e-7), edge * 1.05, 3.5):
+            z = radius * ray
+            assert rk4_factor(z) >= 1.0
+            with pytest.raises(UnstableStepSize):
+                integrate(oscillator(z / self.DT), Scenario(t_end=1.0, dt=self.DT))
+
+    @pytest.mark.parametrize("degrees", ANGLES)
+    def test_accepts_just_inside(self, degrees):
+        z = boundary_radius(degrees) * (1 - 1e-7) * cmath.exp(1j * math.radians(degrees))
+        assert rk4_factor(z) < 1.0
+        # inside, but at the edge: the warning band covers it
+        with pytest.warns(RuntimeWarning, match="RK4 stability edge"):
+            integrate(oscillator(z / self.DT), Scenario(t_end=1.0, dt=self.DT))
+
+    def test_off_axis_mode_inside_the_old_radius(self):
+        # |lambda*dt| = 2.7 is below 2.785, yet at 122.7 degrees one step
+        # multiplies the mode by 1.110
+        z = 2.7 * cmath.exp(1j * math.radians(122.7))
+        assert rk4_factor(z) == pytest.approx(1.110, abs=5e-4)
+        with pytest.raises(UnstableStepSize, match="1.1103"):
+            integrate(oscillator(z / self.DT), Scenario(t_end=1.0, dt=self.DT))
+
+    def test_growth_matches_direct_factor(self):
+        lam = np.array(
+            [r * cmath.exp(1j * math.radians(d)) for r in (1e-3, 0.5, 2.0, 2.7, 4.0)
+             for d in (91, 120, 150, 179)]
+        )
+        for one in lam:
+            assert rk4_growth(np.array([one]), 1.0) == pytest.approx(
+                rk4_factor(one) - 1.0, abs=1e-14
+            )
+        assert rk4_growth(lam, 1.0) == max(rk4_growth(np.array([x]), 1.0) for x in lam)
+
+    def test_only_decaying_modes_count(self):
+        assert rk4_growth(np.array([0.0, 3.0 + 0.0j, 1e-9 + 3.0j]), 1.0) == -1.0
+
+    def test_barely_decaying_mode_is_damped(self):
+        # |R| rounds to 1.0 here; the guard must still see a damped mode
+        assert rk4_factor(-1e-20) == 1.0
+        assert rk4_growth(np.array([-1e-20 + 0.0j]), 1.0) < 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            integrate(scalar_decay(a=-1e-20), Scenario(t_end=1.0, dt=0.5))
 
 
 class TestClosedLoopTrace:

@@ -4,7 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hybridlfc.errors import (
+    DimensionMismatch,
     ImproperTransferFunction,
+    InvalidArgument,
     NonSquareMatrix,
     ZeroDcDenominator,
 )
@@ -170,6 +172,38 @@ class TestStateSpaceModel:
                 state_labels=("x", "x"),
             )
 
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"state_labels": ("x",)}, DimensionMismatch),
+            ({"state_labels": ("x", "x")}, InvalidArgument),
+            ({"control_labels": ()}, DimensionMismatch),
+            ({"disturbance_labels": ("w", "v")}, DimensionMismatch),
+            ({"b": np.zeros((1, 2))}, DimensionMismatch),
+            ({"g": np.zeros(3)}, DimensionMismatch),
+        ],
+        ids=["label_count", "duplicate", "control_count", "disturbance_count", "b_rows", "g_size"],
+    )
+    def test_checks_raise_toolkit_errors(self, change, error):
+        # toolkit errors that stay ValueErrors
+        fields = dict(
+            a=np.eye(2),
+            b=np.zeros((2, 1)),
+            g=np.zeros((2, 1)),
+            state_labels=("x", "y"),
+            control_labels=("u",),
+            disturbance_labels=("w",),
+        )
+        with pytest.raises(error) as raised:
+            StateSpaceModel(**{**fields, **change})
+        assert isinstance(raised.value, ValueError)
+
+    def test_flat_input_vector_is_a_column(self):
+        m = StateSpaceModel(
+            a=np.eye(2), b=np.ones(2), g=(), state_labels=("x", "y"), control_labels=("u",)
+        )
+        assert m.b.shape == (2, 1) and m.g.shape == (2, 0)
+
     def test_nonsquare_rejected(self):
         with pytest.raises(NonSquareMatrix):
             StateSpaceModel(
@@ -202,6 +236,8 @@ class TestEigenvalues:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidArgument, match="finite"):
+            eigenvalues(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
     def test_sorted_by_real_part_descending(self):
         lam = eigenvalues(np.diag([-5.0, 1.0, -2.0]))

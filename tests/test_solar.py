@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hybridlfc import solar
 from hybridlfc.engine import steady_state
-from hybridlfc.errors import InvariantViolation, NoConvergence
+from hybridlfc.errors import InvalidArgument, InvariantViolation
 from hybridlfc.lti import TransferFunction, eigenvalues, tf_dc_gain, tf_to_ss
 from hybridlfc.solar import (
     BoostParams,
@@ -180,10 +180,20 @@ class TestLambertSolve:
         near = (open_circuit_voltage(p) - v) / rs
         assert np.all(np.abs(i - near) <= 1e-12 * photocurrent(p))
 
-    def test_unsettled_voltage_is_named(self):
-        # nan never settles, so the check after the last step reports it
-        with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="at vpv = nan"):
+    def test_non_finite_voltage_is_named(self):
+        with pytest.raises(InvalidArgument, match="got nan"):
             solve_pv_current(PvCellParams(), np.array([0.1, np.nan, 0.3]))
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
+    @pytest.mark.parametrize("rs", [0.0, 0.05])
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_voltage_rejected(self, v, rs, as_array):
+        # rejected before any arithmetic: past the check, Rs = 0 would hand
+        # back a non-finite current silently and Rs > 0 would raise numpy
+        # RuntimeWarnings, which the pytest settings turn into errors
+        vpv = np.array([0.2, v]) if as_array else v
+        with pytest.raises(InvalidArgument, match="pv voltage must be finite"):
+            solve_pv_current(PvCellParams(Rs=rs), vpv)
 
 
 class TestMppt:

@@ -117,19 +117,19 @@ class TestSearch:
         params = replace(default_params, include_solar=include_solar)
         spec = replace(QUICK, budget=40)
         gains_seen, costed = [], []
-        real_feedback = hybridlfc.tuning.build_feedback_matrix
+        real_close = hybridlfc.tuning.close_loop
         real_cost = hybridlfc.tuning.step_ise
 
-        def recording_feedback(gains, labels, kig):
+        def recording_close(plant, gains, kig):
             gains_seen.append(gains)
-            return real_feedback(gains, labels, kig)
+            return real_close(plant, gains, kig)
 
         def recording_cost(model, scenario, include_ft=False):
             cost = real_cost(model, scenario, include_ft=include_ft)
             costed.append((gains_seen[-1], cost))
             return cost
 
-        monkeypatch.setattr(hybridlfc.tuning, "build_feedback_matrix", recording_feedback)
+        monkeypatch.setattr(hybridlfc.tuning, "close_loop", recording_close)
         monkeypatch.setattr(hybridlfc.tuning, "step_ise", recording_cost)
         tune_gains(params, spec)
         assert len(gains_seen) == 40 and len(costed) > 20
