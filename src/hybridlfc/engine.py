@@ -151,13 +151,18 @@ def rk4_growth(lam: np.ndarray, dt: float) -> float:
 
     Evaluated from w = R - 1: e = |R|^2 - 1 = (2 + Re w) Re w + (Im w)^2,
     then |R| - 1 = e / (sqrt(1 + e) + 1), so a barely decaying mode near
-    z = 0 reads just below 0 instead of a rounded |R| of 1.0.
+    z = 0 reads just below 0 instead of a rounded |R| of 1.0. A mode so
+    fast that e overflows (to inf, or to nan through inf - inf) lies far
+    outside the stability region and reads inf.
     """
     z = lam[lam.real < 0.0] * dt
     if not z.size:
         return -1.0
-    w = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    e = float(np.max((2.0 + w.real) * w.real + w.imag**2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+        e = float(np.max((2.0 + w.real) * w.real + w.imag**2))
+    if not e < math.inf:
+        return math.inf
     return e / (math.sqrt(1.0 + e) + 1.0)
 
 
@@ -211,7 +216,7 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
     growth = rk4_growth(lam, dt)
     if growth >= 0.0:
         raise UnstableStepSize(
-            f"max|R(lambda*dt)| = {1.0 + growth:.4f} >= 1: an RK4 step of {dt:g} s "
+            f"max|R(lambda*dt)| = {1.0 + growth:.5g} >= 1: an RK4 step of {dt:g} s "
             "does not damp every decaying mode"
         )
     if rk4_growth(lam, dt * STEP_HEADROOM) >= 0.0:
@@ -301,9 +306,8 @@ def step_ise(model: StateSpaceModel, scenario: Scenario, include_ft: bool = Fals
     result bit-for-bit unchanged.
 
     Unlike `integrate` this applies no eigenvalue step guard: its only
-    caller, the tuner, already rejects candidates with |lambda|max*dt
-    above 2.5, inside the region where RK4 damps every decaying mode
-    (`rk4_growth` < 0 out to |lambda|*dt = 2.615 in every direction), and
+    caller, the tuner, already rejects every candidate on which
+    `integrate` would warn (`rk4_growth` at dt * STEP_HEADROOM >= 0), and
     a second eigenvalue solve per candidate would add about a fifth to a
     tuner run. Raises NonFiniteState when the sum overflows; on an
     unstable model this can happen through the matrix powers alone, even

@@ -296,6 +296,16 @@ class TestFailureModes:
         assert err.startswith("error: NonFiniteState:")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("tp", ["1e-40", "1e-300"])
+    def test_far_too_fast_plant_is_step_error(self, capsys, tmp_path, tp):
+        # the fastest mode is so far outside the RK4 stability region that
+        # |R(lambda*dt)| overflows; that still reads as an unstable step
+        text = f"system.Tp = {tp}\nscenario.t_end = 1.0\n"
+        code, out, err = run_cli(capsys, tmp_path, "simulate", text)
+        assert code == 4 and out == ""
+        assert err.startswith("error: UnstableStepSize:")
+        assert len(err.splitlines()) == 1
+
     def test_missing_config_file(self, capsys, tmp_path):
         code = main(["--command", "eigen", "--config", str(tmp_path / "absent.conf")])
         err = capsys.readouterr().err

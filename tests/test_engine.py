@@ -251,6 +251,23 @@ class TestStepGuard:
             warnings.simplefilter("error")
             integrate(scalar_decay(a=-1e-20), Scenario(t_end=1.0, dt=0.5))
 
+    @pytest.mark.parametrize(
+        "lam", [-1e300 + 0.0j, -1e200 + 1e200j, -1.0 + 1e300j], ids=["real", "diagonal", "steep"]
+    )
+    def test_overflowing_mode_is_unstable(self, lam):
+        # |R|^2 - 1 overflows to inf or nan here; the mode is far outside
+        # the stability region, so the growth reads inf, with no warning
+        assert rk4_growth(np.array([lam]), 1.0) == math.inf
+        with pytest.raises(UnstableStepSize, match=r"= inf >= 1"):
+            integrate(oscillator(lam), Scenario(t_end=1.0, dt=self.DT))
+
+    def test_huge_finite_growth_is_unstable(self):
+        # |R(-1e20)| = 1e80 / 24 (1 - 4e-20 + ...), and e = |R|^2 - 1 still fits
+        growth = rk4_growth(np.array([-1e20 + 0.0j]), 1.0)
+        assert growth == pytest.approx(1e80 / 24, rel=1e-12)
+        with pytest.raises(UnstableStepSize, match=r"= 4.1667e\+78 >= 1"):
+            integrate(oscillator(-1e20 + 0.0j), Scenario(t_end=1.0, dt=1.0))
+
 
 class TestClosedLoopTrace:
     def test_converges_to_equilibrium(self, default_params, stable_gains):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -90,6 +91,22 @@ class TestSearch:
         pinned = {name: (0.0, 0.0) for name in GAIN_ORDER}
         with pytest.raises(NoStableGainsFound):
             tune_gains(default_params, replace(QUICK, bounds=pinned, budget=5))
+
+    @pytest.mark.parametrize("dt", [0.02, 0.026])
+    def test_rejects_where_integrate_warns(self, default_params, dt):
+        # a budget of one costs only the start point, so the tuner accepts
+        # it exactly when a step of dt on its closed loop raises no warning
+        model = build_closed_loop(default_params, ControllerGains(*[0.5] * 6))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            integrate(model, replace(QUICK.scenario(), dt=dt, t_end=1.0))
+        warns = any("RK4 stability edge" in str(w.message) for w in caught)
+        assert warns == (dt == 0.026)
+        if warns:
+            with pytest.raises(NoStableGainsFound):
+                tune_gains(default_params, replace(QUICK, dt=dt, budget=1))
+        else:
+            assert np.isfinite(tune_gains(default_params, replace(QUICK, dt=dt, budget=1))[1])
 
     def test_per_loop_mode(self, default_params):
         spec = replace(QUICK, per_loop=True, budget=90)
