@@ -9,7 +9,6 @@ gain tuner.
 """
 
 from .assembly import (
-    AugmentedModel,
     ControllerGains,
     OutputMap,
     SystemParams,

@@ -6,8 +6,9 @@ The augmentation trick: appending the integrals of dFs and dFt as states
 iFs and iFt turns every PI control law into pure state feedback u = H x,
 so the closed loop is just Ahat = Abar + Bbar H with unchanged
 disturbance topology. `close_loop` owns that 12-state layout: the ten
-plant states, then iFs and iFt. The closed loop is itself a
-`StateSpaceModel` (A = Ahat, B = Bbar, G = Gbar) that also carries H.
+plant states, then iFs and iFt. The closed loop is a plain
+`StateSpaceModel` (A = Ahat, B = Bbar, G = Gbar) whose `h` field holds H,
+so the engine consumes plants and closed loops alike.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diesel import DieselParams, governor_residues
-from .errors import (
-    DimensionMismatch,
-    InvalidArgument,
-    InvariantViolation,
-    NonFiniteState,
-    OrderingMismatch,
-)
+from .errors import InvariantViolation, NonFiniteState, OrderingMismatch
 from .lti import StateSpaceModel, companion_coefficients
 from .solar import SolarChannelParams, solar_feedthrough
 from .wind import WindParams
@@ -32,7 +27,6 @@ __all__ = [
     "SystemParams",
     "ControllerGains",
     "OutputMap",
-    "AugmentedModel",
     "PLANT_STATE_ORDER",
     "PLANT_CONTROL_ORDER",
     "PLANT_DISTURBANCE_ORDER",
@@ -110,7 +104,7 @@ class OutputMap:
     """Linear read-outs y = Wx x + Wu u + Wp p over the open-loop ordering.
 
     Carries the derived signals dPgw (wind generation), dPgs (solar
-    generation) and dP1 (surplus power). For augmented models the state
+    generation) and dP1 (surplus power). For closed loops the state
     weights apply to the leading plant states; integrator states carry
     zero weight.
     """
@@ -234,40 +228,7 @@ def build_feedback_matrix(g: ControllerGains, kig: float) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True, kw_only=True)
-class AugmentedModel(StateSpaceModel):
-    """Closed-loop model over the integrator-augmented state vector.
-
-    A is Ahat = Abar + Bbar H, B is Bbar (constant control offsets enter
-    through the plant's own control columns) and G is Gbar; H is the
-    feedback matrix that reconstructs the controller outputs u = H x.
-    """
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        super().__post_init__()
-        n = self.n_states - 2
-        h = np.asarray(self.h, dtype=float)
-        if h.shape != (self.b.shape[1], n + 2):
-            raise DimensionMismatch(
-                f"feedback matrix has shape {h.shape}, want {(self.b.shape[1], n + 2)}"
-            )
-        # integrator rows must stay pure selectors no matter the feedback
-        sel = np.zeros((2, n + 2))
-        sel[0, self.state_index("dFs")] = 1.0
-        sel[1, self.state_index("dFt")] = 1.0
-        if not (self.a[n:] == sel).all():
-            raise InvalidArgument("integrator rows of the closed-loop A are not selectors")
-        if self.b[n:].any():
-            raise InvalidArgument("integrator rows of the control matrix must be zero")
-        if self.g[n:].any():
-            raise InvalidArgument("integrator rows of the disturbance matrix must be zero")
-        h.flags.writeable = False
-        object.__setattr__(self, "h", h)
-
-
-def close_loop(plant: StateSpaceModel, gains: ControllerGains, kig: float) -> AugmentedModel:
+def close_loop(plant: StateSpaceModel, gains: ControllerGains, kig: float) -> StateSpaceModel:
     """Closed loop of an `assemble_plant` model under PI gains.
 
     Appends iFs and iFt at IFS and IFT as pure selectors on dFs and dFt
@@ -289,7 +250,7 @@ def close_loop(plant: StateSpaceModel, gains: ControllerGains, kig: float) -> Au
     gbar = np.zeros((N_AUGMENTED, plant.g.shape[1]))
     gbar[:IFS] = plant.g
     h = build_feedback_matrix(gains, kig)
-    return AugmentedModel(
+    return StateSpaceModel(
         a=abar + bbar @ h,
         b=bbar,
         g=gbar,
@@ -300,6 +261,6 @@ def close_loop(plant: StateSpaceModel, gains: ControllerGains, kig: float) -> Au
     )
 
 
-def build_closed_loop(p: SystemParams, gains: ControllerGains) -> AugmentedModel:
+def build_closed_loop(p: SystemParams, gains: ControllerGains) -> StateSpaceModel:
     """Convenience chain: assemble the plant, then close the loop."""
     return close_loop(assemble_plant(p), gains, p.wind.Kig)

@@ -22,8 +22,9 @@ and without an inverse (Smith 1968; Van Loan 1978), then applies the
 trapezoid end correction. It returns what `ise(integrate(...))` returns,
 to rounding; `integrate` + `ise` stay as its reference.
 
-Every function takes an `lti.StateSpaceModel`; a closed loop is one that
-also carries its feedback matrix `h`, so the engine needs only `lti`.
+Every function takes one model type, `lti.StateSpaceModel`; on a closed
+loop its `h` field holds the feedback matrix, so the engine needs only
+`lti`.
 """
 
 from __future__ import annotations
@@ -131,6 +132,17 @@ def _input_vector(values: Mapping[str, float], labels: tuple[str, ...], kind: st
     return vec
 
 
+def _weighted_states(labels: tuple[str, ...], include_ft: bool) -> list[int]:
+    """Indices of the states the performance index weighs: dFs, and dFt
+    when include_ft is set. A missing one raises InvalidArgument, with the
+    same message from `step_ise` and `ise`."""
+    wanted = ("dFs", "dFt") if include_ft else ("dFs",)
+    for lbl in wanted:
+        if lbl not in labels:
+            raise InvalidArgument(f"performance index needs a '{lbl}' state; states are {labels}")
+    return [labels.index(lbl) for lbl in wanted]
+
+
 def _propagators(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     eye = np.eye(n)
@@ -204,8 +216,8 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
     raises UnstableStepSize; one within STEP_HEADROOM of that edge warns.
 
     When an OutputMap is supplied its derived signals are evaluated along
-    the trace, with controller outputs u = H x reconstructed for models
-    that carry a feedback matrix `h`.
+    the trace, with controller outputs u = H x + u0 reconstructed when the
+    model carries a feedback matrix `h` (u = u0 otherwise).
     """
     scenario.validate()
     a, b, g = model.a, model.b, model.g
@@ -259,9 +271,8 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
             raise DimensionMismatch(
                 f"output map expects at least {n_open} states, model has {n}"
             )
-        h = getattr(model, "h", None)
-        if h is not None:
-            u_rows = states @ h.T + u_const
+        if model.h is not None:
+            u_rows = states @ model.h.T + u_const
         else:
             u_rows = np.broadcast_to(u_const, (rows, len(u_const)))
         y = states[:, :n_open] @ outputs.wx.T + u_rows @ outputs.wu.T + p_rows @ outputs.wp.T
@@ -315,12 +326,12 @@ def step_ise(model: StateSpaceModel, scenario: Scenario, include_ft: bool = Fals
     the stepped trace.
     """
     scenario.validate()
-    a, b, g, labels = model.a, model.b, model.g, model.state_labels
+    a, b, g = model.a, model.b, model.g
     n = model.n_states
     rows, u_const, onsets, x = _inputs(model, scenario)
     w = np.zeros((n + 1, n + 1))
-    for lbl in ("dFs", "dFt") if include_ft else ("dFs",):
-        w[labels.index(lbl), labels.index(lbl)] = 1.0
+    for i in _weighted_states(model.state_labels, include_ft):
+        w[i, i] = 1.0
 
     p_mat, q_mat = _propagators(a, scenario.dt)
     t = np.zeros((n + 1, n + 1))
@@ -380,7 +391,5 @@ def ise(trace: SimulationTrace, include_ft: bool = False) -> float:
     """
     if trace.times.size == 0:
         raise InvariantViolation("cannot integrate an empty trace")
-    y = trace.column("dFs") ** 2
-    if include_ft:
-        y = y + trace.column("dFt") ** 2
+    y = sum(trace.states[:, i] ** 2 for i in _weighted_states(trace.state_labels, include_ft))
     return float(np.trapezoid(y, trace.times))

@@ -177,22 +177,15 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
         return c
 
     holder = {"x": start, "cost": math.inf}
-    if spec.per_loop:
-        pairs = [("Kdp", "Kdi"), ("Kpp", "Kpi")]
-        if params.include_solar:
-            pairs.append(("Ksp", "Ksi"))
-        share = max(spec.budget // len(pairs), 1)
-        for i, pair in enumerate(pairs):
-            last = i == len(pairs) - 1
-            state["cap"] = spec.budget if last else min(spec.budget, state["evals"] + share)
-            try:
-                _descend(cost, holder, list(pair), spec.bounds)
-            except _OutOfBudget:
-                if last:
-                    break
-    else:
+    # per_loop searches the (proportional, integral) pairs in turn, each but
+    # the last capped at an equal share of the budget
+    groups = [active[i : i + 2] for i in range(0, len(active), 2)] if spec.per_loop else [active]
+    share = max(spec.budget // len(groups), 1)
+    for i, names in enumerate(groups):
+        last = i == len(groups) - 1
+        state["cap"] = spec.budget if last else min(spec.budget, state["evals"] + share)
         try:
-            _descend(cost, holder, active, spec.bounds)
+            _descend(cost, holder, names, spec.bounds)
         except _OutOfBudget:
             pass
 

@@ -11,7 +11,6 @@ from hybridlfc.assembly import (
     PLANT_CONTROL_ORDER,
     PLANT_DISTURBANCE_ORDER,
     PLANT_STATE_ORDER,
-    AugmentedModel,
     ControllerGains,
     SystemParams,
     assemble_plant,
@@ -23,7 +22,6 @@ from hybridlfc.assembly import (
 from hybridlfc.engine import steady_state
 from hybridlfc.errors import (
     DimensionMismatch,
-    InvalidArgument,
     InvariantViolation,
     OrderingMismatch,
     SingularSystem,
@@ -356,20 +354,6 @@ def test_library_entry_points_validate(build, den):
         build(p)
 
 
-def augmented(model, **change):
-    """An AugmentedModel built directly from `model`'s fields, some replaced."""
-    fields = dict(
-        a=model.a,
-        b=model.b,
-        g=model.g,
-        h=model.h,
-        state_labels=model.state_labels,
-        control_labels=model.control_labels,
-        disturbance_labels=model.disturbance_labels,
-    )
-    return AugmentedModel(**{**fields, **change})
-
-
 class TestClosedLoop:
     def test_zero_feedback_passthrough(self, default_params):
         plant = assemble_plant(default_params)
@@ -390,33 +374,17 @@ class TestClosedLoop:
         model = build_closed_loop(default_params, stable_gains)
         with pytest.raises(ValueError):
             model.a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            model.h[0, 0] = 1.0
 
     def test_rejects_misshapen_feedback(self, default_params):
         # close_loop builds H itself; a caller constructing the model directly
         # still gets its shapes checked
         model = build_closed_loop(default_params, ControllerGains())
         with pytest.raises(DimensionMismatch):
-            augmented(model, h=np.zeros((3, 11)))
+            replace(model, h=np.zeros((3, 11)))
         with pytest.raises(DimensionMismatch):
-            augmented(model, b=model.b[:11])
-
-    def test_integrator_rows_take_no_control(self, default_params):
-        model = build_closed_loop(default_params, ControllerGains())
-        b = model.b.copy()
-        b[10, 0] = 1.0
-        with pytest.raises(InvalidArgument, match="control matrix"):
-            augmented(model, b=b)
-
-    def test_integrator_rows_stay_selectors(self, default_params):
-        model = build_closed_loop(default_params, ControllerGains())
-        a = model.a.copy()
-        a[11, 0] = 1.0
-        with pytest.raises(InvalidArgument, match="not selectors"):
-            augmented(model, a=a)
-        g = model.g.copy()
-        g[11, 1] = 1.0
-        with pytest.raises(InvalidArgument, match="disturbance matrix"):
-            augmented(model, g=g)
+            replace(model, b=model.b[:11])
 
     def test_zero_gain_equilibrium_is_singular(self, default_params):
         model = build_closed_loop(default_params, ControllerGains())

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 
 from hybridlfc.assembly import build_closed_loop, output_map
 from hybridlfc.cli import _csv_rows, main
-from hybridlfc.config import parse_config
+from hybridlfc.config import DEFAULTS, parse_config
 from hybridlfc.engine import integrate, ise
 from hybridlfc.solar import (
     _golden_max,
@@ -432,6 +433,46 @@ class TestParserReuse:
             assert "invalid choice: 'explode'" in capsys.readouterr().err
             assert main(["--command", "eigen"]) == 0
             assert capsys.readouterr().out.endswith("verdict,UNSTABLE\n")
+
+
+class TestContractGate:
+    """Every real and coefficient-list key, set to each edge value, under
+    every command ends in one of two ways: exit 0 with only finite numbers
+    on stdout, or exit 2, 3 or 4 with one `error: <Class>: <msg>` line on
+    stderr and nothing on stdout. Runs in-process, so an escaping
+    exception (a numpy RuntimeWarning made an error, say) is a violation."""
+
+    BASE = "scenario.t_end = 2\ntune.budget = 20\n"
+    VALUES = ("0", "-1", "1e300", "1e-300", "nan", "inf", "-inf")
+    KEYS = [key for key, default in DEFAULTS.items() if isinstance(default, (float, tuple))]
+    ERROR_LINE = re.compile(r"error: [A-Za-z]+: [^\n]*\n")
+    NON_FINITE = re.compile(r"nan|inf", re.IGNORECASE)
+
+    def violation(self, capsys, path, command):
+        try:
+            code = main(["--command", command, "--config", str(path)])
+        except Exception as exc:
+            return f"raised {type(exc).__name__}: {exc}"
+        out, err = capsys.readouterr()
+        if code == 0:
+            if not out or err or self.NON_FINITE.search(out):
+                return f"exit 0 with stdout {out[:80]!r}, stderr {err!r}"
+        elif code not in (2, 3, 4) or out or not self.ERROR_LINE.fullmatch(err):
+            return f"exit {code} with stdout {out[:80]!r}, stderr {err!r}"
+        return None
+
+    @pytest.mark.parametrize("command", ["simulate", "steady", "eigen", "tune", "pvcurve"])
+    def test_every_key_at_every_edge(self, capsys, tmp_path, command):
+        path = tmp_path / "case.conf"
+        found = []
+        for key in self.KEYS:
+            width = len(DEFAULTS[key]) if isinstance(DEFAULTS[key], tuple) else 1
+            for value in self.VALUES:
+                path.write_text(f"{self.BASE}{key} = {', '.join([value] * width)}\n")
+                problem = self.violation(capsys, path, command)
+                if problem:
+                    found.append(f"{key} = {value}: {problem}")
+        assert not found, "\n".join(found)
 
 
 def test_module_entry_point(tmp_path):

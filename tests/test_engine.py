@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from hybridlfc.assembly import ControllerGains, assemble_plant, build_closed_loop, output_map
+from hybridlfc.assembly import (
+    ControllerGains,
+    SystemParams,
+    assemble_plant,
+    build_closed_loop,
+    output_map,
+)
 from hybridlfc.engine import (
     Scenario,
     SimulationTrace,
@@ -24,7 +30,8 @@ from hybridlfc.errors import (
     SingularSystem,
     UnstableStepSize,
 )
-from hybridlfc.lti import StateSpaceModel
+from hybridlfc.lti import StateSpaceModel, TransferFunction
+from hybridlfc.solar import SolarChannelParams
 
 
 def scalar_decay(a=-1.0):
@@ -292,6 +299,31 @@ class TestClosedLoopTrace:
         # surplus power dies out once the controllers have rebalanced
         assert abs(trace.column("dP1")[-1]) < 1e-6
 
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed_loop", "open_plant"])
+    def test_solar_generation_reads_controls_back(self, stable_gains, closed):
+        # a biproper converter block passes its input through, so
+        # dPgs = Kgs*(xs2 + d*(us + dPis)) with the solar control us = H x + u0
+        # on a closed loop and us = u0 on the plant, which has no H
+        gbc = TransferFunction([3.0, -1.0, 0.7], [2.0, 5.0, 3.0])
+        p = SystemParams(solar=SolarChannelParams(gbc=gbc))
+        model = build_closed_loop(p, stable_gains) if closed else assemble_plant(p)
+        sc = Scenario(
+            t_end=5.0,
+            dt=0.01,
+            disturbances={"dPl": 0.01, "dPis": Step(0.02, 0.5)},
+            controls={"us": 0.03},
+        )
+        trace = integrate(model, sc, outputs=output_map(p))
+        x = trace.states
+        if closed:
+            us = 0.03 + x @ model.h[2]
+        else:
+            assert model.h is None
+            us = 0.03
+        dpis = np.where(np.arange(len(x)) >= 50, 0.02, 0.0)
+        expected = p.solar.Kgs * (trace.column("xs2") + 0.7 / 3.0 * (us + dpis))
+        np.testing.assert_allclose(trace.column("dPgs"), expected, rtol=1e-12, atol=1e-16)
+
     def test_open_loop_control_path(self, default_params):
         plant = assemble_plant(default_params)
         x_ss = steady_state(plant, controls={"dPcd": 0.1})
@@ -389,6 +421,22 @@ class TestStepIse:
             integrate(model, sc)
         with pytest.raises(ValueError) as closed:
             step_ise(model, sc)
+        assert str(closed.value) == str(stepped.value)
+
+    @pytest.mark.parametrize(
+        "labels, include_ft, missing",
+        [(("x",), False, "dFs"), (("dFs",), True, "dFt")],
+        ids=["no_dFs", "no_dFt"],
+    )
+    def test_missing_frequency_state_named_like_ise(self, labels, include_ft, missing):
+        model = StateSpaceModel(
+            a=[[-1.0]], b=np.zeros((1, 0)), g=np.zeros((1, 0)), state_labels=labels
+        )
+        sc = Scenario(t_end=1.0, dt=0.01)
+        with pytest.raises(InvalidArgument, match=f"'{missing}' state") as stepped:
+            ise(integrate(model, sc), include_ft=include_ft)
+        with pytest.raises(InvalidArgument) as closed:
+            step_ise(model, sc, include_ft=include_ft)
         assert str(closed.value) == str(stepped.value)
 
     def test_overflow_reported(self):

@@ -181,8 +181,19 @@ class TestStateSpaceModel:
             ({"disturbance_labels": ("w", "v")}, DimensionMismatch),
             ({"b": np.zeros((1, 2))}, DimensionMismatch),
             ({"g": np.zeros(3)}, DimensionMismatch),
+            ({"h": np.zeros((1, 3))}, DimensionMismatch),
+            ({"h": np.zeros((2, 2))}, DimensionMismatch),
         ],
-        ids=["label_count", "duplicate", "control_count", "disturbance_count", "b_rows", "g_size"],
+        ids=[
+            "label_count",
+            "duplicate",
+            "control_count",
+            "disturbance_count",
+            "b_rows",
+            "g_size",
+            "h_columns",
+            "h_rows",
+        ],
     )
     def test_checks_raise_toolkit_errors(self, change, error):
         # toolkit errors that stay ValueErrors
@@ -217,6 +228,21 @@ class TestStateSpaceModel:
         model, _ = tf_to_ss(TransferFunction([1.0], [1.0, 2.0]))
         with pytest.raises(ValueError):
             model.a[0, 0] = 1.0
+
+    def test_feedback_optional_and_stored_read_only(self):
+        model, _ = tf_to_ss(TransferFunction([1.0], [1.0, 2.0]))
+        assert model.h is None
+        m = StateSpaceModel(
+            a=np.eye(2),
+            b=np.ones(2),
+            g=(),
+            state_labels=("x", "y"),
+            control_labels=("u",),
+            h=[[1, 2]],
+        )
+        assert m.h.dtype == float and m.h.tolist() == [[1.0, 2.0]]
+        with pytest.raises(ValueError):
+            m.h[0, 0] = 3.0
 
 
 class TestEigenvalues:
