@@ -24,7 +24,6 @@ from .engine import Scenario, SimulationTrace, Step, integrate, ise, steady_stat
 from .errors import (
     ConfigError,
     ConvergenceFailure,
-    DegenerateTimeConstants,
     DimensionMismatch,
     ImproperTransferFunction,
     InvalidArgument,

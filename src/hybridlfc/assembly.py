@@ -13,7 +13,8 @@ so the engine consumes plants and closed loops alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .wind import WindParams
 __all__ = [
     "SystemParams",
     "ControllerGains",
+    "GAIN_ORDER",
     "OutputMap",
     "PLANT_STATE_ORDER",
     "PLANT_CONTROL_ORDER",
@@ -65,16 +67,14 @@ class SystemParams:
     # the balance, which reproduces the plain wind-diesel configuration
     include_solar: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # diesel, wind and solar checked themselves when they were built
         if self.Kp <= 0:
             raise InvariantViolation("system.Kp must be > 0")
         if self.Tp <= 0:
             raise InvariantViolation("system.Tp must be > 0")
         if self.Fs_nominal <= 0:
             raise InvariantViolation("system.F must be > 0")
-        self.diesel.validate()
-        self.wind.validate()
-        self.solar.validate()
         if self.solar.gbc.den.degree != 2:  # the plant has two channel states
             raise InvariantViolation(
                 f"solar.gbc_den must be second order, got degree {self.solar.gbc.den.degree}"
@@ -90,13 +90,17 @@ class ControllerGains:
     Ksp: float = 0.0  # solar proportional
     Ksi: float = 0.0  # solar integral
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.Kdp, self.Kdi, self.Kpp, self.Kpi, self.Ksp, self.Ksi)
-
-    def validate(self) -> None:
-        for name, value in zip(("Kdp", "Kdi", "Kpp", "Kpi", "Ksp", "Ksi"), self.as_tuple()):
-            if not np.isfinite(value):
+    def __post_init__(self):
+        # built once per tuner candidate: math.isfinite costs far less than np.isfinite
+        for name in GAIN_ORDER:
+            if not math.isfinite(getattr(self, name)):
                 raise InvariantViolation(f"gains.{name} must be finite")
+
+    def as_tuple(self) -> tuple[float, ...]:
+        return tuple(getattr(self, name) for name in GAIN_ORDER)
+
+
+GAIN_ORDER = tuple(f.name for f in fields(ControllerGains))
 
 
 @dataclass(frozen=True)
@@ -121,15 +125,14 @@ def assemble_plant(p: SystemParams) -> StateSpaceModel:
     State order is fixed: [dFs, dFt, dPgd, dXED11, dXED21, dPcw, dPC1,
     dPC2, xs1, xs2]; controls [dPcd, dPcu, us]; disturbances
     [dPl, dPiw, dPis]. Each row is one subsystem balance equation, written
-    at fixed indices for validated parameters (a second-order converter
-    block); `SystemParams.validate` runs first. The dFs row balances
+    at fixed indices; a `SystemParams` checks its constants, a second-order
+    converter block among them, when it is built. The dFs row balances
     generation against load,
 
         d/dt dFs = [-dFs + Kp*(dPgd + Kig*(dFt - dFs) + dPgs - dPl)] / Tp
 
     with the dPgs term present only when include_solar is set.
     """
-    p.validate()
     dsl, wnd, sol = p.diesel, p.wind, p.solar
     n = len(PLANT_STATE_ORDER)
     a = np.zeros((n, n))

@@ -159,18 +159,12 @@ def _build(v: dict) -> Config:
         controls={lbl: v[f"scenario.{lbl}"] for lbl in PLANT_CONTROL_ORDER},
     )
     pv = params("pv")
+    if v["pv.v_step"] <= 0:
+        raise InvariantViolation("pv.v_step must be > 0")
     tune = params(
         "tune",
         bounds={name: (v[f"tune.{name}_min"], v[f"tune.{name}_max"]) for name in GAIN_ORDER},
     )
-
-    system.validate()
-    gains.validate()
-    scenario.validate()
-    pv.validate()
-    if v["pv.v_step"] <= 0:
-        raise InvariantViolation("pv.v_step must be > 0")
-    tune.validate()
     return Config(
         values=v,
         system=system,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTimeConstants, InvariantViolation
+from .errors import InvariantViolation
 from .lti import StateSpaceModel
 
 __all__ = ["DieselParams", "governor_residues", "build_diesel_subsystem"]
@@ -30,7 +30,7 @@ class DieselParams:
     Td4: float = 3.0  # generation time constant (s)
     Rd: float = 5.0  # speed regulation (Hz / pu kW)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.Td2 <= 0:
             raise InvariantViolation("diesel.Td2 must be > 0")
         if self.Td3 <= 0:
@@ -48,12 +48,9 @@ def governor_residues(p: DieselParams) -> tuple[float, float]:
 
     K1 scales the 1/(1+sTd2) branch and K2 the 1/(1+sTd3) branch. Their
     sum reproduces the governor's DC gain Kd exactly, which the caller can
-    use as a cheap consistency check.
+    use as a cheap consistency check. `DieselParams` keeps Td2 and Td3 at
+    least DEGENERACY_TOL apart, so the split always exists.
     """
-    if abs(p.Td2 - p.Td3) < DEGENERACY_TOL:
-        raise DegenerateTimeConstants(
-            f"Td2 = {p.Td2} and Td3 = {p.Td3} are too close for a two-term split"
-        )
     k1 = p.Kd * (p.Td2 - p.Td1) / (p.Td2 - p.Td3)
     k2 = p.Kd * (p.Td3 - p.Td1) / (p.Td3 - p.Td2)
     return k1, k2

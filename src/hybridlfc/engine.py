@@ -92,8 +92,6 @@ class Scenario:
             for lbl, s in self.disturbances.items()
         }
         object.__setattr__(self, "disturbances", normalized)
-
-    def validate(self) -> None:
         if not self.dt > 0:
             raise InvariantViolation("scenario.dt must be > 0")
         if self.dt > self.t_end:
@@ -183,7 +181,7 @@ def _inputs(model: StateSpaceModel, scenario: Scenario):
 
     Returns the row count, the constant control vector, one
     (onset row, disturbance column, magnitude) triple per step, and the
-    initial state. The scenario must already be validated.
+    initial state.
     """
     n, dlabels = model.n_states, model.disturbance_labels
     dt = scenario.dt
@@ -219,7 +217,6 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
     the trace, with controller outputs u = H x + u0 reconstructed when the
     model carries a feedback matrix `h` (u = u0 otherwise).
     """
-    scenario.validate()
     a, b, g = model.a, model.b, model.g
     n = model.n_states
     dt = scenario.dt
@@ -325,7 +322,6 @@ def step_ise(model: StateSpaceModel, scenario: Scenario, include_ft: bool = Fals
     from a mode that the scenario never excites and that stays at zero in
     the stepped trace.
     """
-    scenario.validate()
     a, b, g = model.a, model.b, model.g
     n = model.n_states
     rows, u_const, onsets, x = _inputs(model, scenario)

@@ -47,10 +47,6 @@ class ConvergenceFailure(ToolkitError):
 
 # --- plant construction ---------------------------------------------------
 
-class DegenerateTimeConstants(ToolkitError):
-    """Governor lag time constants coincide; partial-fraction residues blow up."""
-
-
 class NoConvergence(ToolkitError):
     """PV-current solve did not settle, or its series-resistance drop overflows."""
 
@@ -62,9 +58,8 @@ class OrderingMismatch(ToolkitError):
 
 class InvalidArgument(ToolkitError, ValueError):
     """A library call got an argument it cannot use: an input label the model
-    lacks, duplicate state labels, integrator rows that are not selectors, or
-    non-finite entries. Also a ValueError, so callers that catch ValueError
-    still catch it."""
+    lacks, duplicate state labels or non-finite entries. Also a ValueError,
+    so callers that catch ValueError still catch it."""
 
 
 class DimensionMismatch(InvalidArgument):

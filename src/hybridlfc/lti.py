@@ -97,8 +97,9 @@ class TransferFunction:
 
 
 def _input_matrix(m, n: int, name: str) -> np.ndarray:
-    """B or G as a matrix of n rows; a flat array fills the rows in order."""
-    m = np.asarray(m, dtype=float)
+    """A copy of B or G as a matrix of n rows; a flat array fills the rows
+    in order."""
+    m = np.array(m, dtype=float)
     if not m.size:
         return np.zeros((n, 0))
     if (m.ndim == 2 and m.shape[0] != n) or not n or m.size % n:
@@ -114,8 +115,8 @@ class StateSpaceModel:
     inputs). A closed loop also carries its m x n state feedback H: A
     already holds Abar + Bbar H, and H reads the controller outputs back
     out as u = H x (plus any constant control offset). Plants and
-    subsystem blocks have no H. Matrices are stored read-only; models are
-    safe to share.
+    subsystem blocks have no H. Matrices are stored as read-only copies;
+    models are safe to share.
     """
 
     a: np.ndarray
@@ -127,7 +128,8 @@ class StateSpaceModel:
     h: np.ndarray | None = None
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
+        # copies, so that freezing them leaves the caller's arrays writable
+        a = np.atleast_2d(np.array(self.a, dtype=float))
         n = a.shape[0]
         if a.shape != (n, n):
             raise NonSquareMatrix(f"state matrix has shape {a.shape}")
@@ -144,7 +146,7 @@ class StateSpaceModel:
             raise DimensionMismatch("disturbance label count does not match G columns")
         h = self.h
         if h is not None:
-            h = np.asarray(h, dtype=float)
+            h = np.array(h, dtype=float)
             if h.shape != (b.shape[1], n):
                 raise DimensionMismatch(
                     f"feedback matrix has shape {h.shape}, want {(b.shape[1], n)}"

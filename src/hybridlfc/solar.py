@@ -54,7 +54,7 @@ class PvCellParams:
     T: float = 25.0  # cell temperature (degC)
     lam: float = 1000.0  # irradiance (W/m^2)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.Isc <= 0:
             raise InvariantViolation("pv.Isc must be > 0")
         if self.Isat <= 0:
@@ -84,7 +84,7 @@ class BoostParams:
     Ts: float  # switching period (s)
     duty: float  # duty ratio in [0, 1)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.L <= 0 or self.C <= 0 or self.R <= 0 or self.Ts <= 0:
             raise InvariantViolation("boost L, C, R, Ts must all be > 0")
         if not 0.0 <= self.duty < 1.0:
@@ -102,7 +102,7 @@ class SolarChannelParams:
     Kgs: float = 0.20  # PV share of load (pu kW/Hz)
     gbc: TransferFunction = field(default_factory=_default_gbc)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.gbc.is_proper:
             raise InvariantViolation("solar.gbc must be a proper transfer function")
 

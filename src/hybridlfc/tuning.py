@@ -22,14 +22,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .assembly import ControllerGains, SystemParams, assemble_plant, close_loop
+from .assembly import GAIN_ORDER, ControllerGains, SystemParams, assemble_plant, close_loop
 from .engine import STEP_HEADROOM, Scenario, Step, rk4_growth, step_ise
 from .errors import InvariantViolation, NoStableGainsFound
 from .lti import eigenvalues
 
 __all__ = ["GAIN_ORDER", "TuneSpec", "tune_gains"]
-
-GAIN_ORDER = ("Kdp", "Kdi", "Kpp", "Kpi", "Ksp", "Ksi")
 
 # a candidate counts as stable only when every eigenvalue clears this
 # margin; guards against solver rounding right at the imaginary axis
@@ -37,15 +35,9 @@ STABILITY_MARGIN = -1e-6
 
 
 def _default_bounds() -> dict[str, tuple[float, float]]:
-    # proportional gains range wider than integral ones
-    return {
-        "Kdp": (0.0, 100.0),
-        "Kdi": (0.0, 50.0),
-        "Kpp": (0.0, 100.0),
-        "Kpi": (0.0, 50.0),
-        "Ksp": (0.0, 100.0),
-        "Ksi": (0.0, 50.0),
-    }
+    # GAIN_ORDER pairs each loop's gains, proportional first; proportional
+    # gains range wider than integral ones
+    return dict(zip(GAIN_ORDER, [(0.0, 100.0), (0.0, 50.0)] * 3))
 
 
 @dataclass(frozen=True)
@@ -62,7 +54,7 @@ class TuneSpec:
     dpis: float = 0.0  # solar input step magnitude (pu kW)
     onset: float = 1.0  # step onset, shared by all channels (s)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.budget < 1:
             raise InvariantViolation("tune.budget must be >= 1")
         for name in GAIN_ORDER:
@@ -136,11 +128,11 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
     is a stable design that the evaluation step resolves. The
     search is deterministic: rerunning with the same inputs returns
     bit-identical gains. Raises NoStableGainsFound when nothing stable
-    turns up within the budget.
+    turns up within the budget. `params` and `spec` checked themselves
+    when they were built, so a bad box or horizon raises InvariantViolation
+    from `TuneSpec`, not from here.
     """
-    spec.validate()
     scenario = spec.scenario()
-    scenario.validate()
     plant = assemble_plant(params)
 
     active = list(GAIN_ORDER) if params.include_solar else list(GAIN_ORDER[:4])

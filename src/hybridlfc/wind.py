@@ -39,7 +39,7 @@ class WindParams:
     Tp2: float = 0.041  # hydraulic actuator time constant (s)
     Tp3: float = 1.0  # data-fit time constant (s)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.Tw <= 0:
             raise InvariantViolation("wind.Tw must be > 0")
         if self.Tp2 <= 0:

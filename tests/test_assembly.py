@@ -144,21 +144,22 @@ def draw_system(rng, include_solar):
 
     base = SystemParams()
     while True:
+        # draw every value before building anything, so a rejected draw
+        # uses as many random numbers as an accepted one
         num = [_draw(rng, c) for c in (900.0, -18.0, 1.0)[: rng.randint(1, 3)]]
         den = [_draw(rng, c) for c in (50.0, 100.0)] + [rng.choice([1.0, _draw(rng, 3.0)])]
-        p = replace(
-            base,
-            diesel=replace(base.diesel, **section(base.diesel)),
-            wind=replace(base.wind, **section(base.wind)),
-            solar=replace(base.solar, gbc=TransferFunction(num, den), **section(base.solar)),
-            include_solar=include_solar,
-            **section(base),
-        )
+        diesel, wind, solar, system = map(section, (base.diesel, base.wind, base.solar, base))
         try:
-            p.validate()
+            return replace(
+                base,
+                diesel=replace(base.diesel, **diesel),
+                wind=replace(base.wind, **wind),
+                solar=replace(base.solar, gbc=TransferFunction(num, den), **solar),
+                include_solar=include_solar,
+                **system,
+            )
         except InvariantViolation:
             continue
-        return p
 
 
 class TestDirectFill:
@@ -349,9 +350,9 @@ class TestLabelledReference:
 def test_library_entry_points_validate(build, den):
     # the CLI validates every config first; a library caller gets the same
     # InvariantViolation instead of an indexing or broadcasting error
-    p = SystemParams(solar=SolarChannelParams(gbc=TransferFunction([900.0, -18.0], den)))
+    gbc = TransferFunction([900.0, -18.0], den)
     with pytest.raises(InvariantViolation, match="solar.gbc_den must be second order"):
-        build(p)
+        build(SystemParams(solar=SolarChannelParams(gbc=gbc)))
 
 
 class TestClosedLoop:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hybridlfc.diesel import DieselParams, build_diesel_subsystem, governor_residues
 from hybridlfc.engine import Scenario, integrate, steady_state
-from hybridlfc.errors import DegenerateTimeConstants, InvariantViolation
+from hybridlfc.errors import InvariantViolation
 from hybridlfc.lti import eigenvalues
 
 # Frozen from the closed-form residue expressions at the default constants.
@@ -30,8 +30,8 @@ class TestResidues:
         assert k2 == pytest.approx(0.3333, abs=1e-15)
 
     def test_near_degenerate_lags_rejected(self):
-        with pytest.raises(DegenerateTimeConstants):
-            governor_residues(DieselParams(Td2=1.0, Td3=1.0 + 1e-12))
+        with pytest.raises(InvariantViolation):
+            DieselParams(Td2=1.0, Td3=1.0 + 1e-12)
 
     @given(
         kd=st.floats(0.05, 5.0),
@@ -103,8 +103,8 @@ class TestSubsystem:
 
     def test_validate_rejects_bad_constants(self):
         with pytest.raises(InvariantViolation):
-            DieselParams(Td4=0.0).validate()
+            DieselParams(Td4=0.0)
         with pytest.raises(InvariantViolation):
-            DieselParams(Rd=-1.0).validate()
+            DieselParams(Rd=-1.0)
         with pytest.raises(InvariantViolation):
-            DieselParams(Td2=0.025).validate()
+            DieselParams(Td2=0.025)

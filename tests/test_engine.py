@@ -53,19 +53,17 @@ class TestScenario:
 
     def test_validate_rejects_bad_grid(self):
         with pytest.raises(InvariantViolation):
-            Scenario(t_end=1.0, dt=0.0).validate()
+            Scenario(t_end=1.0, dt=0.0)
         with pytest.raises(InvariantViolation):
-            Scenario(t_end=1.0, dt=2.0).validate()
+            Scenario(t_end=1.0, dt=2.0)
         with pytest.raises(InvariantViolation):
-            Scenario(t_end=1e300, dt=1e-10).validate()
+            Scenario(t_end=1e300, dt=1e-10)
 
     def test_validate_rejects_onset_outside_horizon(self):
-        sc = Scenario(t_end=1.0, dt=0.1, disturbances={"w": Step(1.0, onset=2.0)})
         with pytest.raises(InvariantViolation):
-            sc.validate()
-        sc = Scenario(t_end=1.0, dt=0.1, disturbances={"w": Step(1.0, onset=-0.5)})
+            Scenario(t_end=1.0, dt=0.1, disturbances={"w": Step(1.0, onset=2.0)})
         with pytest.raises(InvariantViolation):
-            sc.validate()
+            Scenario(t_end=1.0, dt=0.1, disturbances={"w": Step(1.0, onset=-0.5)})
 
 
 class TestIntegrate:

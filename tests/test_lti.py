@@ -244,6 +244,21 @@ class TestStateSpaceModel:
         with pytest.raises(ValueError):
             m.h[0, 0] = 3.0
 
+    def test_caller_arrays_stay_writable(self):
+        a, b, g, h = np.eye(2), np.ones((2, 1)), np.ones((2, 1)), np.ones((1, 2))
+        m = StateSpaceModel(
+            a=a,
+            b=b,
+            g=g,
+            h=h,
+            state_labels=("x", "y"),
+            control_labels=("u",),
+            disturbance_labels=("p",),
+        )
+        for mine, stored in ((a, m.a), (b, m.b), (g, m.g), (h, m.h)):
+            mine[0, 0] = 5.0
+            assert stored[0, 0] == 1.0
+
 
 class TestEigenvalues:
     def test_diagonal(self):

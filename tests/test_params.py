@@ -1,0 +1,74 @@
+"""Parameter objects check themselves when they are built, directly or
+through `dataclasses.replace`, so no library call sees an invalid one."""
+
+import math
+import re
+from dataclasses import replace
+
+import pytest
+
+from hybridlfc import (
+    BoostParams,
+    ControllerGains,
+    DieselParams,
+    InvariantViolation,
+    PvCellParams,
+    Scenario,
+    SolarChannelParams,
+    SystemParams,
+    TransferFunction,
+    TuneSpec,
+    WindParams,
+    boost_switched_step,
+    build_closed_loop,
+    open_circuit_voltage,
+    solve_pv_current,
+)
+
+BOOST = {"L": 1e-3, "C": 1e-3, "R": 10.0, "Ts": 1e-5, "duty": 0.5}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # each once ended in a bare Python error or a NaN closed loop
+        lambda: solve_pv_current(PvCellParams(T=-400.0), 0.1),
+        lambda: open_circuit_voltage(PvCellParams(Isat=0.0)),
+        lambda: boost_switched_step(BoostParams(**BOOST | {"L": 0.0}), (0, 0), 10.0, 1, 1e-5),
+        lambda: build_closed_loop(SystemParams(), ControllerGains(Kdp=math.nan)),
+    ],
+    ids=["pv_cold", "pv_no_saturation", "boost_no_inductance", "nan_gain"],
+)
+def test_library_defect_inputs_rejected_when_built(call):
+    with pytest.raises(InvariantViolation):
+        call()
+
+
+# per class, its valid arguments, one invalid field and the message it raises
+INVALID_FIELDS = [
+    (DieselParams, {}, {"Td4": 0.0}, "diesel.Td4 must be > 0"),
+    (WindParams, {}, {"Tw": -1.0}, "wind.Tw must be > 0"),
+    (
+        SolarChannelParams,
+        {},
+        {"gbc": TransferFunction([0.0, 0.0, 1.0], [1.0, 1.0])},
+        "solar.gbc must be a proper transfer function",
+    ),
+    (SystemParams, {}, {"Kp": 0.0}, "system.Kp must be > 0"),
+    (ControllerGains, {}, {"Ksi": math.inf}, "gains.Ksi must be finite"),
+    (PvCellParams, {}, {"Aq": 0.0}, "pv.Aq must be > 0"),
+    (BoostParams, BOOST, {"duty": 1.0}, "boost duty must lie in [0, 1)"),
+    (TuneSpec, {}, {"budget": 0}, "tune.budget must be >= 1"),
+    (Scenario, {"t_end": 1.0, "dt": 0.1}, {"dt": 0.0}, "scenario.dt must be > 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, valid, bad, message", INVALID_FIELDS, ids=[case[0].__name__ for case in INVALID_FIELDS]
+)
+def test_invalid_field_rejected_directly_and_by_replace(cls, valid, bad, message):
+    base = cls(**valid)
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        cls(**valid | bad)
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        replace(base, **bad)

@@ -367,9 +367,9 @@ class TestBoost:
 
     def test_validate(self):
         with pytest.raises(InvariantViolation):
-            BoostParams(L=0.0, C=1e-3, R=10.0, Ts=1e-5, duty=0.5).validate()
+            BoostParams(L=0.0, C=1e-3, R=10.0, Ts=1e-5, duty=0.5)
         with pytest.raises(InvariantViolation):
-            BoostParams(L=1e-3, C=1e-3, R=10.0, Ts=1e-5, duty=1.0).validate()
+            BoostParams(L=1e-3, C=1e-3, R=10.0, Ts=1e-5, duty=1.0)
 
 
 class TestChannel:
@@ -425,6 +425,5 @@ class TestChannel:
         assert solar_feedthrough(p) == d == scaled[n]
 
     def test_validate_rejects_improper_block(self):
-        p = SolarChannelParams(gbc=TransferFunction([0.0, 0.0, 1.0], [1.0, 1.0]))
         with pytest.raises(InvariantViolation):
-            p.validate()
+            SolarChannelParams(gbc=TransferFunction([0.0, 0.0, 1.0], [1.0, 1.0]))

@@ -34,17 +34,17 @@ class TestSpec:
 
     def test_validate_rejects_bad_specs(self):
         with pytest.raises(InvariantViolation):
-            TuneSpec(budget=0).validate()
+            TuneSpec(budget=0)
         with pytest.raises(InvariantViolation):
-            TuneSpec(bounds={"Kdp": (0.0, 100.0)}).validate()
+            TuneSpec(bounds={"Kdp": (0.0, 100.0)})
         bad = dict(TuneSpec().bounds)
         bad["Kpi"] = (5.0, 1.0)
         with pytest.raises(InvariantViolation):
-            TuneSpec(bounds=bad).validate()
+            TuneSpec(bounds=bad)
         with pytest.raises(InvariantViolation):
-            TuneSpec(onset=50.0, t_end=30.0).validate()
+            TuneSpec(onset=50.0, t_end=30.0)
         with pytest.raises(InvariantViolation):
-            TuneSpec(t_end=1e300, dt=1e-10).validate()
+            TuneSpec(t_end=1e300, dt=1e-10)
 
 
 class TestSearch:

@@ -108,10 +108,10 @@ class TestPitchChain:
 class TestValidation:
     def test_rejects_nonpositive_time_constants(self):
         with pytest.raises(InvariantViolation):
-            WindParams(Tw=0.0).validate()
+            WindParams(Tw=0.0)
         with pytest.raises(InvariantViolation):
-            WindParams(Tp2=-0.1).validate()
+            WindParams(Tp2=-0.1)
 
     def test_rejects_unstable_turbine(self):
         with pytest.raises(InvariantViolation):
-            WindParams(Ktp=2.5).validate()
+            WindParams(Ktp=2.5)
