@@ -19,7 +19,7 @@ from .assembly import (
     output_map,
 )
 from .config import Config, parse_config
-from .diesel import DieselParams, build_diesel_subsystem, governor_residues
+from .diesel import DieselParams, governor_residues
 from .engine import Scenario, SimulationTrace, Step, integrate, ise, steady_state, step_ise
 from .errors import (
     ConfigError,
@@ -38,22 +38,13 @@ from .errors import (
     ToolkitError,
     UnknownKey,
     UnstableStepSize,
-    ZeroDcDenominator,
 )
-from .lti import (
-    Polynomial,
-    StateSpaceModel,
-    TransferFunction,
-    eigenvalues,
-    tf_dc_gain,
-    tf_to_ss,
-)
+from .lti import Polynomial, StateSpaceModel, TransferFunction, eigenvalues
 from .solar import (
     BoostParams,
     PvCellParams,
     SolarChannelParams,
     boost_switched_step,
-    build_solar_subsystem,
     mppt_operating_point,
     open_circuit_voltage,
     photocurrent,
@@ -61,11 +52,6 @@ from .solar import (
     solve_pv_current,
 )
 from .tuning import TuneSpec, tune_gains
-from .wind import (
-    WindParams,
-    build_pitch_subsystem,
-    build_turbine_subsystem,
-    wind_generation,
-)
+from .wind import WindParams
 
 __version__ = "0.1.0"

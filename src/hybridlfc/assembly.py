@@ -1,6 +1,8 @@
 """Fills the open-loop plant from the subsystem balance equations and
-closes the PI loop around it, both at fixed indices. The subsystem
-builders' models, wired by label, are the tests' reference for the fill.
+closes the PI loop around it, both at fixed indices. This is the one way
+the toolkit builds a model; the tests keep a label-wired copy of both
+(per-subsystem state models summed by label) as their bit-for-bit
+reference.
 
 The augmentation trick: appending the integrals of dFs and dFt as states
 iFs and iFt turns every PI control law into pure state feedback u = H x,
@@ -20,8 +22,8 @@ import numpy as np
 
 from .diesel import DieselParams, governor_residues
 from .errors import InvariantViolation, NonFiniteState, OrderingMismatch
-from .lti import StateSpaceModel, companion_coefficients
-from .solar import SolarChannelParams, solar_feedthrough
+from .lti import StateSpaceModel, companion_coefficients, tf_feedthrough
+from .solar import SolarChannelParams
 from .wind import WindParams
 
 __all__ = [
@@ -196,7 +198,7 @@ def output_map(p: SystemParams) -> OutputMap:
     wx[0, FS] = -kig
 
     kgs = p.solar.Kgs
-    d = solar_feedthrough(p.solar)
+    d = tf_feedthrough(p.solar.gbc)
     wx[1, XS2] = kgs
     wu[1, US] = kgs * d
     wp[1, PIS] = kgs * d

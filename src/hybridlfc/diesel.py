@@ -3,19 +3,17 @@
 The governor is a lead-lag block K_d(1+sTd1)/((1+sTd2)(1+sTd3)) acting on
 the speed-regulation error dPcd - dFs/Rd. Splitting it into partial
 fractions gives two first-order states dXED11 and dXED21 whose sum feeds
-the generation lag 1/(1+sTd4) that produces dPgd.
+the generation lag 1/(1+sTd4) that produces dPgd; `assembly.assemble_plant`
+writes their rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvariantViolation
-from .lti import StateSpaceModel
 
-__all__ = ["DieselParams", "governor_residues", "build_diesel_subsystem"]
+__all__ = ["DieselParams", "governor_residues"]
 
 # Residue denominators blow up as Td2 -> Td3; refuse anything closer than this.
 DEGENERACY_TOL = 1e-9
@@ -54,34 +52,3 @@ def governor_residues(p: DieselParams) -> tuple[float, float]:
     k1 = p.Kd * (p.Td2 - p.Td1) / (p.Td2 - p.Td3)
     k2 = p.Kd * (p.Td3 - p.Td1) / (p.Td3 - p.Td2)
     return k1, k2
-
-
-def build_diesel_subsystem(p: DieselParams) -> StateSpaceModel:
-    """Three-state diesel block: governor branches plus generation lag.
-
-    States are [dXED11, dXED21, dPgd]. The control input is the diesel
-    setpoint dPcd; the system frequency deviation dFs enters as a coupling
-    input through the droop term -1/Rd and is wired up during assembly.
-
-        d/dt dXED11 = (-dXED11 + K1*(dPcd - dFs/Rd)) / Td2
-        d/dt dXED21 = (-dXED21 + K2*(dPcd - dFs/Rd)) / Td3
-        d/dt dPgd   = (-dPgd + dXED11 + dXED21) / Td4
-    """
-    k1, k2 = governor_residues(p)
-    a = np.array(
-        [
-            [-1.0 / p.Td2, 0.0, 0.0],
-            [0.0, -1.0 / p.Td3, 0.0],
-            [1.0 / p.Td4, 1.0 / p.Td4, -1.0 / p.Td4],
-        ]
-    )
-    b = np.array([[k1 / p.Td2], [k2 / p.Td3], [0.0]])
-    g = np.array([[-k1 / (p.Rd * p.Td2)], [-k2 / (p.Rd * p.Td3)], [0.0]])
-    return StateSpaceModel(
-        a=a,
-        b=b,
-        g=g,
-        state_labels=("dXED11", "dXED21", "dPgd"),
-        control_labels=("dPcd",),
-        disturbance_labels=("dFs",),
-    )

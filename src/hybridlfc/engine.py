@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -86,12 +87,19 @@ class Scenario:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
-        # allow bare numbers as shorthand for steps applied at t = 0
+        # read-only copies, so that no later change to the caller's objects
+        # (or to these) can slip past the checks below; bare numbers are
+        # shorthand for steps applied at t = 0
         normalized = {
             lbl: s if isinstance(s, Step) else Step(float(s))
             for lbl, s in self.disturbances.items()
         }
-        object.__setattr__(self, "disturbances", normalized)
+        object.__setattr__(self, "disturbances", MappingProxyType(normalized))
+        object.__setattr__(self, "controls", MappingProxyType(dict(self.controls)))
+        if self.x0 is not None:
+            x0 = np.array(self.x0, dtype=float)
+            x0.flags.writeable = False
+            object.__setattr__(self, "x0", x0)
         if not self.dt > 0:
             raise InvariantViolation("scenario.dt must be > 0")
         if self.dt > self.t_end:
@@ -197,7 +205,7 @@ def _inputs(model: StateSpaceModel, scenario: Scenario):
     if scenario.x0 is None:
         x = np.zeros(n)
     else:
-        x = np.asarray(scenario.x0, dtype=float).reshape(-1)
+        x = scenario.x0.reshape(-1)
         if x.shape != (n,):
             raise DimensionMismatch(f"initial state has length {x.size}, model has {n} states")
     return rows, u_const, onsets, x

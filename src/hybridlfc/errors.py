@@ -29,10 +29,6 @@ class InvariantViolation(ConfigError):
 
 # --- transfer functions / linear algebra ---------------------------------
 
-class ZeroDcDenominator(ToolkitError):
-    """Denominator vanishes at s = 0 (free integrator); no finite DC gain."""
-
-
 class ImproperTransferFunction(ToolkitError):
     """Numerator degree exceeds denominator degree; not realizable."""
 

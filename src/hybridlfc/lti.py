@@ -1,5 +1,5 @@
-"""Linear time-invariant primitives: polynomials, transfer functions,
-state-space containers, companion-form realization and eigenvalue analysis.
+"""Linear time-invariant primitives: polynomials, transfer functions, the
+state-space container, companion-form coefficients and eigenvalue analysis.
 
 Everything here is a pure function of immutable value objects, so instances
 can be shared freely between threads.
@@ -17,17 +17,14 @@ from .errors import (
     ImproperTransferFunction,
     InvalidArgument,
     NonSquareMatrix,
-    ZeroDcDenominator,
 )
 
 __all__ = [
     "Polynomial",
     "TransferFunction",
     "StateSpaceModel",
-    "tf_dc_gain",
     "tf_feedthrough",
     "companion_coefficients",
-    "tf_to_ss",
     "eigenvalues",
 ]
 
@@ -62,16 +59,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return self.degree == -1
 
-    def __call__(self, s: complex) -> complex:
-        # Horner evaluation from the highest power down.
-        acc = 0.0 + 0.0j if isinstance(s, complex) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(np.convolve(self.coeffs, other.coeffs))
-
 
 @dataclass(frozen=True)
 class TransferFunction:
@@ -91,9 +78,6 @@ class TransferFunction:
     @property
     def is_proper(self) -> bool:
         return self.num.degree <= self.den.degree
-
-    def __call__(self, s: complex) -> complex:
-        return self.num(s) / self.den(s)
 
 
 def _input_matrix(m, n: int, name: str) -> np.ndarray:
@@ -166,26 +150,10 @@ class StateSpaceModel:
     def n_states(self) -> int:
         return self.a.shape[0]
 
-    def state_index(self, label: str) -> int:
-        return self.state_labels.index(label)
-
-
-def tf_dc_gain(tf: TransferFunction) -> float:
-    """Gain of tf at s = 0, i.e. num(0)/den(0).
-
-    Raises ZeroDcDenominator when den(0) = 0 (a free integrator); the
-    caller must fall back to steady-state machinery in that case.
-    """
-    d0 = tf.den.coeffs[0]
-    if d0 == 0.0:
-        raise ZeroDcDenominator("denominator vanishes at s = 0")
-    return tf.num.coeffs[0] / d0
-
 
 def tf_feedthrough(tf: TransferFunction) -> float:
     """Direct term d of a proper transfer function, num = d*den + remainder
-    (0 when the block is strictly proper). Equal to the feedthrough that
-    `tf_to_ss` returns, without building the realization."""
+    (0 when the block is strictly proper)."""
     if not tf.is_proper:
         raise ImproperTransferFunction(
             f"numerator degree {tf.num.degree} exceeds denominator degree {tf.den.degree}"
@@ -208,39 +176,6 @@ def companion_coefficients(tf: TransferFunction) -> tuple[list[float], list[floa
     num = [c / lead for c in tf.num.coeffs]
     num += [0.0] * (n - len(num))
     return den, [num[i] - d * den[i] for i in range(n)], d
-
-
-def tf_to_ss(
-    tf: TransferFunction,
-    state_prefix: str = "x",
-    input_label: str = "u",
-) -> tuple[StateSpaceModel, float]:
-    """Realize a proper transfer function as a companion-form state model.
-
-    Returns ``(model, feedthrough)``. The model has n = deg(den) states; the
-    block output is the LAST state plus ``feedthrough * input``, so no
-    separate output matrix is needed. The numerator coefficients of the
-    strictly-proper part appear in the input column, which reproduces the
-    familiar first-order pattern K/(1+sT) -> dx/dt = -x/T + (K/T) u, y = x.
-
-    The denominator is normalized to unit leading coefficient before the
-    companion matrix is formed (`companion_coefficients`), so the
-    eigenvalues of A are exactly the denominator roots.
-    """
-    den, col, d = companion_coefficients(tf)
-    n = len(den)
-    a = np.eye(n, k=-1)
-    a[:, n - 1] = [-c for c in den]
-
-    labels = tuple(f"{state_prefix}{i + 1}" for i in range(n))
-    model = StateSpaceModel(
-        a=a,
-        b=np.array(col).reshape(n, 1),
-        g=np.zeros((n, 0)),
-        state_labels=labels,
-        control_labels=(input_label,),
-    )
-    return model, d
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ explicit Lambert-W form by a fixed run of Newton steps over a whole
 voltage grid at once; the maximum power point comes from a grid scan
 refined with golden-section search. The boost converter is kept at the
 switched-ODE level for the converter studies, while the
-small-signal channel uses a fixed second-order transfer function realized
-as two states that feed the frequency balance through the gain Kgs.
+small-signal channel is a second-order transfer function that
+`assembly.assemble_plant` realizes as two states feeding the frequency
+balance through the gain Kgs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, InvariantViolation, NoConvergence
-from .lti import StateSpaceModel, TransferFunction, tf_feedthrough, tf_to_ss
+from .lti import TransferFunction
 
 __all__ = [
     "PvCellParams",
@@ -31,8 +32,6 @@ __all__ = [
     "pv_curve",
     "mppt_operating_point",
     "boost_switched_step",
-    "build_solar_subsystem",
-    "solar_feedthrough",
 ]
 
 ELECTRON_CHARGE = 1.602e-19  # q (C)
@@ -272,28 +271,3 @@ def boost_switched_step(
         il + dt / 6.0 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i),
         vo + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
     )
-
-
-def build_solar_subsystem(p: SolarChannelParams) -> StateSpaceModel:
-    """Two-state realization of the converter block for the channel.
-
-    The control us (solar PI output) and the disturbance dPis sum at the
-    block input, so both columns carry the same realization vector. The
-    channel output is dPgs = Kgs*(last state + feedthrough*(us + dPis));
-    the assembly applies the Kgs scaling when it forms the power balance.
-    """
-    realization, _ = tf_to_ss(p.gbc, state_prefix="xs", input_label="us")
-    return StateSpaceModel(
-        a=realization.a,
-        b=realization.b,
-        g=realization.b.copy(),
-        state_labels=realization.state_labels,
-        control_labels=("us",),
-        disturbance_labels=("dPis",),
-    )
-
-
-def solar_feedthrough(p: SolarChannelParams) -> float:
-    """Direct input-to-output term of the converter block (0 when the
-    block is strictly proper, as the default is)."""
-    return tf_feedthrough(p.gbc)

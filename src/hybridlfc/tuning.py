@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -55,6 +56,10 @@ class TuneSpec:
     onset: float = 1.0  # step onset, shared by all channels (s)
 
     def __post_init__(self):
+        # a read-only copy of tuples: no later change to the caller's dict
+        # or lists can undo the box checks
+        bounds = {name: tuple(box) for name, box in self.bounds.items()}
+        object.__setattr__(self, "bounds", MappingProxyType(bounds))
         if self.budget < 1:
             raise InvariantViolation("tune.budget must be >= 1")
         for name in GAIN_ORDER:

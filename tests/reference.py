@@ -1,0 +1,276 @@
+"""Label-wired reference model for the tests.
+
+`assembly.assemble_plant` and `assembly.close_loop` write the plant and the
+closed loop at fixed indices. This module builds the same matrices the
+long way round: one state model per subsystem block, a companion-form
+realization of the converter transfer function, the blocks summed into
+zero matrices by label, and the PI loop wired by named row and column. The
+tests compare the two bit for bit, signed zeros included.
+
+It also holds the small polynomial and transfer-function helpers (Horner
+evaluation, products, the DC gain) that only the tests need, and
+`plant_block`, which cuts one subsystem's block out of an assembled plant
+so that a test can check src's rows against a block-level property.
+"""
+
+import numpy as np
+
+from hybridlfc.assembly import (
+    INTEGRATOR_LABELS,
+    PLANT_CONTROL_ORDER,
+    PLANT_DISTURBANCE_ORDER,
+    PLANT_STATE_ORDER,
+)
+from hybridlfc.diesel import governor_residues
+from hybridlfc.errors import ToolkitError
+from hybridlfc.lti import (
+    Polynomial,
+    StateSpaceModel,
+    TransferFunction,
+    companion_coefficients,
+    tf_feedthrough,
+)
+
+# --- polynomials and transfer functions ------------------------------------
+
+
+class ZeroDcDenominator(ToolkitError):
+    """Denominator vanishes at s = 0 (free integrator); no finite DC gain."""
+
+
+def polyval(p: Polynomial, s):
+    """p(s) by Horner evaluation from the highest power down."""
+    acc = 0.0 + 0.0j if isinstance(s, complex) else 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * s + c
+    return acc
+
+
+def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    return Polynomial(np.convolve(p.coeffs, q.coeffs))
+
+
+def tf_eval(tf: TransferFunction, s):
+    """num(s)/den(s)."""
+    return polyval(tf.num, s) / polyval(tf.den, s)
+
+
+def tf_dc_gain(tf: TransferFunction) -> float:
+    """Gain of tf at s = 0, num(0)/den(0); ZeroDcDenominator when den(0) = 0."""
+    d0 = tf.den.coeffs[0]
+    if d0 == 0.0:
+        raise ZeroDcDenominator("denominator vanishes at s = 0")
+    return tf.num.coeffs[0] / d0
+
+
+def tf_to_ss(tf: TransferFunction, state_prefix: str = "x", input_label: str = "u"):
+    """Companion-form realization ``(model, feedthrough)`` of a proper
+    transfer function.
+
+    The model has n = deg(den) states; the block output is the LAST state
+    plus ``feedthrough * input``. The input column holds the strictly-proper
+    remainder, so K/(1+sT) becomes dx/dt = -x/T + (K/T) u, y = x, and the
+    eigenvalues of A are the denominator roots.
+    """
+    den, col, d = companion_coefficients(tf)
+    n = len(den)
+    a = np.eye(n, k=-1)
+    a[:, n - 1] = [-c for c in den]
+    model = StateSpaceModel(
+        a=a,
+        b=np.array(col).reshape(n, 1),
+        g=np.zeros((n, 0)),
+        state_labels=tuple(f"{state_prefix}{i + 1}" for i in range(n)),
+        control_labels=(input_label,),
+    )
+    return model, d
+
+
+# --- subsystem blocks --------------------------------------------------------
+
+
+def build_diesel_subsystem(p) -> StateSpaceModel:
+    """Three-state diesel block [dXED11, dXED21, dPgd] from the setpoint
+    dPcd, with dFs entering through the droop term -1/Rd:
+
+        d/dt dXED11 = (-dXED11 + K1*(dPcd - dFs/Rd)) / Td2
+        d/dt dXED21 = (-dXED21 + K2*(dPcd - dFs/Rd)) / Td3
+        d/dt dPgd   = (-dPgd + dXED11 + dXED21) / Td4
+    """
+    k1, k2 = governor_residues(p)
+    a = np.array(
+        [
+            [-1.0 / p.Td2, 0.0, 0.0],
+            [0.0, -1.0 / p.Td3, 0.0],
+            [1.0 / p.Td4, 1.0 / p.Td4, -1.0 / p.Td4],
+        ]
+    )
+    b = np.array([[k1 / p.Td2], [k2 / p.Td3], [0.0]])
+    g = np.array([[-k1 / (p.Rd * p.Td2)], [-k2 / (p.Rd * p.Td3)], [0.0]])
+    return StateSpaceModel(
+        a=a,
+        b=b,
+        g=g,
+        state_labels=("dXED11", "dXED21", "dPgd"),
+        control_labels=("dPcd",),
+        disturbance_labels=("dFs",),
+    )
+
+
+def wind_generation(kig: float, d_ft: float, d_fs: float) -> float:
+    """Induction-generator power deviation dPgw = Kig*(dFt - dFs)."""
+    return kig * (d_ft - d_fs)
+
+
+def build_turbine_subsystem(p) -> StateSpaceModel:
+    """One-state turbine model for dFt, with couplings dFs and dPcw:
+
+        d/dt dFt = [-(1 + Kig - Ktp)*dFt + Kig*dFs + dPiw + dPcw] / Tw
+    """
+    return StateSpaceModel(
+        a=np.array([[-(1.0 + p.Kig - p.Ktp) / p.Tw]]),
+        b=np.zeros((1, 0)),
+        g=np.array([[p.Kig / p.Tw, 1.0 / p.Tw, 1.0 / p.Tw]]),
+        state_labels=("dFt",),
+        disturbance_labels=("dFs", "dPiw", "dPcw"),
+    )
+
+
+def build_pitch_subsystem(p) -> StateSpaceModel:
+    """Three-state pitch chain [dPcw, dPC1, dPC2] from the command dPcu,
+    with the lead-lag (1+sTp1)/(1+s) split as Tp1 + (1-Tp1)/(1+s):
+
+        d/dt dPC2 = (-dPC2 + Kp2*dPcu) / Tp2
+        d/dt dPC1 = -dPC1 + (1 - Tp1)*dPC2
+        d/dt dPcw = [-dPcw + Kpc*Kp3*Kp1*(dPC1 + Tp1*dPC2)] / Tp3
+    """
+    c = p.Kpc * p.Kp3 * p.Kp1 / p.Tp3
+    a = np.array(
+        [
+            [-1.0 / p.Tp3, c, c * p.Tp1],
+            [0.0, -1.0, 1.0 - p.Tp1],
+            [0.0, 0.0, -1.0 / p.Tp2],
+        ]
+    )
+    return StateSpaceModel(
+        a=a,
+        b=np.array([[0.0], [0.0], [p.Kp2 / p.Tp2]]),
+        g=np.zeros((3, 0)),
+        state_labels=("dPcw", "dPC1", "dPC2"),
+        control_labels=("dPcu",),
+    )
+
+
+def pitch_chain_tf(p) -> TransferFunction:
+    """The pitch chain dPcu to dPcw as the product of its cascaded blocks."""
+    gain = p.Kpc * p.Kp3 * p.Kp1 * p.Kp2
+    den = poly_mul(
+        poly_mul(Polynomial([1.0, p.Tp3]), Polynomial([1.0, 1.0])), Polynomial([1.0, p.Tp2])
+    )
+    return TransferFunction([gain, gain * p.Tp1], den)
+
+
+def build_solar_subsystem(p) -> StateSpaceModel:
+    """Realization of the converter block, with the control us and the
+    disturbance dPis summed at its input (the same column in B and G)."""
+    realization, _ = tf_to_ss(p.gbc, state_prefix="xs", input_label="us")
+    return StateSpaceModel(
+        a=realization.a,
+        b=realization.b,
+        g=realization.b.copy(),
+        state_labels=realization.state_labels,
+        control_labels=("us",),
+        disturbance_labels=("dPis",),
+    )
+
+
+def plant_block(plant, states, controls=(), couplings=()) -> StateSpaceModel:
+    """The diagonal block of an `assemble_plant` model over the named states,
+    as a model of its own: the named plant controls drive it through their
+    columns of B, and the named plant states outside the block (couplings
+    such as dFs) through their columns of A."""
+    rows = [plant.state_labels.index(lbl) for lbl in states]
+    cols = [plant.control_labels.index(lbl) for lbl in controls]
+    coupled = [plant.state_labels.index(lbl) for lbl in couplings]
+    return StateSpaceModel(
+        a=plant.a[np.ix_(rows, rows)],
+        b=plant.b[np.ix_(rows, cols)],
+        g=plant.a[np.ix_(rows, coupled)],
+        state_labels=tuple(states),
+        control_labels=tuple(controls),
+        disturbance_labels=tuple(couplings),
+    )
+
+
+# --- wired plant and closed loop ---------------------------------------------
+
+
+def wired_plant(p):
+    """(A, B, G) of the plant: the subsystem models summed into zero
+    matrices by label, then the frequency balance row."""
+    spos = {lbl: i for i, lbl in enumerate(PLANT_STATE_ORDER)}
+    cpos = {lbl: i for i, lbl in enumerate(PLANT_CONTROL_ORDER)}
+    dpos = {lbl: i for i, lbl in enumerate(PLANT_DISTURBANCE_ORDER)}
+    a = np.zeros((10, 10))
+    b = np.zeros((10, 3))
+    g = np.zeros((10, 3))
+    for sub in (
+        build_diesel_subsystem(p.diesel),
+        build_turbine_subsystem(p.wind),
+        build_pitch_subsystem(p.wind),
+        build_solar_subsystem(p.solar),
+    ):
+        rows = [spos[lbl] for lbl in sub.state_labels]
+        for i, ri in enumerate(rows):
+            for j, rj in enumerate(rows):
+                a[ri, rj] += sub.a[i, j]
+            for j, lbl in enumerate(sub.control_labels):
+                b[ri, cpos[lbl]] += sub.b[i, j]
+            # a coupling that names a plant state lands in A
+            for j, lbl in enumerate(sub.disturbance_labels):
+                if lbl in spos:
+                    a[ri, spos[lbl]] += sub.g[i, j]
+                else:
+                    g[ri, dpos[lbl]] += sub.g[i, j]
+
+    kp_tp = p.Kp / p.Tp
+    kig = p.wind.Kig
+    a[0, spos["dFs"]] = -(1.0 + kig * p.Kp) / p.Tp
+    a[0, spos["dFt"]] = kig * kp_tp
+    a[0, spos["dPgd"]] = kp_tp
+    g[0, dpos["dPl"]] = -kp_tp
+    if p.include_solar:
+        kgs = p.solar.Kgs
+        d = tf_feedthrough(p.solar.gbc)
+        a[0, spos["xs2"]] += kp_tp * kgs
+        b[0, cpos["us"]] += kp_tp * kgs * d
+        g[0, dpos["dPis"]] += kp_tp * kgs * d
+    return a, b, g
+
+
+def labelled_closed_loop(plant, g, kig):
+    """Closed loop wired by label: iFs and iFt appended as selectors on the
+    states named dFs and dFt, H filled by named row and column, then
+    Ahat = Abar + Bbar H. Returns (Ahat, Bbar, Gbar, H)."""
+    labels = plant.state_labels + INTEGRATOR_LABELS
+    col = {lbl: i for i, lbl in enumerate(labels)}
+    row = {lbl: i for i, lbl in enumerate(plant.control_labels)}
+    n = plant.n_states
+    abar = np.zeros((n + 2, n + 2))
+    abar[:n, :n] = plant.a
+    abar[col["iFs"], col["dFs"]] = 1.0
+    abar[col["iFt"], col["dFt"]] = 1.0
+    bbar = np.zeros((n + 2, plant.b.shape[1]))
+    bbar[:n, :] = plant.b
+    gbar = np.zeros((n + 2, plant.g.shape[1]))
+    gbar[:n, :] = plant.g
+    h = np.zeros((len(row), n + 2))
+    h[row["dPcd"], col["dFs"]] = -g.Kdp
+    h[row["dPcd"], col["iFs"]] = -g.Kdi
+    h[row["dPcu"], col["dFs"]] = kig * g.Kpp
+    h[row["dPcu"], col["dFt"]] = -kig * g.Kpp
+    h[row["dPcu"], col["iFs"]] = kig * g.Kpi
+    h[row["dPcu"], col["iFt"]] = -kig * g.Kpi
+    h[row["us"], col["dFs"]] = -g.Ksp
+    h[row["us"], col["iFs"]] = -g.Ksi
+    return abar + bbar @ h, bbar, gbar, h

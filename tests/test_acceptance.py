@@ -22,18 +22,18 @@ from hybridlfc.assembly import (
 )
 from hybridlfc.diesel import DieselParams, governor_residues
 from hybridlfc.engine import Scenario, Step, integrate, steady_state
-from hybridlfc.lti import eigenvalues, tf_dc_gain
+from hybridlfc.lti import eigenvalues
 from hybridlfc.solar import (
     BoostParams,
     PvCellParams,
     SolarChannelParams,
     boost_switched_step,
-    build_solar_subsystem,
     mppt_operating_point,
     open_circuit_voltage,
     photocurrent,
     solve_pv_current,
 )
+from reference import plant_block, tf_dc_gain
 
 
 def report(label: str, ok: bool) -> None:
@@ -217,12 +217,13 @@ def test_boost_voltage_ratio():
 
 def test_solar_channel_block():
     p = SolarChannelParams()
-    model = build_solar_subsystem(p)
+    plant = assemble_plant(SystemParams(solar=p))
+    model = plant_block(plant, ("xs1", "xs2"), ("us",))
     lam = np.sort(eigenvalues(model.a).real)
     ok = abs(lam[0] - (-99.4975)) < 1e-4 and abs(lam[1] - (-0.5025)) < 1e-4
 
     x = steady_state(model, controls={"us": 1.0})
-    dpgs = p.Kgs * x[model.state_index("xs2")]
+    dpgs = p.Kgs * x[model.state_labels.index("xs2")]
     ok = ok and abs(dpgs - 3.6) < 1e-9
     ok = ok and abs(p.Kgs * tf_dc_gain(p.gbc) - 3.6) < 1e-9
     report("solar channel has the expected modes and DC power gain", ok)

@@ -1,0 +1,76 @@
+"""The public surface of the package: a name added to or removed from
+`hybridlfc` shows up as an edit here."""
+
+import importlib
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import hybridlfc
+from hybridlfc.lti import Polynomial, StateSpaceModel, TransferFunction
+
+PUBLIC_NAMES = {
+    # parameter objects and results
+    "BoostParams", "Config", "ControllerGains", "DieselParams", "OutputMap",
+    "PvCellParams", "Scenario", "SimulationTrace", "SolarChannelParams",
+    "Step", "SystemParams", "TuneSpec", "WindParams",
+    # linear models
+    "Polynomial", "StateSpaceModel", "TransferFunction", "eigenvalues",
+    # errors
+    "ConfigError", "ConvergenceFailure", "DimensionMismatch",
+    "ImproperTransferFunction", "InvalidArgument", "InvalidValue",
+    "InvariantViolation", "NoConvergence", "NoStableGainsFound",
+    "NonFiniteState", "NonSquareMatrix", "OrderingMismatch", "SingularSystem",
+    "ToolkitError", "UnknownKey", "UnstableStepSize",
+    # functions
+    "assemble_plant", "boost_switched_step", "build_closed_loop",
+    "build_feedback_matrix", "close_loop", "governor_residues", "integrate",
+    "ise", "mppt_operating_point", "open_circuit_voltage", "output_map",
+    "parse_config", "photocurrent", "pv_curve", "solve_pv_current",
+    "steady_state", "step_ise", "tune_gains",
+    # submodules
+    "assembly", "config", "diesel", "engine", "errors", "lti", "solar",
+    "tuning", "wind",
+}
+
+# the label-wired construction path and its helpers, kept in tests/reference.py
+MOVED_TO_TESTS = [
+    "build_diesel_subsystem",
+    "build_turbine_subsystem",
+    "build_pitch_subsystem",
+    "pitch_chain_tf",
+    "wind_generation",
+    "build_solar_subsystem",
+    "solar_feedthrough",
+    "tf_to_ss",
+    "tf_dc_gain",
+    "ZeroDcDenominator",
+]
+
+
+def test_public_names_pinned():
+    # a fresh interpreter: other tests import submodules such as cli, which
+    # then show up as package attributes
+    script = "import hybridlfc; print(*(n for n in dir(hybridlfc) if not n.startswith('_')))"
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    ).stdout
+    assert set(out.split()) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize(
+    "module", sorted(m.name for m in pkgutil.iter_modules(hybridlfc.__path__))
+)
+def test_moved_names_not_importable(module):
+    mod = importlib.import_module(f"hybridlfc.{module}")
+    assert [n for n in MOVED_TO_TESTS if hasattr(mod, n)] == []
+
+
+def test_moved_methods_gone():
+    assert not callable(Polynomial([1.0]))
+    assert not callable(TransferFunction([1.0], [1.0, 1.0]))
+    with pytest.raises(TypeError):
+        Polynomial([1.0]) * Polynomial([1.0])
+    assert not hasattr(StateSpaceModel, "state_index")

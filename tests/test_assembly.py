@@ -26,11 +26,10 @@ from hybridlfc.errors import (
     OrderingMismatch,
     SingularSystem,
 )
-from hybridlfc.diesel import build_diesel_subsystem
 from hybridlfc.lti import StateSpaceModel, TransferFunction, eigenvalues
-from hybridlfc.solar import SolarChannelParams, build_solar_subsystem, solar_feedthrough
+from hybridlfc.solar import SolarChannelParams
 from hybridlfc.tuning import GAIN_ORDER, TuneSpec, tune_gains
-from hybridlfc.wind import build_pitch_subsystem, build_turbine_subsystem
+from reference import build_turbine_subsystem, labelled_closed_loop, wired_plant
 
 # Steady frequency deviation for a 0.01 pu load step with all controllers
 # off: the droop and slip contributions in closed form,
@@ -49,12 +48,12 @@ class TestPlantMatrix:
     def test_frequency_balance_row(self, default_params):
         m = assemble_plant(default_params)
         row = m.a[0]
-        assert row[m.state_index("dFs")] == pytest.approx(
+        assert row[m.state_labels.index("dFs")] == pytest.approx(
             -5.053944444444444, abs=1e-12
         )
-        assert row[m.state_index("dFt")] == pytest.approx(4.9845, abs=1e-12)
-        assert row[m.state_index("dPgd")] == pytest.approx(5.0, abs=1e-12)
-        assert row[m.state_index("xs2")] == pytest.approx(1.0, abs=1e-12)
+        assert row[m.state_labels.index("dFt")] == pytest.approx(4.9845, abs=1e-12)
+        assert row[m.state_labels.index("dPgd")] == pytest.approx(5.0, abs=1e-12)
+        assert row[m.state_labels.index("xs2")] == pytest.approx(1.0, abs=1e-12)
         assert m.g[0, 0] == pytest.approx(-5.0, abs=1e-12)
         # frequency responds to generation and load only, not to setpoints
         np.testing.assert_array_equal(m.b[0], 0.0)
@@ -63,7 +62,7 @@ class TestPlantMatrix:
         from dataclasses import replace
 
         m = assemble_plant(replace(default_params, include_solar=False))
-        assert m.a[0, m.state_index("xs2")] == 0.0
+        assert m.a[0, m.state_labels.index("xs2")] == 0.0
         # the channel states themselves stay in the model
         assert m.state_labels == PLANT_STATE_ORDER
 
@@ -75,49 +74,6 @@ class TestPlantMatrix:
     def test_plant_is_stable(self, default_params):
         lam = eigenvalues(assemble_plant(default_params).a)
         assert np.max(lam.real) < 0.0
-
-
-def wired_plant(p):
-    """Reference plant: the public subsystem builders' models summed into
-    zero matrices by label, then the frequency balance row."""
-    spos = {lbl: i for i, lbl in enumerate(PLANT_STATE_ORDER)}
-    cpos = {lbl: i for i, lbl in enumerate(PLANT_CONTROL_ORDER)}
-    dpos = {lbl: i for i, lbl in enumerate(PLANT_DISTURBANCE_ORDER)}
-    a = np.zeros((10, 10))
-    b = np.zeros((10, 3))
-    g = np.zeros((10, 3))
-    for sub in (
-        build_diesel_subsystem(p.diesel),
-        build_turbine_subsystem(p.wind),
-        build_pitch_subsystem(p.wind),
-        build_solar_subsystem(p.solar),
-    ):
-        rows = [spos[lbl] for lbl in sub.state_labels]
-        for i, ri in enumerate(rows):
-            for j, rj in enumerate(rows):
-                a[ri, rj] += sub.a[i, j]
-            for j, lbl in enumerate(sub.control_labels):
-                b[ri, cpos[lbl]] += sub.b[i, j]
-            # a coupling that names a plant state lands in A
-            for j, lbl in enumerate(sub.disturbance_labels):
-                if lbl in spos:
-                    a[ri, spos[lbl]] += sub.g[i, j]
-                else:
-                    g[ri, dpos[lbl]] += sub.g[i, j]
-
-    kp_tp = p.Kp / p.Tp
-    kig = p.wind.Kig
-    a[0, spos["dFs"]] = -(1.0 + kig * p.Kp) / p.Tp
-    a[0, spos["dFt"]] = kig * kp_tp
-    a[0, spos["dPgd"]] = kp_tp
-    g[0, dpos["dPl"]] = -kp_tp
-    if p.include_solar:
-        kgs = p.solar.Kgs
-        d = solar_feedthrough(p.solar)
-        a[0, spos["xs2"]] += kp_tp * kgs
-        b[0, cpos["us"]] += kp_tp * kgs * d
-        g[0, dpos["dPis"]] += kp_tp * kgs * d
-    return a, b, g
 
 
 def _draw(rng, value):
@@ -206,34 +162,6 @@ class TestDirectFill:
         a = assemble_plant(p).a
         entry = a[PLANT_STATE_ORDER.index("dXED11"), PLANT_STATE_ORDER.index("dFs")]
         assert entry == 0.0 and np.copysign(1.0, entry) == 1.0
-
-
-def labelled_closed_loop(plant, g, kig):
-    """Reference closed loop wired by label: iFs and iFt appended as
-    selectors on the states named dFs and dFt, H filled by named row and
-    column, then Ahat = Abar + Bbar H. Returns (Ahat, Bbar, Gbar, H)."""
-    labels = plant.state_labels + INTEGRATOR_LABELS
-    col = {lbl: i for i, lbl in enumerate(labels)}
-    row = {lbl: i for i, lbl in enumerate(plant.control_labels)}
-    n = plant.n_states
-    abar = np.zeros((n + 2, n + 2))
-    abar[:n, :n] = plant.a
-    abar[col["iFs"], col["dFs"]] = 1.0
-    abar[col["iFt"], col["dFt"]] = 1.0
-    bbar = np.zeros((n + 2, plant.b.shape[1]))
-    bbar[:n, :] = plant.b
-    gbar = np.zeros((n + 2, plant.g.shape[1]))
-    gbar[:n, :] = plant.g
-    h = np.zeros((len(row), n + 2))
-    h[row["dPcd"], col["dFs"]] = -g.Kdp
-    h[row["dPcd"], col["iFs"]] = -g.Kdi
-    h[row["dPcu"], col["dFs"]] = kig * g.Kpp
-    h[row["dPcu"], col["dFt"]] = -kig * g.Kpp
-    h[row["dPcu"], col["iFs"]] = kig * g.Kpi
-    h[row["dPcu"], col["iFt"]] = -kig * g.Kpi
-    h[row["us"], col["dFs"]] = -g.Ksp
-    h[row["us"], col["iFs"]] = -g.Ksi
-    return abar + bbar @ h, bbar, gbar, h
 
 
 def draw_gains(rng):

@@ -3,14 +3,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hybridlfc.diesel import DieselParams, build_diesel_subsystem, governor_residues
+from hybridlfc.assembly import SystemParams, assemble_plant
+from hybridlfc.diesel import DieselParams, governor_residues
 from hybridlfc.engine import Scenario, integrate, steady_state
 from hybridlfc.errors import InvariantViolation
 from hybridlfc.lti import eigenvalues
+from reference import build_diesel_subsystem, plant_block
 
 # Frozen from the closed-form residue expressions at the default constants.
 K1_DEFAULT = 0.16875949367088605
 K2_DEFAULT = 0.1645405063291139
+
+
+def diesel_block(p):
+    """The plant's diesel rows [dXED11, dXED21, dPgd], driven by dPcd and by
+    the dFs droop coupling."""
+    plant = assemble_plant(SystemParams(diesel=p))
+    return plant_block(plant, ("dXED11", "dXED21", "dPgd"), ("dPcd",), ("dFs",))
 
 
 class TestResidues:
@@ -76,7 +85,7 @@ class TestSubsystem:
         )
 
     def test_poles_are_lag_reciprocals(self):
-        m = build_diesel_subsystem(DieselParams())
+        m = diesel_block(DieselParams())
         lam = eigenvalues(m.a)
         assert np.max(np.abs(lam.imag)) == 0.0
         assert sorted(lam.real) == pytest.approx(
@@ -86,13 +95,13 @@ class TestSubsystem:
     def test_setpoint_dc_gain_is_kd(self):
         # at steady state the lead-lag contributes its full DC gain
         p = DieselParams()
-        m = build_diesel_subsystem(p)
+        m = diesel_block(p)
         x = steady_state(m, controls={"dPcd": 1.0})
         assert x[2] == pytest.approx(p.Kd, abs=1e-12)
 
     def test_droop_dc_gain(self):
         p = DieselParams()
-        m = build_diesel_subsystem(p)
+        m = diesel_block(p)
         x = steady_state(m, disturbances={"dFs": 1.0})
         assert x[2] == pytest.approx(-p.Kd / p.Rd, abs=1e-12)
 

@@ -5,6 +5,7 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hybridlfc import (
@@ -15,6 +16,7 @@ from hybridlfc import (
     PvCellParams,
     Scenario,
     SolarChannelParams,
+    Step,
     SystemParams,
     TransferFunction,
     TuneSpec,
@@ -72,3 +74,37 @@ def test_invalid_field_rejected_directly_and_by_replace(cls, valid, bad, message
         cls(**valid | bad)
     with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
         replace(base, **bad)
+
+
+# mappings and arrays handed to a parameter object are copied when it is
+# built: changing them afterwards raises or has no effect
+
+
+def test_tune_bounds_copied_and_read_only():
+    bounds = dict(TuneSpec().bounds) | {"Kpp": [0.0, 100.0]}
+    spec = TuneSpec(bounds=bounds)
+    bounds["Kdp"] = (5.0, 1.0)
+    bounds["Kpp"][0] = 500.0
+    del bounds["Ksi"]
+    assert spec.bounds == TuneSpec().bounds
+    with pytest.raises(TypeError):
+        spec.bounds["Kdp"] = (5.0, 1.0)
+
+
+def test_scenario_disturbances_and_controls_read_only():
+    sc = Scenario(t_end=1.0, dt=0.1, disturbances={"dPl": 0.01}, controls={"us": 0.0})
+    with pytest.raises(TypeError):
+        sc.disturbances["dPl"] = Step(0.01, 99.0)  # an onset outside the horizon
+    with pytest.raises(TypeError):
+        sc.controls["us"] = 1.0
+    assert sc.disturbances == {"dPl": Step(0.01)}
+
+
+def test_scenario_x0_copied_and_read_only():
+    x0 = np.zeros(3)
+    sc = Scenario(t_end=1.0, dt=0.1, x0=x0)
+    assert sc.x0 is not x0
+    x0[0] = 1.0
+    assert sc.x0.tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        sc.x0[0] = 1.0

@@ -8,22 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridlfc import solar
+from hybridlfc.assembly import SystemParams, assemble_plant
 from hybridlfc.engine import steady_state
 from hybridlfc.errors import InvalidArgument, InvariantViolation
-from hybridlfc.lti import TransferFunction, eigenvalues, tf_dc_gain, tf_to_ss
+from hybridlfc.lti import TransferFunction, companion_coefficients, eigenvalues, tf_feedthrough
 from hybridlfc.solar import (
     BoostParams,
     PvCellParams,
     SolarChannelParams,
     boost_switched_step,
-    build_solar_subsystem,
     mppt_operating_point,
     open_circuit_voltage,
     photocurrent,
     pv_curve,
-    solar_feedthrough,
     solve_pv_current,
 )
+from reference import build_solar_subsystem, plant_block, tf_dc_gain
 
 # Frozen from the default cell constants.
 VOC_DEFAULT = 0.694046771680788
@@ -372,9 +372,14 @@ class TestBoost:
             BoostParams(L=1e-3, C=1e-3, R=10.0, Ts=1e-5, duty=1.0)
 
 
+def channel_block(p):
+    """The plant's converter rows [xs1, xs2], driven by the solar control us."""
+    return plant_block(assemble_plant(SystemParams(solar=p)), ("xs1", "xs2"), ("us",))
+
+
 class TestChannel:
     def test_converter_poles(self):
-        m = build_solar_subsystem(SolarChannelParams())
+        m = channel_block(SolarChannelParams())
         lam = sorted(eigenvalues(m.a).real, reverse=True)
         assert lam == pytest.approx(
             [-0.5025253169416715, -99.49747468305833], abs=1e-9
@@ -382,9 +387,9 @@ class TestChannel:
 
     def test_dc_gain_through_channel(self):
         p = SolarChannelParams()
-        m = build_solar_subsystem(p)
+        m = channel_block(p)
         x = steady_state(m, controls={"us": 1.0})
-        d = solar_feedthrough(p)
+        d = tf_feedthrough(p.gbc)
         assert x[1] == pytest.approx(tf_dc_gain(p.gbc), abs=1e-9)
         assert p.Kgs * (x[1] + d) == pytest.approx(3.6, abs=1e-9)
 
@@ -395,13 +400,13 @@ class TestChannel:
         assert m.disturbance_labels == ("dPis",)
 
     def test_default_block_strictly_proper(self):
-        assert solar_feedthrough(SolarChannelParams()) == 0.0
+        assert tf_feedthrough(SolarChannelParams().gbc) == 0.0
 
     def test_feedthrough_block(self):
         # (s + 2)/(s + 1): one state, unit feedthrough, DC gain 2
         p = SolarChannelParams(gbc=TransferFunction([2.0, 1.0], [1.0, 1.0]))
         m = build_solar_subsystem(p)
-        d = solar_feedthrough(p)
+        d = tf_feedthrough(p.gbc)
         assert d == 1.0
         assert m.n_states == 1
         x = steady_state(m, controls={"us": 1.0})
@@ -418,11 +423,11 @@ class TestChannel:
     )
     def test_feedthrough_bit_equal_to_realization(self, num, den):
         p = SolarChannelParams(gbc=TransferFunction(num, den))
-        _, d = tf_to_ss(p.gbc)
+        _, _, d = companion_coefficients(p.gbc)
         # num = d*den + remainder on the coefficients scaled by den's lead
         n = len(den) - 1
         scaled = [c / den[-1] for c in num] + [0.0] * (n + 1 - len(num))
-        assert solar_feedthrough(p) == d == scaled[n]
+        assert tf_feedthrough(p.gbc) == d == scaled[n]
 
     def test_validate_rejects_improper_block(self):
         with pytest.raises(InvariantViolation):
