@@ -1,8 +1,8 @@
 """PV cell curve sweep across irradiance levels.
 
 Traces the I-V and P-V characteristics at each requested irradiance,
-marks the maximum power point found by the grid-plus-golden-section
-search, and writes everything to one CSV. With --plot the P-V family is
+marks the maximum power point that `pv_curve` solves for by Newton's
+method, and writes everything to one CSV. With --plot the P-V family is
 rendered to a PNG next to the CSV.
 
     python3 scripts/pv_sweep.py --irradiance 200,400,600,800,1000 --plot
@@ -17,7 +17,7 @@ from hybridlfc.solar import PvCellParams, open_circuit_voltage, pv_curve, solve_
 
 
 def sweep(cell: PvCellParams, v_step: float):
-    """Rows of (V, I, P) plus the refined maximum power point."""
+    """Rows of (V, I, P) plus the maximum power point."""
     _, amps, mpp = pv_curve(cell, v_step)
     # the sweep's grid runs on to the point past Voc when Voc lies in the
     # upper half of a step; pv_curve stops at Voc

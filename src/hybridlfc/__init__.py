@@ -45,7 +45,6 @@ from .solar import (
     PvCellParams,
     SolarChannelParams,
     boost_switched_step,
-    mppt_operating_point,
     open_circuit_voltage,
     photocurrent,
     pv_curve,

@@ -3,12 +3,12 @@ small-signal solar generation channel.
 
 The cell follows the implicit single-diode law, solved through its
 explicit Lambert-W form by a fixed run of Newton steps over a whole
-voltage grid at once; the maximum power point comes from a grid scan
-refined with golden-section search. The boost converter is kept at the
-switched-ODE level for the converter studies, while the
-small-signal channel is a second-order transfer function that
-`assembly.assemble_plant` realizes as two states feeding the frequency
-balance through the gain Kgs.
+voltage grid at once; the maximum power point comes from a safeguarded
+Newton solve on dP/dV in the terminal current, in which the voltage is
+explicit. The boost converter is kept at the switched-ODE level for the
+converter studies, while the small-signal channel is a second-order
+transfer function that `assembly.assemble_plant` realizes as two states
+feeding the frequency balance through the gain Kgs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "solve_pv_current",
     "voltage_grid_points",
     "pv_curve",
-    "mppt_operating_point",
     "boost_switched_step",
 ]
 
@@ -163,7 +162,9 @@ def solve_pv_current(p: PvCellParams, vpv: float | np.ndarray) -> float | np.nda
         settled = np.abs(step) <= 1e-10
         if not settled.all():
             raise NoConvergence(f"diode current solve did not settle at vpv = {v[~settled][0]}")
-        amps = iph + isat - np.exp(s)
+        # Iph + Isat - exp(s) cancels when I << Iph + Isat; past a drop of one
+        # thermal voltage, read I off the series resistor instead
+        amps = (vt * (s - math.log(isat)) - v) / rs if drop > 1.0 else iph + isat - np.exp(s)
     return float(amps) if amps.ndim == 0 else amps
 
 
@@ -182,25 +183,32 @@ def voltage_grid_points(voc: float, v_step: float) -> int:
     return int(math.floor(ratio)) + 1
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _mpp(p: PvCellParams) -> tuple[float, float, float]:
+    """Maximum power point (V, I, P) of a lit cell (Iph > 0), with no diode solve.
 
-
-def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
-    """Abscissa of the maximum of a unimodal fn on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
+    V(I) = Vt*log1p((Iph - I)/Isat) - Rs*I is explicit, and P = I*V(I) is
+    strictly concave on [0, Iph]. Newton runs on -dP/dV = V/|dV/dI| - I, which
+    falls from Voc/|V'(0)| > 0 at I = 0 to below 0 at Iph; a step that leaves
+    the bracket of that sign change is replaced by bisection.
+    """
+    iph, vt, rs, isat = photocurrent(p), p.thermal_voltage, p.Rs, p.Isat
+    lo, hi, i = 0.0, iph, 0.0
+    for _ in range(100):
+        r = iph - i + isat
+        d = vt + rs * r  # |dV/dI| = d/r
+        v = vt * math.log1p((iph - i) / isat) - rs * i
+        f = v * (r / d) - i
+        if f > 0.0:
+            lo = i
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+            hi = i
+        # -d(-dP/dV)/dI = 2 + V*Vt/d^2; past Isc, where V < 0, 2 still bounds it
+        nxt = i + f / (2.0 + max(v, 0.0) / d * (vt / d))
+        if abs(nxt - i) <= 1e-12 * nxt:
+            v = vt * math.log1p((iph - nxt) / isat) - rs * nxt
+            return v, nxt, v * nxt
+        i = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    raise NoConvergence("maximum power point search did not settle")
 
 
 def pv_curve(
@@ -210,33 +218,16 @@ def pv_curve(
     open-circuit voltage, and its maximum power point.
 
     Returns ``(volts, amps, (vm, im, pm))``. The grid is solved in one
-    array call; the best grid sample is then refined by golden-section
-    search to 1e-6 V. Zero irradiance leaves the single point V = 0 and the
-    maximum power point (0, 0, 0).
+    array call, the maximum power point apart from it (see `_mpp`). Zero
+    irradiance leaves the single point V = 0 and the maximum power point
+    (0, 0, 0).
     """
     if v_step <= 0:
         raise InvariantViolation("v_step must be > 0")
     voc = open_circuit_voltage(p)
     volts = [i * v_step for i in range(voltage_grid_points(voc, v_step))]
     amps = solve_pv_current(p, np.array(volts)).tolist()
-    if voc <= 0.0:
-        return volts, amps, (0.0, 0.0, 0.0)
-
-    watts = [v * i for v, i in zip(volts, amps)]
-    k = max(range(len(watts)), key=watts.__getitem__)
-    best = volts[k]
-    lo = max(best - v_step, 0.0)
-    hi = min(best + v_step, voc)
-    v = _golden_max(lambda x: x * solve_pv_current(p, x), lo, hi, 1e-6)
-    i = solve_pv_current(p, v)
-    if v * i < watts[k]:
-        return volts, amps, (best, amps[k], watts[k])
-    return volts, amps, (v, i, v * i)
-
-
-def mppt_operating_point(p: PvCellParams, v_step: float) -> tuple[float, float, float]:
-    """Maximum power point (V, I, P) of the cell curve; see `pv_curve`."""
-    return pv_curve(p, v_step)[2]
+    return volts, amps, _mpp(p) if voc > 0.0 else (0.0, 0.0, 0.0)
 
 
 def boost_switched_step(

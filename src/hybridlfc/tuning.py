@@ -58,7 +58,16 @@ class TuneSpec:
     def __post_init__(self):
         # a read-only copy of tuples: no later change to the caller's dict
         # or lists can undo the box checks
-        bounds = {name: tuple(box) for name, box in self.bounds.items()}
+        bounds = {}
+        for name, box in self.bounds.items():
+            try:
+                lo, hi = box
+                finite = math.isfinite(lo) and math.isfinite(hi)
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise InvariantViolation(f"tune.{name}_min/_max must be a finite pair: {box!r}")
+            bounds[name] = (lo, hi)
         object.__setattr__(self, "bounds", MappingProxyType(bounds))
         if self.budget < 1:
             raise InvariantViolation("tune.budget must be >= 1")

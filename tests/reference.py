@@ -11,7 +11,14 @@ It also holds the small polynomial and transfer-function helpers (Horner
 evaluation, products, the DC gain) that only the tests need, and
 `plant_block`, which cuts one subsystem's block out of an assembled plant
 so that a test can check src's rows against a block-level property.
+
+Last, `golden_mpp` finds a cell's maximum power point by a grid scan
+refined with golden-section search, and `dp_dv` gives the slope of the
+power curve in closed form: two oracles for `solar.pv_curve`'s Newton
+solve.
 """
+
+import math
 
 import numpy as np
 
@@ -29,6 +36,12 @@ from hybridlfc.lti import (
     TransferFunction,
     companion_coefficients,
     tf_feedthrough,
+)
+from hybridlfc.solar import (
+    open_circuit_voltage,
+    photocurrent,
+    solve_pv_current,
+    voltage_grid_points,
 )
 
 # --- polynomials and transfer functions ------------------------------------
@@ -274,3 +287,48 @@ def labelled_closed_loop(plant, g, kig):
     h[row["us"], col["dFs"]] = -g.Ksp
     h[row["us"], col["iFs"]] = -g.Ksi
     return abar + bbar @ h, bbar, gbar, h
+
+
+# --- golden-section maximum power point --------------------------------------
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(fn, lo: float, hi: float, tol: float) -> float:
+    """Abscissa of the maximum of a unimodal fn on [lo, hi]."""
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
+def golden_mpp(p, v_step):
+    """(V, I, P) at the best sample of the grid {0, v_step, ...} up to Voc,
+    refined by golden-section search to 1e-6 V between its neighbours, or
+    the grid sample itself where the refinement does worse; (0, 0, 0) in
+    darkness. Every power is a scalar `solve_pv_current` times its voltage."""
+    voc = open_circuit_voltage(p)
+    if voc <= 0.0:
+        return 0.0, 0.0, 0.0
+    power = lambda v: v * solve_pv_current(p, v)
+    best = max((k * v_step for k in range(voltage_grid_points(voc, v_step))), key=power)
+    v = golden_max(power, max(best - v_step, 0.0), min(best + v_step, voc), 1e-6)
+    if power(v) < power(best):
+        v = best
+    i = solve_pv_current(p, v)
+    return v, i, v * i
+
+
+def dp_dv(p, v, i):
+    """dP/dV = I + V dI/dV of the single-diode law at (v, i), in closed form."""
+    return i - v / (p.Rs + p.thermal_voltage / (photocurrent(p) + p.Isat - i))

@@ -28,9 +28,9 @@ from hybridlfc.solar import (
     PvCellParams,
     SolarChannelParams,
     boost_switched_step,
-    mppt_operating_point,
     open_circuit_voltage,
     photocurrent,
+    pv_curve,
     solve_pv_current,
 )
 from reference import plant_block, tf_dc_gain
@@ -184,7 +184,7 @@ def test_pv_solver_against_bisection():
         abs(solve_pv_current(p, float(v)) - bisect(float(v))) < 1e-8 for v in grid
     )
 
-    _, _, pmax = mppt_operating_point(p, 0.01)
+    _, _, pmax = pv_curve(p, 0.01)[2]
     sweep_best = max(
         (k * 1e-4 for k in range(int(voc / 1e-4) + 1)),
         key=lambda v: v * solve_pv_current(p, v),

@@ -27,7 +27,7 @@ PUBLIC_NAMES = {
     # functions
     "assemble_plant", "boost_switched_step", "build_closed_loop",
     "build_feedback_matrix", "close_loop", "governor_residues", "integrate",
-    "ise", "mppt_operating_point", "open_circuit_voltage", "output_map",
+    "ise", "open_circuit_voltage", "output_map",
     "parse_config", "photocurrent", "pv_curve", "solve_pv_current",
     "steady_state", "step_ise", "tune_gains",
     # submodules

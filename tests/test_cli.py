@@ -10,12 +10,13 @@ from hybridlfc.cli import _csv_rows, main
 from hybridlfc.config import DEFAULTS, parse_config
 from hybridlfc.engine import integrate, ise
 from hybridlfc.solar import (
-    _golden_max,
     open_circuit_voltage,
+    pv_curve,
     solve_pv_current,
     voltage_grid_points,
 )
 from hybridlfc.tuning import tune_gains
+from reference import dp_dv, golden_mpp
 
 SHORT_SIM = "scenario.t_end = 1.0\nscenario.dt = 0.01\n"
 STABLE_GAINS = (
@@ -219,23 +220,15 @@ class TestPvCurve:
         assert all(abs(r[0] * r[1] - r[2]) < 1e-6 for r in rows)
 
 
-def two_pass_pvcurve(p, v_step):
-    """pvcurve lines computed the former way: solve every grid voltage for
-    the rows, then scan and solve the grid again for the maximum power
-    point and refine it by golden-section search."""
+def two_pass_pvcurve(p, v_step, mpp):
+    """pvcurve lines built apart from the CLI: every grid voltage solved on
+    its own for the rows, then the maximum power point (vm, im, pm) flagged
+    on its grid row or inserted in voltage order."""
     voc = open_circuit_voltage(p)
     grid = [i * v_step for i in range(voltage_grid_points(voc, v_step))]
     rows = [[v, solve_pv_current(p, v), v * solve_pv_current(p, v), 0] for v in grid]
 
-    vm, im, pm = 0.0, 0.0, 0.0
-    if voc > 0.0:
-        power = lambda v: v * solve_pv_current(p, v)
-        best = max(grid, key=power)
-        v = _golden_max(power, max(best - v_step, 0.0), min(best + v_step, voc), 1e-6)
-        if power(v) < power(best):
-            v = best
-        vm, im, pm = v, solve_pv_current(p, v), v * solve_pv_current(p, v)
-
+    vm, im, pm = mpp
     for row in rows:
         if abs(row[0] - vm) < 1e-12:
             row[3] = 1
@@ -267,7 +260,13 @@ class TestPvCurveOutput:
         code, out, err = run_cli(capsys, tmp_path, "pvcurve", text)
         assert code == 0 and err == ""
         cfg = parse_config(text)
-        assert out == "\n".join(two_pass_pvcurve(cfg.pv, cfg.pv_v_step)) + "\n"
+        mpp = vm, im, pm = pv_curve(cfg.pv, cfg.pv_v_step)[2]
+        assert out == "\n".join(two_pass_pvcurve(cfg.pv, cfg.pv_v_step, mpp)) + "\n"
+        # never below the golden-section point, which is 1e-6 V wide
+        gv, _, gp = golden_mpp(cfg.pv, cfg.pv_v_step)
+        assert pm >= gp * (1.0 - 1e-13)
+        assert abs(vm - gv) <= 1e-6
+        assert abs(dp_dv(cfg.pv, vm, im)) <= 1e-13 * im
 
 
 class TestFailureModes:
@@ -439,8 +438,10 @@ class TestContractGate:
     """Every real and coefficient-list key, set to each edge value, under
     every command ends in one of two ways: exit 0 with only finite numbers
     on stdout, or exit 2, 3 or 4 with one `error: <Class>: <msg>` line on
-    stderr and nothing on stdout. Runs in-process, so an escaping
-    exception (a numpy RuntimeWarning made an error, say) is a violation."""
+    stderr and nothing on stdout. An exit-0 `pvcurve` also flags one
+    maximum power point inside [0, Voc] that no grid row beats. Runs
+    in-process, so an escaping exception (a numpy RuntimeWarning made an
+    error, say) is a violation."""
 
     BASE = "scenario.t_end = 2\ntune.budget = 20\n"
     VALUES = ("0", "-1", "1e300", "1e-300", "nan", "inf", "-inf")
@@ -457,8 +458,26 @@ class TestContractGate:
         if code == 0:
             if not out or err or self.NON_FINITE.search(out):
                 return f"exit 0 with stdout {out[:80]!r}, stderr {err!r}"
+            if command == "pvcurve":
+                return self.mpp_violation(parse_config(path.read_text()).pv, out)
         elif code not in (2, 3, 4) or out or not self.ERROR_LINE.fullmatch(err):
             return f"exit {code} with stdout {out[:80]!r}, stderr {err!r}"
+        return None
+
+    @staticmethod
+    def mpp_violation(p, out):
+        """One flagged row, with 0 <= V <= Voc, P >= 0 and P at least the
+        best grid power, each as printed to 8 significant digits."""
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        flagged = [row for row in rows if row[3] == 1]
+        if len(flagged) != 1:
+            return f"{len(flagged)} rows flagged as the maximum power point"
+        v, _, w, _ = flagged[0]
+        best = max(row[2] for row in rows)
+        if not 0.0 <= v <= float(f"{open_circuit_voltage(p):.8e}") or not w >= 0.0:
+            return f"maximum power point V = {v}, P = {w} outside [0, Voc] x [0, inf)"
+        if w < best - 1e-8 * abs(best):
+            return f"maximum power point P = {w} below the grid's {best}"
         return None
 
     @pytest.mark.parametrize("command", ["simulate", "steady", "eigen", "tune", "pvcurve"])

@@ -76,6 +76,17 @@ def test_invalid_field_rejected_directly_and_by_replace(cls, valid, bad, message
         replace(base, **bad)
 
 
+@pytest.mark.parametrize(
+    "box",
+    [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0), 5.0, (0.0, 1.0, 2.0), (1.0,), "ab", None],
+    ids=["nan", "inf", "-inf", "scalar", "triple", "single", "string", "none"],
+)
+def test_tune_bound_must_be_a_finite_pair(box):
+    # each once built, or failed with a bare TypeError or ValueError from unpacking
+    with pytest.raises(InvariantViolation, match=r"^tune\.Kdp_min/_max must be a finite pair"):
+        TuneSpec(bounds=dict(TuneSpec().bounds) | {"Kdp": box})
+
+
 # mappings and arrays handed to a parameter object are copied when it is
 # built: changing them afterwards raises or has no effect
 

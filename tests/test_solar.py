@@ -17,18 +17,17 @@ from hybridlfc.solar import (
     PvCellParams,
     SolarChannelParams,
     boost_switched_step,
-    mppt_operating_point,
     open_circuit_voltage,
     photocurrent,
     pv_curve,
     solve_pv_current,
 )
-from reference import build_solar_subsystem, plant_block, tf_dc_gain
+from reference import build_solar_subsystem, dp_dv, plant_block, tf_dc_gain
 
 # Frozen from the default cell constants.
 VOC_DEFAULT = 0.694046771680788
-MPP_V = 0.4495449497775216
-MPP_P = 1.5260847973119633
+MPP_V = 0.4495451220976747
+MPP_P = 1.5260847973127722
 
 
 def diode_residual(p, vpv, ipv):
@@ -143,6 +142,21 @@ def newton_correction(p, v, i):
     return np.abs(f / slope)
 
 
+def bisect_current(p, v):
+    """I in [0, Iph] where the explicit V(I) = Vt*log1p((Iph - I)/Isat) - Rs*I
+    falls to v, bisected in floats until the bracket stops shrinking."""
+    iph, vt = photocurrent(p), p.thermal_voltage
+    lo, hi = 0.0, iph
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if vt * math.log1p((iph - mid) / p.Isat) - p.Rs * mid > v:
+            lo = mid
+        else:
+            hi = mid
+
+
 class TestLambertSolve:
     @pytest.mark.parametrize("rs", GATE_RS)
     def test_accuracy_gate(self, rs):
@@ -180,6 +194,20 @@ class TestLambertSolve:
         near = (open_circuit_voltage(p) - v) / rs
         assert np.all(np.abs(i - near) <= 1e-12 * photocurrent(p))
 
+    @pytest.mark.parametrize(
+        "cell",
+        [{"lam": 1e20, "Rs": 1.0}, {"lam": 1e300}, {"lam": 1e10}, {"Rs": 1e4}],
+        ids=["lam1e20_Rs1", "lam1e300", "lam1e10", "Rs1e4"],
+    )
+    def test_small_current_against_a_large_photocurrent(self, cell):
+        # I << Iph + Isat on these cells: Iph + Isat - exp(s) once read
+        # 2.3e284 A at V = 0 for 470.76 A at lam = 1e300, so the bound is
+        # relative to the current itself
+        p = PvCellParams(**cell)
+        v = np.array([0.0, 0.25, 0.5, 0.75, 0.9]) * open_circuit_voltage(p)
+        want = np.array([bisect_current(p, x) for x in v.tolist()])
+        assert np.all(np.abs(solve_pv_current(p, v) - want) <= 1e-12 * want)
+
     def test_non_finite_voltage_is_named(self):
         with pytest.raises(InvalidArgument, match="got nan"):
             solve_pv_current(PvCellParams(), np.array([0.1, np.nan, 0.3]))
@@ -196,19 +224,27 @@ class TestLambertSolve:
             solve_pv_current(PvCellParams(Rs=rs), vpv)
 
 
+def mpp(p, v_step=0.01):
+    return pv_curve(p, v_step)[2]
+
+
 class TestMppt:
     def test_reference_point(self):
-        v, i, pw = mppt_operating_point(PvCellParams(), 0.01)
-        assert v == pytest.approx(MPP_V, abs=1e-6)
-        assert pw == pytest.approx(MPP_P, rel=1e-8)
-        assert pw == pytest.approx(v * i, abs=1e-15)
+        v, i, pw = mpp(PvCellParams())
+        assert v == pytest.approx(MPP_V, rel=1e-12)
+        assert pw == pytest.approx(MPP_P, rel=1e-12)
+        assert pw == v * i
+
+    def test_stationary(self):
+        v, i, _ = mpp(PvCellParams())
+        assert abs(dp_dv(PvCellParams(), v, i)) <= 1e-13 * i
 
     def test_darkness_short_circuits(self):
-        assert mppt_operating_point(PvCellParams(lam=0.0), 0.01) == (0.0, 0.0, 0.0)
+        assert mpp(PvCellParams(lam=0.0)) == (0.0, 0.0, 0.0)
 
     def test_dominates_grid_samples(self):
         p = PvCellParams()
-        _, _, pw = mppt_operating_point(p, 0.01)
+        _, _, pw = mpp(p)
         voc = open_circuit_voltage(p)
         n = int(math.floor(voc / 0.01))
         for k in range(n + 1):
@@ -217,7 +253,7 @@ class TestMppt:
 
     def test_matches_fine_sweep(self):
         p = PvCellParams(lam=800.0, T=40.0)
-        _, _, pw = mppt_operating_point(p, 0.01)
+        _, _, pw = mpp(p)
         voc = open_circuit_voltage(p)
         sweep = max(
             (k * 1e-4 for k in range(int(voc / 1e-4) + 1)),
@@ -226,57 +262,65 @@ class TestMppt:
         best = sweep * solve_pv_current(p, sweep)
         assert pw == pytest.approx(best, rel=1e-5)
 
+    def test_independent_of_the_grid(self):
+        p = PvCellParams(lam=800.0, T=40.0)
+        assert mpp(p, 0.01) == mpp(p, 0.003) == mpp(p, 1.0)
+
+    @given(
+        lam=st.floats(50.0, 1400.0),
+        t=st.floats(-40.0, 90.0),
+        rs=st.floats(0.0, 5.0),
+        log_isat=st.floats(-12.0, -6.0),
+        aq=st.floats(1.0, 2.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_inside_the_curve_and_above_the_grid(self, lam, t, rs, log_isat, aq):
+        p = PvCellParams(lam=lam, T=t, Rs=rs, Isat=10.0**log_isat, Aq=aq)
+        volts, amps, (vm, im, pm) = pv_curve(p, 0.001)
+        assert 0.0 <= vm <= open_circuit_voltage(p)
+        assert pm >= max(v * i for v, i in zip(volts, amps)) * (1.0 - 1e-14)
+        assert abs(dp_dv(p, vm, im)) <= 1e-13 * im
+
     def test_rejects_bad_step(self):
         with pytest.raises(InvariantViolation):
-            mppt_operating_point(PvCellParams(), 0.0)
+            mpp(PvCellParams(), 0.0)
         # a grid past the cap is refused before its first solve
         with pytest.raises(InvariantViolation, match="exceeds the cap"):
-            mppt_operating_point(PvCellParams(), 1e-12)
+            mpp(PvCellParams(), 1e-12)
 
 
 class TestPvCurve:
     def count_solves(self, monkeypatch, p, v_step):
-        """pv_curve's result, every voltage it solved and its golden-section probes.
-
-        A call on an array of voltages records each of them.
-        """
-        solved, probes = [], []
-        solve, golden = solar.solve_pv_current, solar._golden_max
+        """pv_curve's result and every voltage it solved; a call on an
+        array of voltages records each of them."""
+        solved = []
+        solve = solar.solve_pv_current
 
         def counting_solve(cell, v):
             solved.extend(np.ravel(v).tolist())
             return solve(cell, v)
 
-        def counting_golden(fn, lo, hi, tol):
-            return golden(lambda v: probes.append(v) or fn(v), lo, hi, tol)
-
         monkeypatch.setattr(solar, "solve_pv_current", counting_solve)
-        monkeypatch.setattr(solar, "_golden_max", counting_golden)
-        return pv_curve(p, v_step), solved, probes
+        return pv_curve(p, v_step), solved
 
     @pytest.mark.parametrize(
         "p", [PvCellParams(), PvCellParams(lam=300.0, T=60.0), PvCellParams(Rs=0.0)]
     )
     def test_each_grid_voltage_solved_once(self, monkeypatch, p):
-        (volts, amps, _), solved, probes = self.count_solves(monkeypatch, p, 0.01)
-        assert solved[: len(volts)] == volts
-        # after the grid: the golden-section probes and the refined point
-        assert len(solved) == len(volts) + len(probes) + 1
-        assert not set(solved[len(volts) :]) & set(volts)
+        (volts, amps, _), solved = self.count_solves(monkeypatch, p, 0.01)
+        # the maximum power point needs no solve of its own
+        assert solved == volts
         assert amps == [solve_pv_current(p, v) for v in volts]
 
     def test_default_cell_solve_count(self, monkeypatch):
-        # 70 grid points, 23 golden-section probes and the refined point;
-        # the grid scan used to be solved twice, 166 solves in all
-        _, solved, _ = self.count_solves(monkeypatch, PvCellParams(), 0.01)
-        assert len(solved) == 94
+        # the 70 grid points and nothing more
+        _, solved = self.count_solves(monkeypatch, PvCellParams(), 0.01)
+        assert len(solved) == 70
 
     def test_darkness_solves_only_the_origin(self, monkeypatch):
-        (volts, amps, mpp), solved, _ = self.count_solves(
-            monkeypatch, PvCellParams(lam=0.0), 0.01
-        )
+        (volts, amps, point), solved = self.count_solves(monkeypatch, PvCellParams(lam=0.0), 0.01)
         assert volts == solved == [0.0]
-        assert mpp == (0.0, 0.0, 0.0)
+        assert point == (0.0, 0.0, 0.0)
 
 
 def load_pv_sweep():
@@ -302,7 +346,7 @@ class TestPvSweepScript:
             i = solve_pv_current(cell, float(v))
             expected.append((float(v), i, float(v) * i))
         assert rows == expected
-        assert mpp == mppt_operating_point(cell, 0.005)
+        assert mpp == pv_curve(cell, 0.005)[2]
         if lam == 1000.0:
             assert rows[-1][0] > voc
 
