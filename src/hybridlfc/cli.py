@@ -9,6 +9,7 @@ stderr, `error: <Class>: <message>`.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import sys
 from dataclasses import replace
@@ -74,12 +75,11 @@ def _cmd_tune(cfg: Config) -> list[str]:
 def _cmd_pvcurve(cfg: Config) -> list[str]:
     volts, amps, (vm, im, pm) = pv_curve(cfg.pv, cfg.pv_v_step)
     rows = [[v, i, v * i, 0] for v, i in zip(volts, amps)]
-    for row in rows:
-        if abs(row[0] - vm) < 1e-12:
-            row[3] = 1
-            break
+    # flag the grid row at exactly vm (the dark cell's V = 0), else insert one
+    at = bisect.bisect_left(volts, vm)
+    if at < len(volts) and volts[at] == vm:
+        rows[at][3] = 1
     else:
-        at = next((j for j, row in enumerate(rows) if row[0] > vm), len(rows))
         rows.insert(at, [vm, im, pm, 1])
 
     lines = ["V,I,P,mpp"]

@@ -30,7 +30,6 @@ loop its `h` field holds the feedback matrix, so the engine needs only
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -57,12 +56,6 @@ __all__ = [
     "steady_state",
     "ise",
 ]
-
-# `integrate` warns while a step this many times longer would leave a
-# decaying mode undamped; on the negative real axis, where RK4 stops damping
-# at |lambda|*dt = 2.78529... (the real root of 24 + 12x + 4x^2 + x^3),
-# that is from |lambda|*dt = 2.5 on
-STEP_HEADROOM = 2.785293563405282 / 2.5
 
 # `integrate` stores every row, and `simulate` holds about 0.8 kB per row
 # in states, forcing and CSV text, so this keeps a run near 1.6 GB; the
@@ -219,7 +212,7 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
     held across every step. Rows run t = 0, dt, ..., floor(t_end/dt)*dt;
     more than MAX_ROWS of them raise InvariantViolation before allocating.
     A step that does not damp every decaying mode (`rk4_growth` >= 0)
-    raises UnstableStepSize; one within STEP_HEADROOM of that edge warns.
+    raises UnstableStepSize.
 
     When an OutputMap is supplied its derived signals are evaluated along
     the trace, with controller outputs u = H x + u0 reconstructed when the
@@ -229,20 +222,11 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
     n = model.n_states
     dt = scenario.dt
 
-    lam = eigenvalues(a)
-    growth = rk4_growth(lam, dt)
+    growth = rk4_growth(eigenvalues(a), dt)
     if growth >= 0.0:
         raise UnstableStepSize(
             f"max|R(lambda*dt)| = {1.0 + growth:.5g} >= 1: an RK4 step of {dt:g} s "
             "does not damp every decaying mode"
-        )
-    if rk4_growth(lam, dt * STEP_HEADROOM) >= 0.0:
-        # slow modes keep max|R| near 1 on any plant, so name the headroom
-        warnings.warn(
-            f"dt = {dt:g} s is within {STEP_HEADROOM - 1.0:.1%} of the RK4 stability "
-            "edge: a step that much longer would not damp every decaying mode",
-            RuntimeWarning,
-            stacklevel=2,
         )
 
     rows, u_const, onsets, x = _inputs(model, scenario)
@@ -322,9 +306,9 @@ def step_ise(model: StateSpaceModel, scenario: Scenario, include_ft: bool = Fals
     result bit-for-bit unchanged.
 
     Unlike `integrate` this applies no eigenvalue step guard: its only
-    caller, the tuner, already rejects every candidate on which
-    `integrate` would warn (`rk4_growth` at dt * STEP_HEADROOM >= 0), and
-    a second eigenvalue solve per candidate would add about a fifth to a
+    caller, the tuner, already rejects every candidate on which a step
+    `tuning.STEP_HEADROOM` times dt would fail `integrate`'s guard, and a
+    second eigenvalue solve per candidate would add about a fifth to a
     tuner run. Raises NonFiniteState when the sum overflows; on an
     unstable model this can happen through the matrix powers alone, even
     from a mode that the scenario never excites and that stays at zero in

@@ -162,9 +162,19 @@ def solve_pv_current(p: PvCellParams, vpv: float | np.ndarray) -> float | np.nda
         settled = np.abs(step) <= 1e-10
         if not settled.all():
             raise NoConvergence(f"diode current solve did not settle at vpv = {v[~settled][0]}")
-        # Iph + Isat - exp(s) cancels when I << Iph + Isat; past a drop of one
-        # thermal voltage, read I off the series resistor instead
-        amps = (vt * (s - math.log(isat)) - v) / rs if drop > 1.0 else iph + isat - np.exp(s)
+        if drop > 1.0:
+            # Iph + Isat - exp(s) cancels when I << Iph + Isat: read I = (Vt*d - V)/Rs
+            # off the series resistor, d = s - ln Isat. c lost Rs*Iph/Vt when Isat >> Iph,
+            # so below d = 1 two Newton steps on d + a*expm1(d) = b restore d's digits,
+            # from a start in [min(b, 0), b/(1 + a)], which holds the root; capped at 1
+            a, b = rs * isat / vt, (v + rs * iph) / vt
+            d = s - math.log(isat)
+            e = np.clip(d, np.minimum(b, 0.0), np.minimum(b / (1.0 + a), 1.0))
+            for _ in range(2):
+                e = np.minimum(e - (e + a * np.expm1(e) - b) / (1.0 + a * np.exp(e)), 1.0)
+            amps = (vt * np.where(d < 1.0, e, d) - v) / rs
+        else:
+            amps = iph + isat - np.exp(s)
     return float(amps) if amps.ndim == 0 else amps
 
 

@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .assembly import GAIN_ORDER, ControllerGains, SystemParams, assemble_plant, close_loop
-from .engine import STEP_HEADROOM, Scenario, Step, rk4_growth, step_ise
+from .engine import Scenario, Step, rk4_growth, step_ise
 from .errors import InvariantViolation, NoStableGainsFound
 from .lti import eigenvalues
 
@@ -33,6 +33,13 @@ __all__ = ["GAIN_ORDER", "TuneSpec", "tune_gains"]
 # a candidate counts as stable only when every eigenvalue clears this
 # margin; guards against solver rounding right at the imaginary axis
 STABILITY_MARGIN = -1e-6
+
+# a candidate also costs infinity unless a step this many times tune.dt would
+# still damp every decaying mode, so that no optimum rests on the weak damping
+# RK4 gives near its edge: on the negative real axis, where RK4 stops damping
+# at |lambda|*dt = 2.78529... (the real root of 24 + 12x + 4x^2 + x^3), that
+# admits |lambda|*dt up to 2.5
+STEP_HEADROOM = 2.785293563405282 / 2.5
 
 
 def _default_bounds() -> dict[str, tuple[float, float]]:
@@ -101,31 +108,28 @@ class _OutOfBudget(Exception):
     pass
 
 
-def _descend(cost, holder, names, bounds, tol_frac=1e-4):
-    """Coordinate pattern search over `names`, mutating holder in place.
+def _descend(cost, x, names, bounds):
+    """Coordinate pattern search over `names`, moving the gain list x in place.
 
     Probes each coordinate one step up then down, accepts strict
     improvements, and halves every step after a sweep with no progress.
     """
     steps = {n: 0.1 * (bounds[n][1] - bounds[n][0]) for n in names}
-    holder["cost"] = cost(holder["x"])
-    while any(steps[n] > tol_frac * max(bounds[n][1] - bounds[n][0], 1.0) for n in names):
+    best = cost(tuple(x))
+    while any(steps[n] > 1e-4 * max(bounds[n][1] - bounds[n][0], 1.0) for n in names):
         improved = False
         for n in names:
             if steps[n] == 0.0:
                 continue
+            i = GAIN_ORDER.index(n)
+            lo, hi = bounds[n]
             for sign in (1.0, -1.0):
-                lo, hi = bounds[n]
-                cand = min(max(holder["x"][n] + sign * steps[n], lo), hi)
-                if cand == holder["x"][n]:
+                cand = min(max(x[i] + sign * steps[n], lo), hi)
+                if cand == x[i]:
                     continue
-                trial = dict(holder["x"])
-                trial[n] = cand
-                c = cost(trial)
-                if c < holder["cost"]:
-                    holder["x"] = trial
-                    holder["cost"] = c
-                    improved = True
+                c = cost((*x[:i], cand, *x[i + 1 :]))
+                if c < best:
+                    x[i], best, improved = cand, c, True
                     break
         if not improved:
             for n in names:
@@ -138,8 +142,8 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
     Candidates whose closed loop has any eigenvalue real part above the
     stability margin cost infinity, as do candidates on which a step
     STEP_HEADROOM times the evaluation step would leave a decaying mode
-    undamped (the band where `integrate` warns), so every accepted iterate
-    is a stable design that the evaluation step resolves. The
+    undamped, so every accepted iterate is a stable design that the
+    evaluation step resolves with room to spare. The
     search is deterministic: rerunning with the same inputs returns
     bit-identical gains. Raises NoStableGainsFound when nothing stable
     turns up within the budget. `params` and `spec` checked themselves
@@ -150,26 +154,19 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
     plant = assemble_plant(params)
 
     active = list(GAIN_ORDER) if params.include_solar else list(GAIN_ORDER[:4])
-    start = {
+    x = [
         # modest initial gains, clipped into the caller's box
-        name: (
-            min(max(0.5, spec.bounds[name][0]), spec.bounds[name][1])
-            if name in active
-            else 0.0
-        )
+        min(max(0.5, spec.bounds[name][0]), spec.bounds[name][1]) if name in active else 0.0
         for name in GAIN_ORDER
-    }
-
-    state = {"evals": 0, "cap": spec.budget}
+    ]
+    # costs by gain tuple; its size counts the evaluations, capped at `cap`
     cache: dict[tuple[float, ...], float] = {}
 
-    def cost(xdict) -> float:
-        key = tuple(xdict[n] for n in GAIN_ORDER)
+    def cost(key: tuple[float, ...]) -> float:
         if key in cache:
             return cache[key]
-        if state["evals"] >= state["cap"]:
+        if len(cache) >= cap:
             raise _OutOfBudget
-        state["evals"] += 1
         model = close_loop(plant, ControllerGains(*key), params.wind.Kig)
         lam = eigenvalues(model.a)
         if (
@@ -182,22 +179,21 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
         cache[key] = c
         return c
 
-    holder = {"x": start, "cost": math.inf}
     # per_loop searches the (proportional, integral) pairs in turn, each but
     # the last capped at an equal share of the budget
     groups = [active[i : i + 2] for i in range(0, len(active), 2)] if spec.per_loop else [active]
     share = max(spec.budget // len(groups), 1)
     for i, names in enumerate(groups):
         last = i == len(groups) - 1
-        state["cap"] = spec.budget if last else min(spec.budget, state["evals"] + share)
+        cap = spec.budget if last else min(spec.budget, len(cache) + share)
         try:
-            _descend(cost, holder, names, spec.bounds)
+            _descend(cost, x, names, spec.bounds)
         except _OutOfBudget:
             pass
 
-    if not math.isfinite(holder["cost"]):
+    eta = cache[tuple(x)]
+    if not math.isfinite(eta):
         raise NoStableGainsFound(
             f"no stable gain set found within {spec.budget} evaluations"
         )
-    best = ControllerGains(**holder["x"])
-    return best, holder["cost"]
+    return ControllerGains(*x), eta

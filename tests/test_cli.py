@@ -223,18 +223,16 @@ class TestPvCurve:
 def two_pass_pvcurve(p, v_step, mpp):
     """pvcurve lines built apart from the CLI: every grid voltage solved on
     its own for the rows, then the maximum power point (vm, im, pm) flagged
-    on its grid row or inserted in voltage order."""
+    on the grid row at exactly vm or inserted in voltage order."""
     voc = open_circuit_voltage(p)
     grid = [i * v_step for i in range(voltage_grid_points(voc, v_step))]
     rows = [[v, solve_pv_current(p, v), v * solve_pv_current(p, v), 0] for v in grid]
 
     vm, im, pm = mpp
-    for row in rows:
-        if abs(row[0] - vm) < 1e-12:
-            row[3] = 1
-            break
+    at = next((j for j, row in enumerate(rows) if row[0] >= vm), len(rows))
+    if at < len(rows) and rows[at][0] == vm:
+        rows[at][3] = 1
     else:
-        at = next((j for j, row in enumerate(rows) if row[0] > vm), len(rows))
         rows.insert(at, [vm, im, pm, 1])
     return ["V,I,P,mpp"] + [f"{v:.8e},{i:.8e},{w:.8e},{flag}" for v, i, w, flag in rows]
 
@@ -253,8 +251,15 @@ class TestPvCurveOutput:
             "pv.Rs = 50\n",
             "pv.T = -270\n",
             "pv.KI = 0.1\npv.T = -100\n",
+            # Voc = 1.3e-21 V and 1.3e-301 V: the maximum power point takes a
+            # row of its own between V = 0 and Voc
+            "pv.Isat = 1e20\n",
+            "pv.Isat = 1e300\n",
         ],
-        ids=["nominal", "dark", "Rs0", "hot", "low", "Rs2", "Rs5", "Rs50", "cold", "negative_iph"],
+        ids=[
+            "nominal", "dark", "Rs0", "hot", "low", "Rs2", "Rs5", "Rs50", "cold", "negative_iph",
+            "Isat1e20", "Isat1e300",
+        ],
     )
     def test_matches_two_pass_reference(self, capsys, tmp_path, text):
         code, out, err = run_cli(capsys, tmp_path, "pvcurve", text)
@@ -317,6 +322,21 @@ class TestFailureModes:
         code, _, err = run_cli(capsys, tmp_path, "simulate", text)
         assert code == 4
         assert err.startswith("error: UnstableStepSize:")
+
+    def test_step_near_the_edge_runs_silently(self, tmp_path):
+        # the fastest default closed-loop mode is -99.5, so |lambda|*dt = 2.59,
+        # inside the RK4 stability edge at 2.785; in a child process, so that
+        # a printed warning would reach stderr
+        path = tmp_path / "case.conf"
+        path.write_text("scenario.dt = 0.026\nscenario.t_end = 1.0\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "hybridlfc", "--command", "simulate", "--config", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0 and result.stderr == ""
+        assert len(result.stdout.splitlines()) == 40
 
     def test_hopeless_tuning_box(self, capsys, tmp_path):
         pinned = "".join(

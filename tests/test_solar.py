@@ -196,13 +196,30 @@ class TestLambertSolve:
 
     @pytest.mark.parametrize(
         "cell",
-        [{"lam": 1e20, "Rs": 1.0}, {"lam": 1e300}, {"lam": 1e10}, {"Rs": 1e4}],
-        ids=["lam1e20_Rs1", "lam1e300", "lam1e10", "Rs1e4"],
+        [
+            {"lam": 1e20, "Rs": 1.0},
+            {"lam": 1e300},
+            {"lam": 1e10},
+            {"Rs": 1e4},
+            {"Isat": 1e5},
+            {"Isat": 1e10},
+            {"Isat": 1e20},
+            {"Isat": 1e300},
+            # here ln Isat carries rounding far above the root d = s - ln Isat
+            {"Isat": 1e70},
+            {"Isat": 1e287, "Rs": 1.0},
+        ],
+        ids=[
+            "lam1e20_Rs1", "lam1e300", "lam1e10", "Rs1e4",
+            "Isat1e5", "Isat1e10", "Isat1e20", "Isat1e300", "Isat1e70", "Isat1e287_Rs1",
+        ],
     )
     def test_small_current_against_a_large_photocurrent(self, cell):
         # I << Iph + Isat on these cells: Iph + Isat - exp(s) once read
-        # 2.3e284 A at V = 0 for 470.76 A at lam = 1e300, so the bound is
-        # relative to the current itself
+        # 2.3e284 A at V = 0 for 470.76 A at lam = 1e300, and a read-out
+        # through Rs*(Iph + Isat) once lost Rs*Iph when Isat >> Iph
+        # (-4.7e-15 A at V = 0 for 2.5e-20 A at Isat = 1e20), so the bound
+        # is relative to the current itself
         p = PvCellParams(**cell)
         v = np.array([0.0, 0.25, 0.5, 0.75, 0.9]) * open_circuit_voltage(p)
         want = np.array([bisect_current(p, x) for x in v.tolist()])

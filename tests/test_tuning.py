@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +5,16 @@ import pytest
 
 import hybridlfc.tuning
 from hybridlfc.assembly import ControllerGains, SystemParams, build_closed_loop
-from hybridlfc.engine import integrate, ise, step_ise
+from hybridlfc.engine import integrate, ise, rk4_growth, step_ise
 from hybridlfc.errors import InvariantViolation, NoStableGainsFound
 from hybridlfc.lti import eigenvalues
-from hybridlfc.tuning import GAIN_ORDER, STABILITY_MARGIN, TuneSpec, tune_gains
+from hybridlfc.tuning import (
+    GAIN_ORDER,
+    STABILITY_MARGIN,
+    STEP_HEADROOM,
+    TuneSpec,
+    tune_gains,
+)
 
 # short horizon keeps each cost evaluation cheap for the search tests
 QUICK = TuneSpec(budget=60, t_end=10.0, dt=0.01)
@@ -92,21 +97,53 @@ class TestSearch:
         with pytest.raises(NoStableGainsFound):
             tune_gains(default_params, replace(QUICK, bounds=pinned, budget=5))
 
-    @pytest.mark.parametrize("dt", [0.02, 0.026])
-    def test_rejects_where_integrate_warns(self, default_params, dt):
-        # a budget of one costs only the start point, so the tuner accepts
-        # it exactly when a step of dt on its closed loop raises no warning
+    @pytest.mark.parametrize("dt, refused", [(0.02, False), (0.026, True)], ids=["0.02", "0.026"])
+    def test_step_headroom_screens_the_start(self, default_params, dt, refused):
+        # a budget of one costs only the start point; its closed loop takes a
+        # step of dt, but not one STEP_HEADROOM times longer, at dt = 0.026
         model = build_closed_loop(default_params, ControllerGains(*[0.5] * 6))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            integrate(model, replace(QUICK.scenario(), dt=dt, t_end=1.0))
-        warns = any("RK4 stability edge" in str(w.message) for w in caught)
-        assert warns == (dt == 0.026)
-        if warns:
+        lam = eigenvalues(model.a)
+        assert rk4_growth(lam, dt) < 0.0
+        growth = rk4_growth(lam, dt * STEP_HEADROOM)
+        assert (growth >= 0.0) == refused
+        spec = replace(QUICK, dt=dt, budget=1)
+        if refused:
+            assert growth == pytest.approx(0.163, abs=5e-4)
             with pytest.raises(NoStableGainsFound):
-                tune_gains(default_params, replace(QUICK, dt=dt, budget=1))
+                tune_gains(default_params, spec)
         else:
-            assert np.isfinite(tune_gains(default_params, replace(QUICK, dt=dt, budget=1))[1])
+            assert np.isfinite(tune_gains(default_params, spec)[1])
+
+    @pytest.mark.parametrize(
+        "per_loop, expected, eta, closed",
+        [
+            (False, (19.5625, 25.15625, 100.0, 0.03125, 10.1875, 0.0), 4.953010115689521e-06, 300),
+            # the last pair converges before the budget runs out
+            (
+                True,
+                (100.0, 5.72265625, 65.71484375, 16.017578125, 7.8046875, 0.578125),
+                5.068231155795195e-06,
+                162,
+            ),
+        ],
+        ids=["joint", "per_loop"],
+    )
+    def test_default_search_path(
+        self, default_params, monkeypatch, per_loop, expected, eta, closed
+    ):
+        # the default spec at its budget of 300, pinned like the acceptance spec
+        built = []
+        real_close = hybridlfc.tuning.close_loop
+
+        def counting_close(plant, gains, kig):
+            built.append(gains)
+            return real_close(plant, gains, kig)
+
+        monkeypatch.setattr(hybridlfc.tuning, "close_loop", counting_close)
+        gains, got = tune_gains(default_params, TuneSpec(per_loop=per_loop))
+        assert gains.as_tuple() == expected
+        assert got == pytest.approx(eta, rel=1e-9)
+        assert len(built) == closed
 
     def test_per_loop_mode(self, default_params):
         spec = replace(QUICK, per_loop=True, budget=90)
