@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     ConvergenceFailure,
     DimensionMismatch,
-    ImproperTransferFunction,
     InvalidArgument,
     InvalidValue,
     InvariantViolation,
@@ -39,7 +38,7 @@ from .errors import (
     UnknownKey,
     UnstableStepSize,
 )
-from .lti import Polynomial, StateSpaceModel, TransferFunction, eigenvalues
+from .lti import StateSpaceModel, eigenvalues
 from .solar import (
     BoostParams,
     PvCellParams,

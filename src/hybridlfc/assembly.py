@@ -22,7 +22,7 @@ import numpy as np
 
 from .diesel import DieselParams, governor_residues
 from .errors import InvariantViolation, NonFiniteState, OrderingMismatch
-from .lti import StateSpaceModel, companion_coefficients, tf_feedthrough
+from .lti import StateSpaceModel
 from .solar import SolarChannelParams
 from .wind import WindParams
 
@@ -77,10 +77,6 @@ class SystemParams:
             raise InvariantViolation("system.Tp must be > 0")
         if self.Fs_nominal <= 0:
             raise InvariantViolation("system.F must be > 0")
-        if self.solar.gbc.den.degree != 2:  # the plant has two channel states
-            raise InvariantViolation(
-                f"solar.gbc_den must be second order, got degree {self.solar.gbc.den.degree}"
-            )
 
 
 @dataclass(frozen=True)
@@ -121,15 +117,28 @@ class OutputMap:
     wp: np.ndarray
 
 
+def _channel(sol: SolarChannelParams) -> tuple[list[float], list[float], float]:
+    """Companion-form coefficients of the converter block, scaled by its
+    denominator's leading coefficient: ``(den, col, d)``, the two lower
+    denominator coefficients (ascending), the input column (the strictly
+    proper remainder num - d*den) and the feedthrough d."""
+    num, den = sol.gbc_num, sol.gbc_den
+    lead = den[2]
+    d = num[2] / lead if len(num) == 3 else 0.0
+    den = [den[0] / lead, den[1] / lead]
+    num = [c / lead for c in num[:2]] + [0.0] * (2 - len(num))
+    return den, [num[0] - d * den[0], num[1] - d * den[1]], d
+
+
 def assemble_plant(p: SystemParams) -> StateSpaceModel:
     """Ten-state open-loop hybrid system model.
 
     State order is fixed: [dFs, dFt, dPgd, dXED11, dXED21, dPcw, dPC1,
     dPC2, xs1, xs2]; controls [dPcd, dPcu, us]; disturbances
     [dPl, dPiw, dPis]. Each row is one subsystem balance equation, written
-    at fixed indices; a `SystemParams` checks its constants, a second-order
-    converter block among them, when it is built. The dFs row balances
-    generation against load,
+    at fixed indices; a `SystemParams` checks its constants, and a
+    `SolarChannelParams` its second-order converter block, when it is
+    built. The dFs row balances generation against load,
 
         d/dt dFs = [-dFs + Kp*(dPgd + Kig*(dFt - dFs) + dPgs - dPl)] / Tp
 
@@ -157,7 +166,7 @@ def assemble_plant(p: SystemParams) -> StateSpaceModel:
     a[PC2, PC2] = -1.0 / wnd.Tp2
     b[PC2, PCU] = wnd.Kp2 / wnd.Tp2
     # solar channel: companion form of gbc, with us and dPis summed at its input
-    den, col, d = companion_coefficients(sol.gbc)
+    den, col, d = _channel(sol)
     a[XS1:, XS1:] = [[0.0, -den[0]], [1.0, -den[1]]]
     b[XS1:, US] = g[XS1:, PIS] = col
 
@@ -198,7 +207,7 @@ def output_map(p: SystemParams) -> OutputMap:
     wx[0, FS] = -kig
 
     kgs = p.solar.Kgs
-    d = tf_feedthrough(p.solar.gbc)
+    d = _channel(p.solar)[2]
     wx[1, XS2] = kgs
     wu[1, US] = kgs * d
     wp[1, PIS] = kgs * d

@@ -1,15 +1,14 @@
 """Line-oriented `key = value` configuration with a flat dotted-key
 namespace over every model, scenario and tuner parameter.
 
-Keys and defaults come from the parameter dataclasses: every scalar field
-is `<section>.<field>` (see `_KEY_NAMES` for five other spellings); the
-converter coefficients, scenario inputs and tuner box are generated from
-the default transfer function, the plant's input labels and the default
-bounds. Unspecified keys fall back to these defaults. Comments start at
-`#`; duplicate keys are last-wins. Values are typed by their default:
-finite decimal reals, integers, `true`/`false` booleans, or
-comma-separated coefficient lists (ascending powers of s) for the
-converter block.
+Keys and defaults come from the parameter dataclasses: every scalar or
+coefficient-tuple field is `<section>.<field>` (see `_KEY_NAMES` for five
+other spellings); the scenario inputs and tuner box are generated from the
+plant's input labels and the default bounds. Unspecified keys fall back to
+these defaults. Comments start at `#`; duplicate keys are last-wins.
+Values are typed by their default: finite decimal reals, integers,
+`true`/`false` booleans, or comma-separated coefficient lists (ascending
+powers of s) for the converter block.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .assembly import PLANT_CONTROL_ORDER, PLANT_DISTURBANCE_ORDER, ControllerGa
 from .diesel import DieselParams
 from .engine import Scenario, Step
 from .errors import InvalidValue, InvariantViolation, UnknownKey
-from .lti import TransferFunction
 from .solar import PvCellParams, SolarChannelParams
 from .tuning import GAIN_ORDER, TuneSpec
 from .wind import WindParams
@@ -47,12 +45,13 @@ _KEY_NAMES = {
     "tune.dpis": "tune.dPis",
 }
 
-# per section, (config key, field name) for every scalar dataclass field
+# per section, (config key, field name) for every dataclass field with a
+# scalar or coefficient-tuple default
 _FIELDS = {
     section: [
         (_KEY_NAMES.get(f"{section}.{f.name}", f"{section}.{f.name}"), f.name)
         for f in fields(cls)
-        if f.default is not MISSING and isinstance(f.default, (bool, int, float))
+        if f.default is not MISSING and isinstance(f.default, (bool, int, float, tuple))
     ]
     for section, cls in _SECTIONS.items()
 }
@@ -62,8 +61,6 @@ def _defaults() -> dict[str, object]:
     values = {
         key: getattr(cls, name) for sec, cls in _SECTIONS.items() for key, name in _FIELDS[sec]
     }
-    gbc = SolarChannelParams().gbc
-    values |= {"solar.gbc_num": gbc.num.coeffs, "solar.gbc_den": gbc.den.coeffs}
     # the only defaults that no dataclass holds
     values |= {"scenario.t_end": 60.0, "scenario.dt": 0.001, "pv.v_step": 0.01}
     for lbl in PLANT_DISTURBANCE_ORDER:
@@ -138,16 +135,10 @@ def parse_config(text: str) -> Config:
 
 def _build(v: dict) -> Config:
     def params(section, **nested):
-        scalars = {name: v[key] for key, name in _FIELDS[section]}
-        return _SECTIONS[section](**scalars, **nested)
+        own = {name: v[key] for key, name in _FIELDS[section]}
+        return _SECTIONS[section](**own, **nested)
 
-    try:
-        gbc = TransferFunction(list(v["solar.gbc_num"]), list(v["solar.gbc_den"]))
-    except ZeroDivisionError as exc:
-        raise InvalidValue(f"solar.gbc_den: {exc}") from None
-    system = params(
-        "system", diesel=params("diesel"), wind=params("wind"), solar=params("solar", gbc=gbc)
-    )
+    system = params("system", diesel=params("diesel"), wind=params("wind"), solar=params("solar"))
     gains = params("gains")
     scenario = Scenario(
         t_end=v["scenario.t_end"],

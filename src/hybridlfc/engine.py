@@ -240,13 +240,13 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
     for onset_idx, col, magnitude in onsets:
         p_rows[onset_idx:, col] += magnitude
 
-    p_mat, q_mat = _propagators(a, dt)
-    # per-row forcing, already pushed through Q
-    qc = (p_rows @ g.T + b @ u_const) @ q_mat.T
-
     states = np.empty((rows, n))
     states[0] = x
+    # huge gains can overflow the propagators themselves; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
+        p_mat, q_mat = _propagators(a, dt)
+        # per-row forcing, already pushed through Q
+        qc = (p_rows @ g.T + b @ u_const) @ q_mat.T
         for k in range(rows - 1):
             x = p_mat @ x + qc[k]
             states[k + 1] = x
@@ -321,9 +321,7 @@ def step_ise(model: StateSpaceModel, scenario: Scenario, include_ft: bool = Fals
     for i in _weighted_states(model.state_labels, include_ft):
         w[i, i] = 1.0
 
-    p_mat, q_mat = _propagators(a, scenario.dt)
     t = np.zeros((n + 1, n + 1))
-    t[:n, :n] = p_mat
     t[n, n] = 1.0
     z = np.append(x, 1.0)
     y0 = z @ w @ z
@@ -332,6 +330,8 @@ def step_ise(model: StateSpaceModel, scenario: Scenario, include_ft: bool = Fals
     starts = sorted(r for r in {0, *(row for row, _, _ in onsets)} if r < last)
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
+        p_mat, q_mat = _propagators(a, scenario.dt)
+        t[:n, :n] = p_mat
         for start, stop in zip(starts, starts[1:] + [last]):
             p = np.zeros(g.shape[1])
             for row, col, magnitude in onsets:

@@ -27,11 +27,7 @@ class InvariantViolation(ConfigError):
     """A parameter set violates a structural constraint; the message names it."""
 
 
-# --- transfer functions / linear algebra ---------------------------------
-
-class ImproperTransferFunction(ToolkitError):
-    """Numerator degree exceeds denominator degree; not realizable."""
-
+# --- linear algebra --------------------------------------------------------
 
 class NonSquareMatrix(ToolkitError):
     pass

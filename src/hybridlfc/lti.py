@@ -1,5 +1,5 @@
-"""Linear time-invariant primitives: polynomials, transfer functions, the
-state-space container, companion-form coefficients and eigenvalue analysis.
+"""Linear time-invariant primitives: the state-space container and
+eigenvalue analysis.
 
 Everything here is a pure function of immutable value objects, so instances
 can be shared freely between threads.
@@ -11,73 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    ImproperTransferFunction,
-    InvalidArgument,
-    NonSquareMatrix,
-)
+from .errors import ConvergenceFailure, DimensionMismatch, InvalidArgument, NonSquareMatrix
 
-__all__ = [
-    "Polynomial",
-    "TransferFunction",
-    "StateSpaceModel",
-    "tf_feedthrough",
-    "companion_coefficients",
-    "eigenvalues",
-]
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial in s, coefficients ascending in power.
-
-    Trailing zero coefficients are trimmed on construction so the leading
-    (highest-order) coefficient of a nonzero polynomial is always nonzero.
-    The zero polynomial is stored as a single zero coefficient.
-    """
-
-    coeffs: tuple[float, ...]
-
-    def __init__(self, coeffs):
-        c = [float(x) for x in coeffs]
-        while len(c) > 1 and c[-1] == 0.0:
-            c.pop()
-        if not c:
-            c = [0.0]
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        if self.coeffs == (0.0,):
-            return -1
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.degree == -1
-
-
-@dataclass(frozen=True)
-class TransferFunction:
-    """Rational function num(s)/den(s), both in ascending coefficients."""
-
-    num: Polynomial
-    den: Polynomial
-
-    def __init__(self, num, den):
-        num = num if isinstance(num, Polynomial) else Polynomial(num)
-        den = den if isinstance(den, Polynomial) else Polynomial(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero polynomial is not a valid denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @property
-    def is_proper(self) -> bool:
-        return self.num.degree <= self.den.degree
+__all__ = ["StateSpaceModel", "eigenvalues"]
 
 
 def _input_matrix(m, n: int, name: str) -> np.ndarray:
@@ -149,33 +85,6 @@ class StateSpaceModel:
     @property
     def n_states(self) -> int:
         return self.a.shape[0]
-
-
-def tf_feedthrough(tf: TransferFunction) -> float:
-    """Direct term d of a proper transfer function, num = d*den + remainder
-    (0 when the block is strictly proper)."""
-    if not tf.is_proper:
-        raise ImproperTransferFunction(
-            f"numerator degree {tf.num.degree} exceeds denominator degree {tf.den.degree}"
-        )
-    n = tf.den.degree
-    if n < 1:
-        raise ImproperTransferFunction("denominator must have degree >= 1")
-    return tf.num.coeffs[n] / tf.den.coeffs[n] if tf.num.degree == n else 0.0
-
-
-def companion_coefficients(tf: TransferFunction) -> tuple[list[float], list[float], float]:
-    """Companion-form coefficients of a proper transfer function, scaled by
-    the denominator's leading coefficient: ``(den, col, d)``, the n =
-    deg(den) lower denominator coefficients (ascending), the input column
-    (the strictly-proper remainder num - d*den) and the feedthrough d."""
-    d = tf_feedthrough(tf)
-    n = tf.den.degree
-    lead = tf.den.coeffs[-1]
-    den = [c / lead for c in tf.den.coeffs[:n]]
-    num = [c / lead for c in tf.num.coeffs]
-    num += [0.0] * (n - len(num))
-    return den, [num[i] - d * den[i] for i in range(n)], d
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:

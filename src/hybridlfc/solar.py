@@ -7,19 +7,19 @@ voltage grid at once; the maximum power point comes from a safeguarded
 Newton solve on dP/dV in the terminal current, in which the voltage is
 explicit. The boost converter is kept at the switched-ODE level for the
 converter studies, while the small-signal channel is a second-order
-transfer function that `assembly.assemble_plant` realizes as two states
-feeding the frequency balance through the gain Kgs.
+block, held as its numerator and denominator coefficients, that
+`assembly.assemble_plant` realizes as two states feeding the frequency
+balance through the gain Kgs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgument, InvariantViolation, NoConvergence
-from .lti import TransferFunction
 
 __all__ = [
     "PvCellParams",
@@ -89,20 +89,31 @@ class BoostParams:
             raise InvariantViolation("boost duty must lie in [0, 1)")
 
 
-def _default_gbc() -> TransferFunction:
-    # Converter small-signal block (-18s + 900)/(s^2 + 100s + 50),
-    # coefficients ascending in s.
-    return TransferFunction([900.0, -18.0], [50.0, 100.0, 1.0])
-
-
 @dataclass(frozen=True)
 class SolarChannelParams:
+    """PV share gain and the converter's small-signal block gbc_num/gbc_den,
+    coefficients ascending in s. `assembly` realizes the block as the two
+    plant states xs1, xs2, so it must be proper with a second-order
+    denominator. Coefficients are stored as floats with trailing zeros
+    dropped; the zero polynomial is ()."""
+
     Kgs: float = 0.20  # PV share of load (pu kW/Hz)
-    gbc: TransferFunction = field(default_factory=_default_gbc)
+    # (-18s + 900)/(s^2 + 100s + 50)
+    gbc_num: tuple[float, ...] = (900.0, -18.0)
+    gbc_den: tuple[float, ...] = (50.0, 100.0, 1.0)
 
     def __post_init__(self):
-        if not self.gbc.is_proper:
+        for name in ("gbc_num", "gbc_den"):
+            c = [float(x) for x in getattr(self, name)]
+            while c and c[-1] == 0.0:
+                c.pop()
+            object.__setattr__(self, name, tuple(c))
+        if len(self.gbc_num) > len(self.gbc_den):
             raise InvariantViolation("solar.gbc must be a proper transfer function")
+        if len(self.gbc_den) != 3:
+            raise InvariantViolation(
+                f"solar.gbc_den must be second order, got degree {len(self.gbc_den) - 1}"
+            )
 
 
 def photocurrent(p: PvCellParams) -> float:
@@ -162,19 +173,22 @@ def solve_pv_current(p: PvCellParams, vpv: float | np.ndarray) -> float | np.nda
         settled = np.abs(step) <= 1e-10
         if not settled.all():
             raise NoConvergence(f"diode current solve did not settle at vpv = {v[~settled][0]}")
+        # Iph + Isat - exp(s) cancels when I << Iph + Isat: read I off the diode
+        # argument d = s - ln Isat instead. c lost Rs*Iph/Vt when Isat >> Iph, so
+        # below d = 1 two Newton steps on d + a*expm1(d) = b restore d's digits,
+        # from a start in [min(b, 0), b/(1 + a)], which holds the root; capped at 1
+        a, b = rs * isat / vt, (v + rs * iph) / vt
+        d = s - math.log(isat)
+        e = np.clip(d, np.minimum(b, 0.0), np.minimum(b / (1.0 + a), 1.0))
+        for _ in range(2):
+            e = np.minimum(e - (e + a * np.expm1(e) - b) / (1.0 + a * np.exp(e)), 1.0)
         if drop > 1.0:
-            # Iph + Isat - exp(s) cancels when I << Iph + Isat: read I = (Vt*d - V)/Rs
-            # off the series resistor, d = s - ln Isat. c lost Rs*Iph/Vt when Isat >> Iph,
-            # so below d = 1 two Newton steps on d + a*expm1(d) = b restore d's digits,
-            # from a start in [min(b, 0), b/(1 + a)], which holds the root; capped at 1
-            a, b = rs * isat / vt, (v + rs * iph) / vt
-            d = s - math.log(isat)
-            e = np.clip(d, np.minimum(b, 0.0), np.minimum(b / (1.0 + a), 1.0))
-            for _ in range(2):
-                e = np.minimum(e - (e + a * np.expm1(e) - b) / (1.0 + a * np.exp(e)), 1.0)
+            # off the series resistor, I = (Vt*d - V)/Rs
             amps = (vt * np.where(d < 1.0, e, d) - v) / rs
         else:
-            amps = iph + isat - np.exp(s)
+            # off the diode, I = Iph - Isat*expm1(d); from d = 1 on, where
+            # exp(s) >= e*Isat, Iph + Isat - exp(s) is as accurate and cannot overflow
+            amps = np.where(d < 1.0, iph - isat * np.expm1(e), iph + isat - np.exp(s))
     return float(amps) if amps.ndim == 0 else amps
 
 

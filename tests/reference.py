@@ -2,13 +2,13 @@
 
 `assembly.assemble_plant` and `assembly.close_loop` write the plant and the
 closed loop at fixed indices. This module builds the same matrices the
-long way round: one state model per subsystem block, a companion-form
-realization of the converter transfer function, the blocks summed into
+long way round: one state model per subsystem block, its own
+companion-form realization of the converter block, the blocks summed into
 zero matrices by label, and the PI loop wired by named row and column. The
 tests compare the two bit for bit, signed zeros included.
 
-It also holds the small polynomial and transfer-function helpers (Horner
-evaluation, products, the DC gain) that only the tests need, and
+It also holds the small polynomial and transfer-function helpers
+(evaluation, products, the DC gain) on plain coefficient tuples, and
 `plant_block`, which cuts one subsystem's block out of an assembled plant
 so that a test can check src's rows against a block-level property.
 
@@ -21,6 +21,7 @@ solve.
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from hybridlfc.assembly import (
     INTEGRATOR_LABELS,
@@ -30,13 +31,7 @@ from hybridlfc.assembly import (
 )
 from hybridlfc.diesel import governor_residues
 from hybridlfc.errors import ToolkitError
-from hybridlfc.lti import (
-    Polynomial,
-    StateSpaceModel,
-    TransferFunction,
-    companion_coefficients,
-    tf_feedthrough,
-)
+from hybridlfc.lti import StateSpaceModel
 from hybridlfc.solar import (
     open_circuit_voltage,
     photocurrent,
@@ -45,53 +40,61 @@ from hybridlfc.solar import (
 )
 
 # --- polynomials and transfer functions ------------------------------------
+# A polynomial is a sequence of coefficients ascending in s; a transfer
+# function is a pair (num, den) of them.
 
 
 class ZeroDcDenominator(ToolkitError):
     """Denominator vanishes at s = 0 (free integrator); no finite DC gain."""
 
 
-def polyval(p: Polynomial, s):
-    """p(s) by Horner evaluation from the highest power down."""
-    acc = 0.0 + 0.0j if isinstance(s, complex) else 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * s + c
-    return acc
+def polyval(p, s):
+    """p(s)."""
+    return P.polyval(s, p)
 
 
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return Polynomial(np.convolve(p.coeffs, q.coeffs))
+def poly_mul(p, q) -> tuple[float, ...]:
+    return tuple(P.polymul(p, q).tolist())
 
 
-def tf_eval(tf: TransferFunction, s):
+def tf_eval(tf, s):
     """num(s)/den(s)."""
-    return polyval(tf.num, s) / polyval(tf.den, s)
+    num, den = tf
+    return polyval(num, s) / polyval(den, s)
 
 
-def tf_dc_gain(tf: TransferFunction) -> float:
+def tf_dc_gain(tf) -> float:
     """Gain of tf at s = 0, num(0)/den(0); ZeroDcDenominator when den(0) = 0."""
-    d0 = tf.den.coeffs[0]
-    if d0 == 0.0:
+    num, den = tf
+    if den[0] == 0.0:
         raise ZeroDcDenominator("denominator vanishes at s = 0")
-    return tf.num.coeffs[0] / d0
+    return num[0] / den[0]
 
 
-def tf_to_ss(tf: TransferFunction, state_prefix: str = "x", input_label: str = "u"):
+def tf_to_ss(tf, state_prefix: str = "x", input_label: str = "u"):
     """Companion-form realization ``(model, feedthrough)`` of a proper
-    transfer function.
+    transfer function whose denominator has degree n >= 1.
 
-    The model has n = deg(den) states; the block output is the LAST state
-    plus ``feedthrough * input``. The input column holds the strictly-proper
-    remainder, so K/(1+sT) becomes dx/dt = -x/T + (K/T) u, y = x, and the
-    eigenvalues of A are the denominator roots.
+    The model has n states; the block output is the LAST state plus
+    ``feedthrough * input``. On the coefficients scaled by den's leading
+    one, the feedthrough is num's coefficient of s^n and the input column
+    the strictly-proper remainder num - feedthrough*den, so K/(1+sT)
+    becomes dx/dt = -x/T + (K/T) u, y = x, and the eigenvalues of A are the
+    denominator roots. Trailing zero coefficients are dropped first.
     """
-    den, col, d = companion_coefficients(tf)
-    n = len(den)
+    num, den = (np.trim_zeros(np.array(c, dtype=float), "b") for c in tf)
+    n = den.size - 1
+    if n < 1 or num.size > n + 1:
+        raise ValueError(f"no realization of a block of degrees {num.size - 1}/{n}")
+    lead = den[n]
+    num = np.concatenate([num / lead, np.zeros(n + 1 - num.size)])
+    den = den / lead
+    d = float(num[n])
     a = np.eye(n, k=-1)
-    a[:, n - 1] = [-c for c in den]
+    a[:, n - 1] = -den[:n]
     model = StateSpaceModel(
         a=a,
-        b=np.array(col).reshape(n, 1),
+        b=(num[:n] - d * den[:n]).reshape(n, 1),
         g=np.zeros((n, 0)),
         state_labels=tuple(f"{state_prefix}{i + 1}" for i in range(n)),
         control_labels=(input_label,),
@@ -174,19 +177,18 @@ def build_pitch_subsystem(p) -> StateSpaceModel:
     )
 
 
-def pitch_chain_tf(p) -> TransferFunction:
-    """The pitch chain dPcu to dPcw as the product of its cascaded blocks."""
+def pitch_chain_tf(p):
+    """The pitch chain dPcu to dPcw, as (num, den), the product of its
+    cascaded blocks."""
     gain = p.Kpc * p.Kp3 * p.Kp1 * p.Kp2
-    den = poly_mul(
-        poly_mul(Polynomial([1.0, p.Tp3]), Polynomial([1.0, 1.0])), Polynomial([1.0, p.Tp2])
-    )
-    return TransferFunction([gain, gain * p.Tp1], den)
+    den = poly_mul(poly_mul((1.0, p.Tp3), (1.0, 1.0)), (1.0, p.Tp2))
+    return (gain, gain * p.Tp1), den
 
 
 def build_solar_subsystem(p) -> StateSpaceModel:
     """Realization of the converter block, with the control us and the
     disturbance dPis summed at its input (the same column in B and G)."""
-    realization, _ = tf_to_ss(p.gbc, state_prefix="xs", input_label="us")
+    realization, _ = tf_to_ss((p.gbc_num, p.gbc_den), state_prefix="xs", input_label="us")
     return StateSpaceModel(
         a=realization.a,
         b=realization.b,
@@ -254,7 +256,7 @@ def wired_plant(p):
     g[0, dpos["dPl"]] = -kp_tp
     if p.include_solar:
         kgs = p.solar.Kgs
-        d = tf_feedthrough(p.solar.gbc)
+        _, d = tf_to_ss((p.solar.gbc_num, p.solar.gbc_den))
         a[0, spos["xs2"]] += kp_tp * kgs
         b[0, cpos["us"]] += kp_tp * kgs * d
         g[0, dpos["dPis"]] += kp_tp * kgs * d

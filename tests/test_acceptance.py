@@ -225,5 +225,5 @@ def test_solar_channel_block():
     x = steady_state(model, controls={"us": 1.0})
     dpgs = p.Kgs * x[model.state_labels.index("xs2")]
     ok = ok and abs(dpgs - 3.6) < 1e-9
-    ok = ok and abs(p.Kgs * tf_dc_gain(p.gbc) - 3.6) < 1e-9
+    ok = ok and abs(p.Kgs * tf_dc_gain((p.gbc_num, p.gbc_den)) - 3.6) < 1e-9
     report("solar channel has the expected modes and DC power gain", ok)

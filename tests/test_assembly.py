@@ -26,7 +26,7 @@ from hybridlfc.errors import (
     OrderingMismatch,
     SingularSystem,
 )
-from hybridlfc.lti import StateSpaceModel, TransferFunction, eigenvalues
+from hybridlfc.lti import StateSpaceModel, eigenvalues
 from hybridlfc.solar import SolarChannelParams
 from hybridlfc.tuning import GAIN_ORDER, TuneSpec, tune_gains
 from reference import build_turbine_subsystem, labelled_closed_loop, wired_plant
@@ -110,7 +110,7 @@ def draw_system(rng, include_solar):
                 base,
                 diesel=replace(base.diesel, **diesel),
                 wind=replace(base.wind, **wind),
-                solar=replace(base.solar, gbc=TransferFunction(num, den), **solar),
+                solar=replace(base.solar, gbc_num=num, gbc_den=den, **solar),
                 include_solar=include_solar,
                 **system,
             )
@@ -138,8 +138,8 @@ class TestDirectFill:
     @pytest.mark.parametrize(
         "change",
         [
-            {"gbc": TransferFunction([3.0, -1.0, 0.7], [2.0, 5.0, 3.0])},  # biproper, lead 3
-            {"gbc": TransferFunction([0.0, 2.0], [0.0, 4.0, -2.0])},  # zero constant terms
+            {"gbc_num": (3.0, -1.0, 0.7), "gbc_den": (2.0, 5.0, 3.0)},  # biproper, lead 3
+            {"gbc_num": (0.0, 2.0), "gbc_den": (0.0, 4.0, -2.0)},  # zero constant terms
             {"Tp1": 1.0},  # no dynamic part in the pitch lead-lag
             {"Td1": 2.0},  # K1 = 0
             {"Kpc": 0.0, "Tp1": -0.6},
@@ -276,11 +276,11 @@ class TestLabelledReference:
     ids=["assemble_plant", "build_closed_loop", "tune_gains"],
 )
 def test_library_entry_points_validate(build, den):
-    # the CLI validates every config first; a library caller gets the same
-    # InvariantViolation instead of an indexing or broadcasting error
-    gbc = TransferFunction([900.0, -18.0], den)
+    # a library caller gets the CLI's InvariantViolation, not an indexing or
+    # broadcasting error: the block is checked when it is built, before any
+    # entry point can see it
     with pytest.raises(InvariantViolation, match="solar.gbc_den must be second order"):
-        build(SystemParams(solar=SolarChannelParams(gbc=gbc)))
+        build(SystemParams(solar=SolarChannelParams(gbc_den=den)))
 
 
 class TestClosedLoop:

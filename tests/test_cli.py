@@ -464,7 +464,7 @@ class TestContractGate:
     error, say) is a violation."""
 
     BASE = "scenario.t_end = 2\ntune.budget = 20\n"
-    VALUES = ("0", "-1", "1e300", "1e-300", "nan", "inf", "-inf")
+    VALUES = ("0", "-1", "1e300", "-1e300", "1e-300", "nan", "inf", "-inf")
     KEYS = [key for key, default in DEFAULTS.items() if isinstance(default, (float, tuple))]
     ERROR_LINE = re.compile(r"error: [A-Za-z]+: [^\n]*\n")
     NON_FINITE = re.compile(r"nan|inf", re.IGNORECASE)

@@ -61,9 +61,9 @@ class TestParsing:
 
     def test_coefficient_list_typing(self):
         cfg = parse_config("solar.gbc_num = 1.0, 2.0\nsolar.gbc_den = 1.0, 3.0, 1.0\n")
-        gbc = cfg.system.solar.gbc
-        assert gbc.num.coeffs == (1.0, 2.0)
-        assert gbc.den.coeffs == (1.0, 3.0, 1.0)
+        solar = cfg.system.solar
+        assert solar.gbc_num == (1.0, 2.0)
+        assert solar.gbc_den == (1.0, 3.0, 1.0)
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(UnknownKey, match="line 2"):
@@ -129,13 +129,17 @@ class TestConstraints:
     def test_improper_converter_block(self):
         # a biproper block (equal degrees) is allowed
         cfg = parse_config("solar.gbc_num = 1.0, 1.0, 1.0\n")
-        assert cfg.system.solar.gbc.is_proper
+        assert cfg.system.solar.gbc_num == (1.0, 1.0, 1.0)
         # a cubic numerator over the quadratic default denominator is not
         with pytest.raises(InvariantViolation):
             parse_config("solar.gbc_num = 1.0, 1.0, 1.0, 1.0\n")
 
     def test_zero_denominator_block(self):
-        with pytest.raises(InvalidValue):
+        # the zero polynomial has degree -1, so the order check names it
+        with pytest.raises(InvariantViolation, match="second order, got degree -1"):
+            parse_config("solar.gbc_num = 0.0\nsolar.gbc_den = 0.0, -0.0\n")
+        # over a nonzero numerator the block is improper first
+        with pytest.raises(InvariantViolation, match="proper transfer function"):
             parse_config("solar.gbc_den = 0.0\n")
 
     def test_negative_irradiance(self):

@@ -30,7 +30,7 @@ from hybridlfc.errors import (
     SingularSystem,
     UnstableStepSize,
 )
-from hybridlfc.lti import StateSpaceModel, TransferFunction
+from hybridlfc.lti import StateSpaceModel
 from hybridlfc.solar import SolarChannelParams
 
 
@@ -299,8 +299,8 @@ class TestClosedLoopTrace:
         # a biproper converter block passes its input through, so
         # dPgs = Kgs*(xs2 + d*(us + dPis)) with the solar control us = H x + u0
         # on a closed loop and us = u0 on the plant, which has no H
-        gbc = TransferFunction([3.0, -1.0, 0.7], [2.0, 5.0, 3.0])
-        p = SystemParams(solar=SolarChannelParams(gbc=gbc))
+        solar = SolarChannelParams(gbc_num=(3.0, -1.0, 0.7), gbc_den=(2.0, 5.0, 3.0))
+        p = SystemParams(solar=solar)
         model = build_closed_loop(p, stable_gains) if closed else assemble_plant(p)
         sc = Scenario(
             t_end=5.0,
@@ -442,6 +442,16 @@ class TestStepIse:
             state_labels=("dFs",),
         )
         sc = Scenario(t_end=20.0, dt=0.01, x0=np.array([1.0]))
+        with pytest.raises(NonFiniteState):
+            integrate(model, sc)
+        with pytest.raises(NonFiniteState):
+            step_ise(model, sc)
+
+    def test_overflowing_propagators_reported(self, default_params):
+        # a gain of -1e300 overflows P and Q themselves, before any step; the
+        # failure is a NonFiniteState, not a numpy warning
+        model = build_closed_loop(default_params, ControllerGains(Ksp=-1e300))
+        sc = Scenario(t_end=1.0, dt=0.01, disturbances={"dPl": 0.01})
         with pytest.raises(NonFiniteState):
             integrate(model, sc)
         with pytest.raises(NonFiniteState):

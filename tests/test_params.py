@@ -18,7 +18,6 @@ from hybridlfc import (
     SolarChannelParams,
     Step,
     SystemParams,
-    TransferFunction,
     TuneSpec,
     WindParams,
     boost_switched_step,
@@ -53,7 +52,7 @@ INVALID_FIELDS = [
     (
         SolarChannelParams,
         {},
-        {"gbc": TransferFunction([0.0, 0.0, 1.0], [1.0, 1.0])},
+        {"gbc_num": (0.0, 0.0, 0.0, 1.0)},
         "solar.gbc must be a proper transfer function",
     ),
     (SystemParams, {}, {"Kp": 0.0}, "system.Kp must be > 0"),

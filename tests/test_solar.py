@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridlfc import solar
-from hybridlfc.assembly import SystemParams, assemble_plant
+from hybridlfc.assembly import US, SystemParams, assemble_plant, output_map
 from hybridlfc.engine import steady_state
 from hybridlfc.errors import InvalidArgument, InvariantViolation
-from hybridlfc.lti import TransferFunction, companion_coefficients, eigenvalues, tf_feedthrough
+from hybridlfc.lti import eigenvalues
 from hybridlfc.solar import (
     BoostParams,
     PvCellParams,
@@ -22,7 +22,7 @@ from hybridlfc.solar import (
     pv_curve,
     solve_pv_current,
 )
-from reference import build_solar_subsystem, dp_dv, plant_block, tf_dc_gain
+from reference import build_solar_subsystem, dp_dv, plant_block, tf_dc_gain, tf_to_ss
 
 # Frozen from the default cell constants.
 VOC_DEFAULT = 0.694046771680788
@@ -208,10 +208,14 @@ class TestLambertSolve:
             # here ln Isat carries rounding far above the root d = s - ln Isat
             {"Isat": 1e70},
             {"Isat": 1e287, "Rs": 1.0},
+            # drop <= 1: Iph + Isat - exp(s) once lost the digits of I here
+            {"Isat": 1e10, "Rs": 1e-12},
+            {"Isat": 1e5, "Rs": 1e-7},
         ],
         ids=[
             "lam1e20_Rs1", "lam1e300", "lam1e10", "Rs1e4",
             "Isat1e5", "Isat1e10", "Isat1e20", "Isat1e300", "Isat1e70", "Isat1e287_Rs1",
+            "Isat1e10_Rs1e-12", "Isat1e5_Rs1e-7",
         ],
     )
     def test_small_current_against_a_large_photocurrent(self, cell):
@@ -450,9 +454,9 @@ class TestChannel:
         p = SolarChannelParams()
         m = channel_block(p)
         x = steady_state(m, controls={"us": 1.0})
-        d = tf_feedthrough(p.gbc)
-        assert x[1] == pytest.approx(tf_dc_gain(p.gbc), abs=1e-9)
-        assert p.Kgs * (x[1] + d) == pytest.approx(3.6, abs=1e-9)
+        assert output_map(SystemParams(solar=p)).wu[1, US] == 0.0  # no feedthrough
+        assert x[1] == pytest.approx(tf_dc_gain((p.gbc_num, p.gbc_den)), abs=1e-9)
+        assert p.Kgs * x[1] == pytest.approx(3.6, abs=1e-9)
 
     def test_disturbance_mirrors_control(self):
         m = build_solar_subsystem(SolarChannelParams())
@@ -461,35 +465,47 @@ class TestChannel:
         assert m.disturbance_labels == ("dPis",)
 
     def test_default_block_strictly_proper(self):
-        assert tf_feedthrough(SolarChannelParams().gbc) == 0.0
+        p = SolarChannelParams()
+        assert (p.gbc_num, p.gbc_den) == ((900.0, -18.0), (50.0, 100.0, 1.0))
+        assert assemble_plant(SystemParams(solar=p)).b[0, US] == 0.0
 
     def test_feedthrough_block(self):
-        # (s + 2)/(s + 1): one state, unit feedthrough, DC gain 2
-        p = SolarChannelParams(gbc=TransferFunction([2.0, 1.0], [1.0, 1.0]))
-        m = build_solar_subsystem(p)
-        d = tf_feedthrough(p.gbc)
+        # (s^2 + 2s + 2)/(s^2 + s + 1) = 1 + (s + 1)/(s^2 + s + 1): unit
+        # feedthrough, DC gain 2
+        p = SolarChannelParams(gbc_num=(2.0, 2.0, 1.0), gbc_den=(1.0, 1.0, 1.0))
+        m = channel_block(p)
+        d = output_map(SystemParams(solar=p)).wu[1, US] / p.Kgs
         assert d == 1.0
-        assert m.n_states == 1
         x = steady_state(m, controls={"us": 1.0})
-        assert p.Kgs * (x[0] + d) == pytest.approx(p.Kgs * 2.0, abs=1e-12)
+        assert p.Kgs * (x[1] + d) == pytest.approx(p.Kgs * 2.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "num, den",
         [
             ([900.0, -18.0], [50.0, 100.0, 1.0]),  # strictly proper, the default
-            ([0.3], [0.7, 3.0]),
-            ([2.0, 1.0], [1.0, 1.0]),  # biproper
+            ([0.3], [0.7, 3.0, 2.0]),
+            ([2.0, 1.0, 4.0], [1.0, 1.0, 2.0]),  # biproper
             ([3.0, -1.0, 0.7], [2.0, 5.0, 3.0]),  # biproper, lead coefficient 3
         ],
     )
     def test_feedthrough_bit_equal_to_realization(self, num, den):
-        p = SolarChannelParams(gbc=TransferFunction(num, den))
-        _, _, d = companion_coefficients(p.gbc)
+        p = SystemParams(solar=SolarChannelParams(gbc_num=num, gbc_den=den))
         # num = d*den + remainder on the coefficients scaled by den's lead
-        n = len(den) - 1
-        scaled = [c / den[-1] for c in num] + [0.0] * (n + 1 - len(num))
-        assert tf_feedthrough(p.gbc) == d == scaled[n]
+        scaled = [c / den[-1] for c in num] + [0.0] * (3 - len(num))
+        kgs, kp_tp = p.solar.Kgs, p.Kp / p.Tp
+        assert tf_to_ss((num, den))[1] == scaled[2]
+        assert output_map(p).wu[1, US] == kgs * scaled[2]
+        assert assemble_plant(p).b[0, US] == kp_tp * kgs * scaled[2]
 
     def test_validate_rejects_improper_block(self):
-        with pytest.raises(InvariantViolation):
-            SolarChannelParams(gbc=TransferFunction([0.0, 0.0, 1.0], [1.0, 1.0]))
+        # a biproper block (equal degrees) is allowed, a higher numerator is not
+        assert SolarChannelParams(gbc_num=(1.0, 1.0, 1.0)).gbc_num == (1.0, 1.0, 1.0)
+        with pytest.raises(InvariantViolation, match="^solar.gbc must be a proper"):
+            SolarChannelParams(gbc_num=(0.0, 0.0, 0.0, 1.0))
+
+    def test_trims_trailing_zeros(self):
+        p = SolarChannelParams(gbc_num=[1, 2.0, 0.0, -0.0], gbc_den=(50.0, 100.0, 1.0, 0.0))
+        assert (p.gbc_num, p.gbc_den) == ((1.0, 2.0), (50.0, 100.0, 1.0))
+        assert all(type(c) is float for c in p.gbc_num)
+        # the zero polynomial, of degree len - 1 = -1
+        assert SolarChannelParams(gbc_num=(0.0, -0.0)).gbc_num == ()
