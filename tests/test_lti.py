@@ -3,8 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hybridlfc.errors import DimensionMismatch, InvalidArgument, NonSquareMatrix
+from hybridlfc.errors import (
+    DimensionMismatch,
+    InvalidArgument,
+    InvariantViolation,
+    NonSquareMatrix,
+)
 from hybridlfc.lti import StateSpaceModel, eigenvalues
+from hybridlfc.solar import SolarChannelParams
 from reference import ZeroDcDenominator, poly_mul, polyval, tf_dc_gain, tf_to_ss
 
 # converter block used as a second-order workhorse throughout
@@ -14,7 +20,20 @@ GBC_POLES = (-0.5025253169416715, -99.49747468305833)
 
 
 class TestPolynomial:
-    """The reference's helpers on coefficient tuples ascending in s."""
+    """Coefficient tuples ascending in s: the converter block's storage and
+    the reference's helpers on it."""
+
+    def test_trims_trailing_zeros(self):
+        p = SolarChannelParams(gbc_num=[1, 2.0, 0.0, -0.0], gbc_den=(50.0, 100.0, 1.0, 0.0))
+        assert (p.gbc_num, p.gbc_den) == ((1.0, 2.0), (50.0, 100.0, 1.0))
+        assert all(type(c) is float for c in p.gbc_num)
+
+    def test_zero_polynomial_degree(self):
+        # the zero polynomial is (), of degree len - 1 = -1
+        assert SolarChannelParams(gbc_num=(0.0, -0.0)).gbc_num == ()
+        assert SolarChannelParams(gbc_num=()).gbc_num == ()
+        with pytest.raises(InvariantViolation, match="second order, got degree -1$"):
+            SolarChannelParams(gbc_num=(), gbc_den=(0.0, 0.0))
 
     def test_evaluation(self):
         assert polyval((1.0, 2.0, 3.0), 2.0) == 1.0 + 4.0 + 12.0
@@ -29,6 +48,20 @@ class TestPolynomial:
 
     def test_product_degree_adds(self):
         assert poly_mul((1.0, 2.0), (3.0, 0.0, 1.0)) == (3.0, 6.0, 1.0, 2.0)
+
+
+class TestTransferFunction:
+    """The converter block (gbc_num, gbc_den) checked when it is built."""
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(InvariantViolation, match="proper transfer function$"):
+            SolarChannelParams(gbc_num=(1.0,), gbc_den=(0.0,))
+
+    def test_properness(self):
+        assert SolarChannelParams(gbc_num=(1.0,)).gbc_num == (1.0,)
+        assert SolarChannelParams(gbc_num=(1.0, 1.0, 1.0)).gbc_num == (1.0, 1.0, 1.0)
+        with pytest.raises(InvariantViolation, match="proper transfer function$"):
+            SolarChannelParams(gbc_num=(1.0, 0.0, 0.0, 2.0))
 
 
 class TestDcGain:

@@ -502,10 +502,3 @@ class TestChannel:
         assert SolarChannelParams(gbc_num=(1.0, 1.0, 1.0)).gbc_num == (1.0, 1.0, 1.0)
         with pytest.raises(InvariantViolation, match="^solar.gbc must be a proper"):
             SolarChannelParams(gbc_num=(0.0, 0.0, 0.0, 1.0))
-
-    def test_trims_trailing_zeros(self):
-        p = SolarChannelParams(gbc_num=[1, 2.0, 0.0, -0.0], gbc_den=(50.0, 100.0, 1.0, 0.0))
-        assert (p.gbc_num, p.gbc_den) == ((1.0, 2.0), (50.0, 100.0, 1.0))
-        assert all(type(c) is float for c in p.gbc_num)
-        # the zero polynomial, of degree len - 1 = -1
-        assert SolarChannelParams(gbc_num=(0.0, -0.0)).gbc_num == ()
