@@ -7,10 +7,12 @@ reference.
 The augmentation trick: appending the integrals of dFs and dFt as states
 iFs and iFt turns every PI control law into pure state feedback u = H x,
 so the closed loop is just Ahat = Abar + Bbar H with unchanged
-disturbance topology. `close_loop` owns that 12-state layout: the ten
-plant states, then iFs and iFt. The closed loop is a plain
-`StateSpaceModel` (A = Ahat, B = Bbar, G = Gbar) whose `h` field holds H,
-so the engine consumes plants and closed loops alike.
+disturbance topology. The 12-state layout is the ten plant states, then
+iFs and iFt. `augment_plant` gives the open loop in it (Abar, Bbar,
+Gbar), `closed_loop_matrix` forms Ahat for one set of gains, and
+`close_loop` does both at once. The closed loop is a plain
+`StateSpaceModel` (A = Ahat, B = Bbar, G = Gbar) whose `h` field holds
+H, so the engine consumes plants and closed loops alike.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ __all__ = [
     "assemble_plant",
     "output_map",
     "build_feedback_matrix",
+    "augment_plant",
+    "closed_loop_matrix",
     "close_loop",
     "build_closed_loop",
 ]
@@ -242,15 +246,7 @@ def build_feedback_matrix(g: ControllerGains, kig: float) -> np.ndarray:
     return h
 
 
-def close_loop(plant: StateSpaceModel, gains: ControllerGains, kig: float) -> StateSpaceModel:
-    """Closed loop of an `assemble_plant` model under PI gains.
-
-    Appends iFs and iFt at IFS and IFT as pure selectors on dFs and dFt
-    (Abar, with Bbar and Gbar zero in their rows), builds H and applies
-    u = H x: Ahat = Abar + Bbar H, the disturbance matrix untouched.
-    Raises OrderingMismatch unless the plant carries the assembled state
-    and control orderings.
-    """
+def _augmented(plant: StateSpaceModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if (plant.state_labels, plant.control_labels) != (PLANT_STATE_ORDER, PLANT_CONTROL_ORDER):
         raise OrderingMismatch(
             f"plant orderings {plant.state_labels}, {plant.control_labels} do not match "
@@ -263,9 +259,50 @@ def close_loop(plant: StateSpaceModel, gains: ControllerGains, kig: float) -> St
     bbar[:IFS] = plant.b
     gbar = np.zeros((N_AUGMENTED, plant.g.shape[1]))
     gbar[:IFS] = plant.g
-    h = build_feedback_matrix(gains, kig)
+    return abar, bbar, gbar
+
+
+def augment_plant(plant: StateSpaceModel) -> StateSpaceModel:
+    """The augmented open loop of an `assemble_plant` model: A = Abar,
+    B = Bbar, G = Gbar, with iFs and iFt appended at IFS and IFT as pure
+    selectors on dFs and dFt (zero in Bbar's and Gbar's rows).
+
+    It does not depend on the gains, so a caller closing many loops
+    around one plant augments it once and forms each Ahat with
+    `closed_loop_matrix`. Raises OrderingMismatch unless the plant
+    carries the assembled state and control orderings.
+    """
+    abar, bbar, gbar = _augmented(plant)
     return StateSpaceModel(
-        a=abar + bbar @ h,
+        a=abar,
+        b=bbar,
+        g=gbar,
+        state_labels=PLANT_STATE_ORDER + INTEGRATOR_LABELS,
+        control_labels=plant.control_labels,
+        disturbance_labels=plant.disturbance_labels,
+    )
+
+
+def closed_loop_matrix(
+    abar: np.ndarray, bbar: np.ndarray, gains: ControllerGains, kig: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ahat = Abar + Bbar H under PI gains, and H."""
+    h = build_feedback_matrix(gains, kig)
+    return abar + bbar @ h, h
+
+
+def close_loop(plant: StateSpaceModel, gains: ControllerGains, kig: float) -> StateSpaceModel:
+    """Closed loop of an `assemble_plant` model under PI gains.
+
+    Augments the plant as `augment_plant` does, builds H and applies
+    u = H x: Ahat = Abar + Bbar H (`closed_loop_matrix`), the disturbance
+    matrix untouched. Raises OrderingMismatch unless the plant carries
+    the assembled state and control orderings.
+    """
+    abar, bbar, gbar = _augmented(plant)
+    a, h = closed_loop_matrix(abar, bbar, gains, kig)
+    return StateSpaceModel(
+        a=a,
         b=bbar,
         g=gbar,
         h=h,

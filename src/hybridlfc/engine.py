@@ -20,7 +20,9 @@ dFs (and dFt). `step_ise` sums that series by binary doubling,
 S_2m = S_m + (T^m)' S_m T^m, in about 2 log2(L) small matrix products
 and without an inverse (Smith 1968; Van Loan 1978), then applies the
 trapezoid end correction. It returns what `ise(integrate(...))` returns,
-to rounding; `integrate` + `ise` stay as its reference.
+to rounding; `integrate` + `ise` stay as its reference. `ise_evaluator`
+splits it into a set-up over the scenario and one evaluation per state
+matrix, so the tuner does the scenario bookkeeping once per run.
 
 Every function takes one model type, `lti.StateSpaceModel`; on a closed
 loop its `h` field holds the feedback matrix, so the engine needs only
@@ -53,6 +55,7 @@ __all__ = [
     "rk4_growth",
     "integrate",
     "step_ise",
+    "ise_evaluator",
     "steady_state",
     "ise",
 ]
@@ -293,6 +296,65 @@ def _doubling_sum(t: np.ndarray, w: np.ndarray, z: np.ndarray, length: int):
         tm = tm @ tm
 
 
+def ise_evaluator(model: StateSpaceModel, scenario: Scenario, include_ft: bool = False):
+    """`step_ise` split in two: the set-up over the model's B, G and labels,
+    the scenario and include_ft, done here once, and a returned function
+    that evaluates one n x n state matrix `a`,
+
+        ise_evaluator(model, scenario, include_ft)(a)
+            == step_ise(<model with state matrix a>, scenario, include_ft),
+
+    bit for bit. The set-up holds the row grid and input bookkeeping, the
+    weight W, the augmented start state and its weight y_0, the segment list
+    and each segment's forcing G p + B u; an evaluation forms only the
+    propagators, T and the doubling sums. Each evaluation allocates its own
+    T, so one evaluator may serve several threads.
+    """
+    b, g = model.b, model.g
+    n = model.n_states
+    dt = scenario.dt
+    rows, u_const, onsets, x = _inputs(model, scenario)
+    w = np.zeros((n + 1, n + 1))
+    for i in _weighted_states(model.state_labels, include_ft):
+        w[i, i] = 1.0
+    z0 = np.append(x, 1.0)
+    y0 = z0 @ w @ z0
+    # rows 0 .. rows-2 are summed by segment; the last row needs only its state
+    last = rows - 1
+    starts = sorted(r for r in {0, *(row for row, _, _ in onsets)} if r < last)
+    segments = []
+    for start, stop in zip(starts, starts[1:] + [last]):
+        p = np.zeros(g.shape[1])
+        for row, col, magnitude in onsets:
+            if row <= start:
+                p[col] += magnitude
+        # huge inputs can overflow here; the evaluation reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            segments.append((stop - start, g @ p + b @ u_const))
+
+    def evaluate(a: np.ndarray) -> float:
+        if a.shape != (n, n):
+            raise DimensionMismatch(f"state matrix has shape {a.shape}, want {(n, n)}")
+        t = np.zeros((n + 1, n + 1))
+        t[n, n] = 1.0
+        z, total = z0, 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            p_mat, q_mat = _propagators(a, dt)
+            t[:n, :n] = p_mat
+            for length, forcing in segments:
+                t[:n, n] = q_mat @ forcing
+                if not (z[:n].any() or t[:n, n].any()):
+                    continue  # at rest and unforced: every row adds 0.0, z stays
+                part, z = _doubling_sum(t, w, z, length)
+                total += part
+            result = dt * (total + (z @ w @ z - y0) / 2.0)
+        if not math.isfinite(result):
+            raise NonFiniteState("performance index is not finite")
+        return float(result)
+
+    return evaluate
+
+
 def step_ise(model: StateSpaceModel, scenario: Scenario, include_ft: bool = False) -> float:
     """`ise(integrate(model, scenario), include_ft)` without stepping.
 
@@ -303,49 +365,19 @@ def step_ise(model: StateSpaceModel, scenario: Scenario, include_ft: bool = Fals
     rest (x = 0) with zero forcing stays at rest, and since W ignores the
     constant component each of its rows adds exactly 0.0; such a stretch,
     like the quiet rows before a step onset, is skipped, which leaves the
-    result bit-for-bit unchanged.
+    result bit-for-bit unchanged. This is `ise_evaluator` set up on the
+    model and evaluated once, on `model.a`; a caller that evaluates many
+    state matrices under one scenario sets up once itself.
 
-    Unlike `integrate` this applies no eigenvalue step guard: its only
-    caller, the tuner, already rejects every candidate on which a step
-    `tuning.STEP_HEADROOM` times dt would fail `integrate`'s guard, and a
-    second eigenvalue solve per candidate would add about a fifth to a
-    tuner run. Raises NonFiniteState when the sum overflows; on an
-    unstable model this can happen through the matrix powers alone, even
-    from a mode that the scenario never excites and that stays at zero in
-    the stepped trace.
+    Unlike `integrate` this applies no eigenvalue step guard: the tuner
+    screens every candidate with its own, stricter step headroom, and
+    another caller that needs the guard can call `rk4_growth` on the
+    eigenvalues it has. Raises NonFiniteState when the sum overflows; on
+    an unstable model this can happen through the matrix powers alone,
+    even from a mode that the scenario never excites and that stays at
+    zero in the stepped trace.
     """
-    a, b, g = model.a, model.b, model.g
-    n = model.n_states
-    rows, u_const, onsets, x = _inputs(model, scenario)
-    w = np.zeros((n + 1, n + 1))
-    for i in _weighted_states(model.state_labels, include_ft):
-        w[i, i] = 1.0
-
-    t = np.zeros((n + 1, n + 1))
-    t[n, n] = 1.0
-    z = np.append(x, 1.0)
-    y0 = z @ w @ z
-    # rows 0 .. rows-2 are summed by segment; the last row needs only its state
-    last = rows - 1
-    starts = sorted(r for r in {0, *(row for row, _, _ in onsets)} if r < last)
-    total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        p_mat, q_mat = _propagators(a, scenario.dt)
-        t[:n, :n] = p_mat
-        for start, stop in zip(starts, starts[1:] + [last]):
-            p = np.zeros(g.shape[1])
-            for row, col, magnitude in onsets:
-                if row <= start:
-                    p[col] += magnitude
-            t[:n, n] = q_mat @ (g @ p + b @ u_const)
-            if not (z[:n].any() or t[:n, n].any()):
-                continue  # at rest and unforced: every row adds 0.0, z stays
-            part, z = _doubling_sum(t, w, z, stop - start)
-            total += part
-        result = scenario.dt * (total + (z @ w @ z - y0) / 2.0)
-    if not math.isfinite(result):
-        raise NonFiniteState("performance index is not finite")
-    return float(result)
+    return ise_evaluator(model, scenario, include_ft)(model.a)
 
 
 def steady_state(

@@ -7,11 +7,13 @@ pattern search with step halving is used instead of gradient descent.
 No randomized moves are taken; the seed field exists for interface
 stability should stochastic restarts ever be added.
 
-The plant does not depend on the gains, so a run assembles it once; each
-candidate then only closes the loop around it. Its cost is the exact
-trapezoidal index of its RK4 trace, computed in closed form by
-`engine.step_ise` with no stepping, so a cost evaluation takes a fraction
-of a millisecond instead of a step loop.
+Nothing but Ahat depends on the gains, so a run assembles and augments
+the plant once and sets up the index's scenario bookkeeping once
+(`engine.ise_evaluator`). A candidate then costs one fill of
+Ahat = Abar + Bbar H, one eigenvalue solve, the stability and step
+headroom screen, and, when it passes, one evaluation of the exact
+trapezoidal index of its RK4 trace, summed in closed form with no
+stepping: a fraction of a millisecond in all.
 """
 
 from __future__ import annotations
@@ -23,8 +25,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .assembly import GAIN_ORDER, ControllerGains, SystemParams, assemble_plant, close_loop
-from .engine import Scenario, Step, rk4_growth, step_ise
+from .assembly import (
+    GAIN_ORDER,
+    ControllerGains,
+    SystemParams,
+    assemble_plant,
+    augment_plant,
+    closed_loop_matrix,
+)
+from .engine import Scenario, Step, ise_evaluator, rk4_growth
 from .errors import InvariantViolation, NoStableGainsFound
 from .lti import eigenvalues
 
@@ -40,6 +49,24 @@ STABILITY_MARGIN = -1e-6
 # at |lambda|*dt = 2.78529... (the real root of 24 + 12x + 4x^2 + x^3), that
 # admits |lambda|*dt up to 2.5
 STEP_HEADROOM = 2.785293563405282 / 2.5
+
+# RK4 damps every mode inside the open left half-disk of this radius (its
+# stability boundary comes no nearer to the origin than about 2.61, near
+# 122 degrees; tests/test_tuning.py proves the disk), so a candidate whose
+# every |lambda| * dt * STEP_HEADROOM lies below it needs no `rk4_growth`
+RK4_DISK_RADIUS = 2.5
+
+
+def _admissible(lam: np.ndarray, dt: float) -> bool:
+    """Whether a candidate's closed-loop eigenvalues pass the tuner's screen:
+    every real part below STABILITY_MARGIN, and a step STEP_HEADROOM times
+    dt damping every mode (`rk4_growth` < 0, skipped when the whole
+    spectrum lies inside the RK4_DISK_RADIUS half-disk)."""
+    # `eigenvalues` sorts by real part, descending
+    if lam[0].real >= STABILITY_MARGIN:
+        return False
+    step = dt * STEP_HEADROOM
+    return bool(abs(lam).max() * step < RK4_DISK_RADIUS or rk4_growth(lam, step) < 0.0)
 
 
 def _default_bounds() -> dict[str, tuple[float, float]]:
@@ -150,8 +177,9 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
     when they were built, so a bad box or horizon raises InvariantViolation
     from `TuneSpec`, not from here.
     """
-    scenario = spec.scenario()
-    plant = assemble_plant(params)
+    open_loop = augment_plant(assemble_plant(params))
+    evaluate = ise_evaluator(open_loop, spec.scenario(), include_ft=spec.eta_include_ft)
+    kig = params.wind.Kig
 
     active = list(GAIN_ORDER) if params.include_solar else list(GAIN_ORDER[:4])
     x = [
@@ -167,15 +195,8 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
             return cache[key]
         if len(cache) >= cap:
             raise _OutOfBudget
-        model = close_loop(plant, ControllerGains(*key), params.wind.Kig)
-        lam = eigenvalues(model.a)
-        if (
-            float(np.max(lam.real)) >= STABILITY_MARGIN
-            or rk4_growth(lam, spec.dt * STEP_HEADROOM) >= 0.0
-        ):
-            c = math.inf
-        else:
-            c = step_ise(model, scenario, include_ft=spec.eta_include_ft)
+        a, _ = closed_loop_matrix(open_loop.a, open_loop.b, ControllerGains(*key), kig)
+        c = evaluate(a) if _admissible(eigenvalues(a), spec.dt) else math.inf
         cache[key] = c
         return c
 

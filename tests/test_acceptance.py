@@ -92,15 +92,15 @@ def test_tuner_search_path(default_params, tuned, monkeypatch):
     ok = gains == ControllerGains(**expected)
     ok = ok and eta == pytest.approx(1.0544345933961472e-05, rel=1e-9)
 
-    # the rerun must close exactly the budget's worth of candidate loops
+    # the rerun must fill exactly the budget's worth of candidate loops
     built = []
-    real_close = hybridlfc.tuning.close_loop
+    real_fill = hybridlfc.tuning.closed_loop_matrix
 
-    def counting_close(plant, gains, kig):
+    def counting_fill(abar, bbar, gains, kig):
         built.append(gains)
-        return real_close(plant, gains, kig)
+        return real_fill(abar, bbar, gains, kig)
 
-    monkeypatch.setattr(hybridlfc.tuning, "close_loop", counting_close)
+    monkeypatch.setattr(hybridlfc.tuning, "closed_loop_matrix", counting_fill)
     spec = hybridlfc.tuning.TuneSpec(dpiw=0.01, dpis=0.01, eta_include_ft=True)
     ok = ok and hybridlfc.tuning.tune_gains(default_params, spec) == (gains, eta)
     ok = ok and len(built) == 300

@@ -1,6 +1,8 @@
 import cmath
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hybridlfc.assembly import (
     ControllerGains,
     SystemParams,
     assemble_plant,
+    augment_plant,
     build_closed_loop,
     output_map,
 )
@@ -18,6 +21,7 @@ from hybridlfc.engine import (
     Step,
     integrate,
     ise,
+    ise_evaluator,
     rk4_growth,
     step_ise,
     steady_state,
@@ -30,7 +34,7 @@ from hybridlfc.errors import (
     SingularSystem,
     UnstableStepSize,
 )
-from hybridlfc.lti import StateSpaceModel
+from hybridlfc.lti import StateSpaceModel, eigenvalues
 from hybridlfc.solar import SolarChannelParams
 
 
@@ -447,6 +451,16 @@ class TestStepIse:
         with pytest.raises(NonFiniteState):
             step_ise(model, sc)
 
+    def test_overflowing_forcing_reported(self, default_params, stable_gains):
+        # a step of 1e308 overflows G p in the set-up; the failure is a
+        # NonFiniteState, not a numpy warning
+        model = build_closed_loop(default_params, stable_gains)
+        sc = Scenario(t_end=1.0, dt=0.01, disturbances={"dPl": Step(1e308, 0.5)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState):
+                step_ise(model, sc)
+
     def test_overflowing_propagators_reported(self, default_params):
         # a gain of -1e300 overflows P and Q themselves, before any step; the
         # failure is a NonFiniteState, not a numpy warning
@@ -456,6 +470,77 @@ class TestStepIse:
             integrate(model, sc)
         with pytest.raises(NonFiniteState):
             step_ise(model, sc)
+
+
+def random_stable_loops(params, dt, count, seed):
+    """Closed loops under random gains whose spectrum decays and which an
+    RK4 step of dt damps."""
+    rng = np.random.default_rng(seed)
+    loops = []
+    while len(loops) < count:
+        model = build_closed_loop(params, ControllerGains(*rng.uniform(0.0, 30.0, 6)))
+        lam = eigenvalues(model.a)
+        if lam[0].real < -1e-3 and rk4_growth(lam, dt) < 0.0:
+            loops.append(model)
+    return loops
+
+
+class TestIseEvaluator:
+    """One set-up per scenario, one evaluation per state matrix: bit for bit
+    `step_ise`, and the stepped index to rounding."""
+
+    X0 = np.linspace(0.01, -0.02, 12)
+    SCENARIOS = {
+        "no_onset": Scenario(t_end=8.0, dt=0.01, controls={"dPcd": 0.002}, x0=X0),
+        "one_onset": Scenario(t_end=8.0, dt=0.01, disturbances={"dPl": Step(0.01, 1.0)}),
+        "three_onsets": Scenario(
+            t_end=8.0,
+            dt=0.01,
+            disturbances={
+                "dPl": Step(0.01, 0.0),
+                "dPiw": Step(-0.004, 2.5),
+                "dPis": Step(0.006, 8.0),
+            },
+            controls={"dPcd": 0.002, "us": -0.001},
+            x0=X0,
+        ),
+    }
+
+    @pytest.mark.parametrize("include_ft", [False, True])
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_matches_step_ise_and_the_trace(self, default_params, name, include_ft):
+        sc = self.SCENARIOS[name]
+        evaluate = ise_evaluator(augment_plant(assemble_plant(default_params)), sc, include_ft)
+        loops = random_stable_loops(default_params, sc.dt, 6, seed=4100)
+        # one set-up serves every loop in turn, with nothing carried over
+        for model in loops + loops[::-1]:
+            got = evaluate(model.a)
+            assert got == step_ise(model, sc, include_ft=include_ft)
+            want = ise(integrate(model, sc), include_ft=include_ft)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_threads_share_one_evaluator(self, default_params):
+        # each evaluation allocates its own T: threads sharing one evaluator
+        # get the serial results bit for bit
+        sc = self.SCENARIOS["three_onsets"]
+        evaluate = ise_evaluator(augment_plant(assemble_plant(default_params)), sc, True)
+        loops = random_stable_loops(default_params, sc.dt, 8, seed=77)
+        serial = [evaluate(m.a) for m in loops]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(evaluate, m.a) for m in loops * 8]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert got == serial * 8
+
+    def test_rejects_a_misshapen_state_matrix(self, default_params):
+        sc = self.SCENARIOS["one_onset"]
+        evaluate = ise_evaluator(augment_plant(assemble_plant(default_params)), sc)
+        with pytest.raises(DimensionMismatch):
+            evaluate(assemble_plant(default_params).a)
 
 
 class TestSteadyState:

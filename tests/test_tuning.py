@@ -1,8 +1,11 @@
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import hybridlfc.engine
 import hybridlfc.tuning
 from hybridlfc.assembly import ControllerGains, SystemParams, build_closed_loop
 from hybridlfc.engine import integrate, ise, rk4_growth, step_ise
@@ -10,9 +13,11 @@ from hybridlfc.errors import InvariantViolation, NoStableGainsFound
 from hybridlfc.lti import eigenvalues
 from hybridlfc.tuning import (
     GAIN_ORDER,
+    RK4_DISK_RADIUS,
     STABILITY_MARGIN,
     STEP_HEADROOM,
     TuneSpec,
+    _admissible,
     tune_gains,
 )
 
@@ -50,6 +55,88 @@ class TestSpec:
             TuneSpec(onset=50.0, t_end=30.0)
         with pytest.raises(InvariantViolation):
             TuneSpec(t_end=1e300, dt=1e-10)
+
+
+def _polymul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _polyadd(p, q):
+    n = max(len(p), len(q))
+    return [sum(c[i] if i < len(c) else 0 for c in (p, q)) for i in range(n)]
+
+
+def rk4_factor(z):
+    return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+
+class TestStepHeadroomDisk:
+    """The screen's shortcut: RK4 damps every mode in the open left
+    half-disk |z| < RK4_DISK_RADIUS, so no `rk4_growth` is needed there."""
+
+    def test_rk4_damps_the_open_left_half_disk(self):
+        # R(z) is a polynomial, so by the maximum-modulus principle |R| takes
+        # its maximum over the closed half-disk {|z| <= r, Re z <= 0} on the
+        # boundary and stays strictly below it inside: |R| <= 1 on the
+        # boundary gives |R| < 1 on the open half-disk
+        r = RK4_DISK_RADIUS
+        assert r == 2.5
+
+        # the imaginary-axis segment, in exact arithmetic: R(iy) has real
+        # part 1 - y^2/2 + y^4/24 and imaginary part y - y^3/6, and
+        # |R(iy)|^2 = 1 - y^6/72 + y^8/576 = 1 - y^6 (8 - y^2)/576 <= 1
+        # for y^2 <= 8, which covers |y| <= r
+        re = [Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(0), Fraction(1, 24)]
+        im = [Fraction(0), Fraction(1), Fraction(0), Fraction(-1, 6)]
+        squared = _polyadd(_polymul(re, re), _polymul(im, im))
+        assert squared == [1, 0, 0, 0, 0, 0, Fraction(-1, 72), 0, Fraction(1, 576)]
+        assert r * r <= 8
+
+        # the arc |z| = r, Re z <= 0, sampled densely: between samples |R|
+        # moves by at most max|R'| times half the spacing along the arc,
+        # and |R'(z)| = |1 + z + z^2/2 + z^3/6| <= 1 + r + r^2/2 + r^3/6
+        samples = 200_001
+        theta = np.linspace(math.pi / 2, 3 * math.pi / 2, samples)
+        peak = float(np.max(np.abs(rk4_factor(r * np.exp(1j * theta)))))
+        lipschitz = 1 + r + r**2 / 2 + r**3 / 6
+        spacing = math.pi * r / (samples - 1)
+        assert peak + lipschitz * spacing / 2 < 1.0
+        assert peak == pytest.approx(0.8727, abs=1e-4)  # near 122 and 238 degrees
+        # (test_engine pins the boundary itself: radius 2.616 at 122.7 degrees)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shortcut_implies_damping(self, seed):
+        # whenever the shortcut passes a spectrum, rk4_growth agrees; draws
+        # crowd the arc and the imaginary axis, where R comes nearest to 1,
+        # and some fall outside the disk so the full check runs too
+        rng = np.random.default_rng(5300 + seed)
+        passed = refused = 0
+        for _ in range(2000):
+            dt = 10.0 ** rng.uniform(-4.0, -1.0)
+            step = dt * STEP_HEADROOM
+            k = int(rng.integers(1, 7))
+            rad = RK4_DISK_RADIUS * (1.0 - rng.uniform(0.0, 1.0, k) ** 3) * rng.uniform(0.9, 1.1)
+            ang = math.pi / 2 + rng.uniform(0.0, 1.0, k) ** 4 * math.pi / 2
+            z = rad * np.exp(1j * ang)
+            lam = np.concatenate([z, z.conj()]) / step
+            lam = lam.real + STABILITY_MARGIN * rng.uniform(1.0, 2.0, lam.size) + 1j * lam.imag
+            lam = lam[np.lexsort((-lam.imag, -lam.real))]  # as `eigenvalues` orders
+            growth = rk4_growth(lam, step)
+            shortcut = float(np.max(np.abs(lam))) * step < RK4_DISK_RADIUS
+            if shortcut:
+                passed += 1
+                assert growth < 0.0
+            refused += growth >= 0.0
+            assert _admissible(lam, dt) == (growth < 0.0)
+        assert 500 < passed < 2000 and refused > 0
+
+    def test_unstable_spectrum_refused_inside_the_disk(self):
+        lam = np.array([1e-7 + 0.0j, -1.0 + 0.0j])
+        assert not _admissible(lam, 0.005)
 
 
 class TestSearch:
@@ -131,19 +218,35 @@ class TestSearch:
     def test_default_search_path(
         self, default_params, monkeypatch, per_loop, expected, eta, closed
     ):
-        # the default spec at its budget of 300, pinned like the acceptance spec
+        # the default spec at its budget of 300, pinned like the acceptance
+        # spec; each candidate fills its Ahat exactly once
         built = []
-        real_close = hybridlfc.tuning.close_loop
+        real_fill = hybridlfc.tuning.closed_loop_matrix
 
-        def counting_close(plant, gains, kig):
+        def counting_fill(abar, bbar, gains, kig):
             built.append(gains)
-            return real_close(plant, gains, kig)
+            return real_fill(abar, bbar, gains, kig)
 
-        monkeypatch.setattr(hybridlfc.tuning, "close_loop", counting_close)
+        monkeypatch.setattr(hybridlfc.tuning, "closed_loop_matrix", counting_fill)
         gains, got = tune_gains(default_params, TuneSpec(per_loop=per_loop))
         assert gains.as_tuple() == expected
         assert got == pytest.approx(eta, rel=1e-9)
         assert len(built) == closed
+
+    @pytest.mark.parametrize("per_loop", [False, True], ids=["joint", "per_loop"])
+    def test_scenario_set_up_once_per_run(self, default_params, monkeypatch, per_loop):
+        # the input bookkeeping belongs to the run, not to each candidate:
+        # one `_inputs` call serves every search group
+        calls = []
+        real_inputs = hybridlfc.engine._inputs
+
+        def counting_inputs(model, scenario):
+            calls.append(scenario)
+            return real_inputs(model, scenario)
+
+        monkeypatch.setattr(hybridlfc.engine, "_inputs", counting_inputs)
+        tune_gains(default_params, replace(QUICK, per_loop=per_loop))
+        assert len(calls) == 1
 
     def test_per_loop_mode(self, default_params):
         spec = replace(QUICK, per_loop=True, budget=90)
@@ -166,25 +269,31 @@ class TestSearch:
 
     @pytest.mark.parametrize("include_solar", [True, False])
     def test_costs_match_a_fresh_build(self, default_params, include_solar, monkeypatch):
-        # the plant is assembled once per run; every cost must equal one
-        # computed from a closed loop built from scratch for its gains
+        # the plant and the index's set-up are made once per run; every cost
+        # must equal one computed from a closed loop built from scratch for
+        # its gains
         params = replace(default_params, include_solar=include_solar)
         spec = replace(QUICK, budget=40)
         gains_seen, costed = [], []
-        real_close = hybridlfc.tuning.close_loop
-        real_cost = hybridlfc.tuning.step_ise
+        real_fill = hybridlfc.tuning.closed_loop_matrix
+        real_setup = hybridlfc.tuning.ise_evaluator
 
-        def recording_close(plant, gains, kig):
+        def recording_fill(abar, bbar, gains, kig):
             gains_seen.append(gains)
-            return real_close(plant, gains, kig)
+            return real_fill(abar, bbar, gains, kig)
 
-        def recording_cost(model, scenario, include_ft=False):
-            cost = real_cost(model, scenario, include_ft=include_ft)
-            costed.append((gains_seen[-1], cost))
-            return cost
+        def recording_setup(model, scenario, include_ft=False):
+            evaluate = real_setup(model, scenario, include_ft=include_ft)
 
-        monkeypatch.setattr(hybridlfc.tuning, "close_loop", recording_close)
-        monkeypatch.setattr(hybridlfc.tuning, "step_ise", recording_cost)
+            def recording_cost(a):
+                cost = evaluate(a)
+                costed.append((gains_seen[-1], cost))
+                return cost
+
+            return recording_cost
+
+        monkeypatch.setattr(hybridlfc.tuning, "closed_loop_matrix", recording_fill)
+        monkeypatch.setattr(hybridlfc.tuning, "ise_evaluator", recording_setup)
         tune_gains(params, spec)
         assert len(gains_seen) == 40 and len(costed) > 20
         for gains, cost in costed:
