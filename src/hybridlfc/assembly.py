@@ -297,10 +297,14 @@ def close_loop(plant: StateSpaceModel, gains: ControllerGains, kig: float) -> St
     Augments the plant as `augment_plant` does, builds H and applies
     u = H x: Ahat = Abar + Bbar H (`closed_loop_matrix`), the disturbance
     matrix untouched. Raises OrderingMismatch unless the plant carries
-    the assembled state and control orderings.
+    the assembled state and control orderings, and NonFiniteState when
+    extreme gains and constants overflow Ahat.
     """
     abar, bbar, gbar = _augmented(plant)
-    a, h = closed_loop_matrix(abar, bbar, gains, kig)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, h = closed_loop_matrix(abar, bbar, gains, kig)
+    if not np.isfinite(a).all():
+        raise NonFiniteState("closed-loop state matrix is not finite")
     return StateSpaceModel(
         a=a,
         b=bbar,

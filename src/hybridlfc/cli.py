@@ -27,13 +27,129 @@ from .tuning import GAIN_ORDER, STABILITY_MARGIN, tune_gains
 __all__ = ["main"]
 
 
-def _csv_rows(data: np.ndarray) -> list[str]:
-    """Each row of a 2-D array as one line of %.8e values, the same bytes
-    as joining f"{x:.8e}" per value but with one format call per row."""
-    row = ",".join(["%.8e"] * data.shape[1])
-    # row by row: data.tolist() would hold every value of a long trace
-    # as a Python float at once
-    return [row % tuple(r.tolist()) for r in data]
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """`_csv`'s tables, built on first use: exact powers of ten to multiply
+    and to divide by, at index e + 16 for the decimal exponents e in
+    [-16, 32], and pieces of text four bytes long, each read as one uint32."""
+    exps = range(-16, 33)
+    # 10**k is exact in a double up to k = 22; a factor of 1.0 leaves an
+    # exponent outside [-14, 30] off the mantissa range, so it falls back
+    mul = np.array([float(10 ** (8 - e)) if 8 - e in range(23) else 1.0 for e in exps])
+    div = np.array([float(10 ** (e - 8)) if e - 8 in range(23) else 1.0 for e in exps])
+
+    def words(texts):
+        return np.frombuffer(b"".join(texts), np.uint32)
+
+    def digits(width):
+        # the strings "0...0" ... "9...9" written digit by digit in place,
+        # many times faster than formatting each and with no temporary
+        grid = np.empty((10,) * width + (width,), np.uint8)
+        for k in range(width):
+            column = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+            grid[..., k] = column.reshape((10,) + (1,) * (width - 1 - k))
+        return grid.reshape(-1, width)
+
+    head = words(b"%s%d.%d" % (sign, n // 10, n % 10) for sign in (b"\0", b"-") for n in range(100))
+    four = digits(4)
+    three = np.column_stack([digits(3), np.full(1000, ord("e"), np.uint8)])
+    expo = words(b"%+03d," % e for e in exps)
+    return mul, div, head, four.view(np.uint32).ravel(), three.view(np.uint32).ravel(), expo
+
+
+def _mantissas(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each value of a float array: its 9-digit decimal mantissa,
+    rounded, plus 1e9 when its sign bit is set; the index e + 16 of its
+    decimal exponent e; and whether the two give its `"%.8e"` text. Zero
+    reads as mantissa 0 at e = 0.
+
+    For |x| in [1e-14, 1e31) the exponent has |8 - e| <= 22, so the
+    mantissa m = |x|*10**(8-e) comes from one correctly rounded multiply or
+    divide by an exact power of ten. It lies within ulp(m)/2 <= 2**-24 of
+    the true one and rounds to the same integer unless it is within 2e-7
+    of a half. (A computed m of 1e8 whose true value lies just below prints
+    1.00000000e(e) either way.) Those values, the ones whose m rounds up to
+    1e9, and every other nonzero value are left to Python.
+    """
+    mul, div = _tables()[:2]
+    a = np.abs(data)
+    exact = (a >= 1e-14) & (a < 1e31)
+    a[~exact] = 1.0  # keeps log10 and the scaling finite and quiet
+    j = np.log10(a)
+    j += 16.0
+    j = j.astype(np.intp)  # e + 16, e = floor(log10|x|)
+    m = mul[j]
+    m *= a
+    m /= div[j]
+    # log10 can put e one off near a power of ten, and m within 0.5 of 1e9
+    # would round into the next decade
+    off = np.nonzero((m < 1e8) | (m >= 1e9 - 0.5))
+    if off[0].size:
+        mo = m[off]
+        jo = j[off] + (mo >= 1e9 - 0.5) - (mo < 1e8)
+        mo = a[off] * mul[jo] / div[jo]
+        j[off], m[off] = jo, mo
+        exact[off] &= (mo >= 1e8) & (mo < 1e9 - 0.5)
+    r = np.rint(m, out=a)  # |x| is spent; its array takes the rounded m
+    m -= r
+    exact &= np.abs(m, out=m) < 0.5 - 2e-7
+    r *= exact
+    r[np.signbit(data)] += 1e9
+    return r.astype(np.int32), j, exact | (data == 0.0)
+
+
+def _slots(data: np.ndarray, flags: np.ndarray | None) -> np.ndarray:
+    """The CSV text of the rows of a 2-D float array, each value the text of
+    `"%.8e" % x` and each row ended by `,<flag>` when `flags` (one digit a
+    row) is given, in 20-byte slots padded with zero bytes.
+
+    A value's slot holds four table words, "-d.d", "dddd", "ddde" and
+    "+XX,", from its `_mantissas`, and a spare; Python's text replaces the
+    rest. The zero bytes are the sign of a value without one and the spare.
+    """
+    _, _, head, four, three, expo = _tables()
+    rows, cols = data.shape
+    n, j, exact = _mantissas(data)
+    n, low = np.divmod(n, 1000)
+    n, mid = np.divmod(n, 10_000)  # n < 200 picks the sign and two digits
+
+    words = np.zeros((rows, cols + (flags is not None), 5), np.uint32)
+    words[:, :cols, 0] = head[n]
+    words[:, :cols, 1] = four[mid]
+    words[:, :cols, 2] = three[low]
+    words[:, :cols, 3] = expo[j]
+    slots = words.view(np.uint8).reshape(rows, -1, 20)
+    if flags is not None:
+        slots[:, -1, 0] = flags + ord("0")
+    # each row's last slot ends in a newline, the last row's in nothing
+    slots[:, -1, 15] = ord("\n")
+    slots[-1, -1, 15] = 0
+    fall = np.nonzero(~exact)
+    if fall[0].size:
+        # Python's text, up to 16 bytes, with the separator moved past it
+        texts = b"".join([(b"%.8e" % x).ljust(16, b"\0") for x in data[fall].tolist()])
+        cells = slots[fall]
+        cells[:, 16] = cells[:, 15]
+        cells[:, :16] = np.frombuffer(texts, np.uint8).reshape(-1, 16)
+        slots[fall] = cells
+    return slots
+
+
+# rows `_csv` formats at once: its temporaries, about 100 bytes a value,
+# stay a few MB whatever the length of the trace
+CSV_BLOCK = 4096
+
+
+def _csv(data: np.ndarray, flags: np.ndarray | None = None) -> list[str]:
+    """The CSV lines of a 2-D float array's rows (see `_slots`), joined by
+    newlines in blocks of CSV_BLOCK rows."""
+    return [
+        _slots(data[i : i + CSV_BLOCK], None if flags is None else flags[i : i + CSV_BLOCK])
+        .tobytes()
+        .translate(None, b"\0")
+        .decode("ascii")
+        for i in range(0, len(data), CSV_BLOCK)
+    ]
 
 
 def _cmd_simulate(cfg: Config) -> list[str]:
@@ -44,7 +160,7 @@ def _cmd_simulate(cfg: Config) -> list[str]:
     data = np.column_stack(
         [trace.times, trace.states] + [trace.outputs[lbl] for lbl in outs.labels]
     )
-    return [header, *_csv_rows(data)]
+    return [header, *_csv(data)]
 
 
 def _cmd_steady(cfg: Config) -> list[str]:
@@ -73,18 +189,17 @@ def _cmd_tune(cfg: Config) -> list[str]:
 
 
 def _cmd_pvcurve(cfg: Config) -> list[str]:
-    volts, amps, (vm, im, pm) = pv_curve(cfg.pv, cfg.pv_v_step)
-    rows = [[v, i, v * i, 0] for v, i in zip(volts, amps)]
-    # flag the grid row at exactly vm (the dark cell's V = 0), else insert one
+    volts, amps, (vm, im, _) = pv_curve(cfg.pv, cfg.pv_v_step)
+    # flag the grid row at exactly vm (the dark cell's V = 0), else insert
+    # one; its power vm*im is the point's own pm
     at = bisect.bisect_left(volts, vm)
-    if at < len(volts) and volts[at] == vm:
-        rows[at][3] = 1
-    else:
-        rows.insert(at, [vm, im, pm, 1])
-
-    lines = ["V,I,P,mpp"]
-    lines.extend("%.8e,%.8e,%.8e,%d" % tuple(row) for row in rows)
-    return lines
+    if at == len(volts) or volts[at] != vm:
+        volts.insert(at, vm)
+        amps.insert(at, im)
+    v, i = np.array(volts), np.array(amps)
+    flags = np.zeros(len(v), np.uint8)
+    flags[at] = 1
+    return ["V,I,P,mpp", *_csv(np.column_stack([v, i, v * i]), flags)]
 
 
 _COMMANDS = {
@@ -140,8 +255,8 @@ def main(argv=None) -> int:
                 cfg, system=replace(cfg.system, include_solar=args.include_solar == "true")
             )
 
-        lines = _COMMANDS[args.command](cfg)
-        payload = "\n".join(lines) + "\n"
+        # one copy of the text: the lines are dropped once joined
+        payload = "\n".join([*_COMMANDS[args.command](cfg), ""])
         if args.out is None:
             sys.stdout.write(payload)
         else:

@@ -60,9 +60,10 @@ __all__ = [
     "ise",
 ]
 
-# `integrate` stores every row, and `simulate` holds about 0.8 kB per row
-# in states, forcing and CSV text, so this keeps a run near 1.6 GB; the
-# default 60 s / 1 ms scenario has 60 001 rows
+# `integrate` stores every row: a 600 001-row `simulate --out` peaked at
+# 340-480 MB of resident memory across runs, at most 0.8 kB a row in the
+# trace, its value matrix and the CSV text, so this keeps a run under
+# 1.6 GB; the default 60 s / 1 ms scenario has 60 001 rows
 MAX_ROWS = 2_000_000
 
 
@@ -389,7 +390,8 @@ def steady_state(
 
     Uses a partial-pivoting direct solve after rejecting systems whose
     smallest singular value falls below 1e-12 of the largest (free
-    integrators, for instance, make the equilibrium non-unique).
+    integrators, for instance, make the equilibrium non-unique). Raises
+    NonFiniteState when the equilibrium overflows.
     """
     a, b, g = model.a, model.b, model.g
     u = _input_vector(controls or {}, model.control_labels, "control")
@@ -400,7 +402,14 @@ def steady_state(
         raise SingularSystem(
             "state matrix is rank deficient; no unique equilibrium exists"
         )
-    return np.linalg.solve(a, -(b @ u + g @ p))
+    # a well-conditioned A can still map extreme inputs past the double
+    # range, in G p or in the solve, where LAPACK flags nothing; the check
+    # on the result catches both
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.linalg.solve(a, -(b @ u + g @ p))
+    if not np.isfinite(x).all():
+        raise NonFiniteState("equilibrium state is not finite")
+    return x
 
 
 def ise(trace: SimulationTrace, include_ft: bool = False) -> float:

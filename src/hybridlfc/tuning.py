@@ -34,7 +34,7 @@ from .assembly import (
     closed_loop_matrix,
 )
 from .engine import Scenario, Step, ise_evaluator, rk4_growth
-from .errors import InvariantViolation, NoStableGainsFound
+from .errors import InvalidArgument, InvariantViolation, NoStableGainsFound
 from .lti import eigenvalues
 
 __all__ = ["GAIN_ORDER", "TuneSpec", "tune_gains"]
@@ -166,11 +166,11 @@ def _descend(cost, x, names, bounds):
 def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, float]:
     """Best-found controller gains and their performance index.
 
-    Candidates whose closed loop has any eigenvalue real part above the
-    stability margin cost infinity, as do candidates on which a step
-    STEP_HEADROOM times the evaluation step would leave a decaying mode
-    undamped, so every accepted iterate is a stable design that the
-    evaluation step resolves with room to spare. The
+    Candidates whose Ahat overflows, or whose closed loop has any
+    eigenvalue real part above the stability margin, cost infinity, as do
+    candidates on which a step STEP_HEADROOM times the evaluation step
+    would leave a decaying mode undamped, so every accepted iterate is a
+    stable design that the evaluation step resolves with room to spare. The
     search is deterministic: rerunning with the same inputs returns
     bit-identical gains. Raises NoStableGainsFound when nothing stable
     turns up within the budget. `params` and `spec` checked themselves
@@ -196,7 +196,11 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
         if len(cache) >= cap:
             raise _OutOfBudget
         a, _ = closed_loop_matrix(open_loop.a, open_loop.b, ControllerGains(*key), kig)
-        c = evaluate(a) if _admissible(eigenvalues(a), spec.dt) else math.inf
+        try:
+            admissible = _admissible(eigenvalues(a), spec.dt)
+        except InvalidArgument:  # eigenvalues refuses an Ahat that overflowed
+            admissible = False
+        c = evaluate(a) if admissible else math.inf
         cache[key] = c
         return c
 
@@ -204,13 +208,16 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
     # the last capped at an equal share of the budget
     groups = [active[i : i + 2] for i in range(0, len(active), 2)] if spec.per_loop else [active]
     share = max(spec.budget // len(groups), 1)
-    for i, names in enumerate(groups):
-        last = i == len(groups) - 1
-        cap = spec.budget if last else min(spec.budget, len(cache) + share)
-        try:
-            _descend(cost, x, names, spec.bounds)
-        except _OutOfBudget:
-            pass
+    # extreme gains can overflow Ahat; such a candidate costs infinity, and
+    # one errstate for the whole search keeps numpy from warning about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, names in enumerate(groups):
+            last = i == len(groups) - 1
+            cap = spec.budget if last else min(spec.budget, len(cache) + share)
+            try:
+                _descend(cost, x, names, spec.bounds)
+            except _OutOfBudget:
+                pass
 
     eta = cache[tuple(x)]
     if not math.isfinite(eta):

@@ -1,12 +1,15 @@
 import re
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridlfc.assembly import build_closed_loop, output_map
-from hybridlfc.cli import _csv_rows, main
+from hybridlfc.cli import CSV_BLOCK, _csv, main
 from hybridlfc.config import DEFAULTS, parse_config
 from hybridlfc.engine import integrate, ise
 from hybridlfc.solar import (
@@ -67,13 +70,55 @@ class TestCsvRows:
 
     def test_edge_values_match_per_value_format(self):
         data = np.array(self.EDGES).reshape(4, 4)
-        assert _csv_rows(data) == per_value_csv(data)
-        assert _csv_rows(data.T) == per_value_csv(data.T)
+        assert "\n".join(_csv(data)) == "\n".join(per_value_csv(data))
+        assert "\n".join(_csv(data.T)) == "\n".join(per_value_csv(data.T))
 
     def test_random_magnitudes_match_per_value_format(self):
         rng = np.random.default_rng(5)
         data = rng.standard_normal((50, 16)) * 10.0 ** rng.integers(-310, 308, (50, 16))
-        assert _csv_rows(data) == per_value_csv(data)
+        assert "\n".join(_csv(data)) == "\n".join(per_value_csv(data))
+
+    def test_blocks_join_to_every_row(self):
+        rng = np.random.default_rng(6)
+        rows = 2 * CSV_BLOCK + 1
+        data = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-30, 30, (rows, 2))
+        flags = rng.integers(0, 2, rows)
+        blocks = _csv(data, flags)
+        assert len(blocks) == 3
+        lines = [f"{line},{flag}" for line, flag in zip(per_value_csv(data), flags)]
+        assert "\n".join(blocks) == "\n".join(lines)
+
+    # any 64-bit pattern (subnormals, nan and inf among them), signed zeros,
+    # the powers of ten 1e-320 ... 1e308 and their neighbours, where log10
+    # can put the exponent one off, mantissas exactly half-way between two
+    # 9-digit ones, and mantissas that round up to 1e9
+    DOUBLES = st.one_of(
+        st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]),
+        st.sampled_from([0.0, -0.0]),
+        st.integers(-320, 308).map(lambda k: float(f"1e{k}")),
+        st.builds(
+            lambda k, toward: float(np.nextafter(float(f"1e{k}"), toward)),
+            st.integers(-320, 308),
+            st.sampled_from([0.0, np.inf]),
+        ),
+        st.builds(
+            lambda n, k, sign: sign * (n + 0.5) * 10.0**k,
+            st.integers(10**8, 10**9 - 1),
+            st.integers(0, 6),
+            st.sampled_from([1.0, -1.0]),
+        ),
+        st.builds(lambda k: 0.5 * 10.0**k, st.integers(0, 22)),
+        st.builds(
+            lambda tail, k: float(f"9.99999999{tail}e{k}"), st.integers(50, 99), st.integers(-320, 307)
+        ),
+    )
+
+    @given(st.lists(DOUBLES, min_size=1, max_size=40))
+    @settings(max_examples=300)
+    def test_matches_percent_format(self, values):
+        cells = ["%.8e" % x for x in values]
+        assert _csv(np.array([values])) == [",".join(cells)]
+        assert _csv(np.array(values)[:, None]) == ["\n".join(cells)]
 
     def test_simulate_output_matches_per_value_format(self, capsys, tmp_path):
         # quiet all-zero rows up to the 0.5 s onset, then a response
@@ -226,7 +271,7 @@ def two_pass_pvcurve(p, v_step, mpp):
     on the grid row at exactly vm or inserted in voltage order."""
     voc = open_circuit_voltage(p)
     grid = [i * v_step for i in range(voltage_grid_points(voc, v_step))]
-    rows = [[v, solve_pv_current(p, v), v * solve_pv_current(p, v), 0] for v in grid]
+    rows = [[v, i, v * i, 0] for v, i in ((v, solve_pv_current(p, v)) for v in grid)]
 
     vm, im, pm = mpp
     at = next((j for j, row in enumerate(rows) if row[0] >= vm), len(rows))
@@ -272,6 +317,16 @@ class TestPvCurveOutput:
         assert pm >= gp * (1.0 - 1e-13)
         assert abs(vm - gv) <= 1e-6
         assert abs(dp_dv(cfg.pv, vm, im)) <= 1e-13 * im
+
+    def test_fine_grid_matches_two_pass_reference(self, capsys, tmp_path):
+        text = "pv.v_step = 1e-5\n"
+        code, out, err = run_cli(capsys, tmp_path, "pvcurve", text)
+        assert code == 0 and err == ""
+        cfg = parse_config(text)
+        lines = two_pass_pvcurve(cfg.pv, cfg.pv_v_step, pv_curve(cfg.pv, cfg.pv_v_step)[2])
+        # the header, 69 405 grid rows and the maximum power point between two
+        assert len(lines) == 1 + 69_405 + 1
+        assert out == "\n".join(lines) + "\n"
 
 
 class TestFailureModes:
@@ -391,6 +446,42 @@ class TestFailureModes:
         assert code == 3 and out == ""
         assert err.startswith("error: NoConvergence: series-resistance drop")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, text, line",
+        [
+            # the equilibrium overflows although A is well conditioned
+            (
+                "steady",
+                "diesel.Td3 = 1e-10\nscenario.dPiw = 1e300\n",
+                "error: NonFiniteState: equilibrium state is not finite\n",
+            ),
+            # so does G p, one key above the gate's 1e300
+            (
+                "steady",
+                "scenario.dPl = 1.7e308\n",
+                "error: NonFiniteState: equilibrium state is not finite\n",
+            ),
+            # Ahat = Abar + Bbar H overflows in the matmul
+            (
+                "eigen",
+                "gains.Kdi = -1e300\ndiesel.Td2 = 1e-10\n",
+                "error: NonFiniteState: closed-loop state matrix is not finite\n",
+            ),
+            # the tuner costs each overflowing candidate as unstable and
+            # finishes its search
+            (
+                "tune",
+                "diesel.Td3 = 1e-300\nwind.Kp2 = 1e10\ntune.Kpp_min = -1e300\n",
+                "error: NoStableGainsFound: no stable gain set found within 300 evaluations\n",
+            ),
+        ],
+        ids=["steady_overflow", "steady_input_overflow", "closed_loop_overflow", "tune_candidate_overflow"],
+    )
+    def test_overflow_gives_one_error_line(self, capsys, tmp_path, command, text, line):
+        code, out, err = run_cli(capsys, tmp_path, command, text)
+        assert code == 3 and out == ""
+        assert err == line
 
     def test_unknown_command_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
