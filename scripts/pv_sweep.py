@@ -22,8 +22,8 @@ def sweep(cell: PvCellParams, v_step: float):
     # the sweep's grid runs on to the point past Voc when Voc lies in the
     # upper half of a step; pv_curve stops at Voc
     grid = np.arange(0.0, open_circuit_voltage(cell) + 0.5 * v_step, v_step)
-    amps += solve_pv_current(cell, grid[len(amps) :]).tolist()
-    return [(v, i, v * i) for v, i in zip(grid.tolist(), amps)], mpp
+    amps = np.concatenate([amps, solve_pv_current(cell, grid[len(amps) :])])
+    return [(v, i, v * i) for v, i in zip(grid.tolist(), amps.tolist())], mpp
 
 
 def run(args):

@@ -9,7 +9,6 @@ stderr, `error: <Class>: <message>`.
 from __future__ import annotations
 
 import argparse
-import bisect
 import functools
 import sys
 from dataclasses import replace
@@ -192,14 +191,13 @@ def _cmd_pvcurve(cfg: Config) -> list[str]:
     volts, amps, (vm, im, _) = pv_curve(cfg.pv, cfg.pv_v_step)
     # flag the grid row at exactly vm (the dark cell's V = 0), else insert
     # one; its power vm*im is the point's own pm
-    at = bisect.bisect_left(volts, vm)
+    at = int(np.searchsorted(volts, vm))
     if at == len(volts) or volts[at] != vm:
-        volts.insert(at, vm)
-        amps.insert(at, im)
-    v, i = np.array(volts), np.array(amps)
-    flags = np.zeros(len(v), np.uint8)
+        volts = np.concatenate((volts[:at], [vm], volts[at:]))
+        amps = np.concatenate((amps[:at], [im], amps[at:]))
+    flags = np.zeros(len(volts), np.uint8)
     flags[at] = 1
-    return ["V,I,P,mpp", *_csv(np.column_stack([v, i, v * i]), flags)]
+    return ["V,I,P,mpp", *_csv(np.column_stack([volts, amps, volts * amps]), flags)]
 
 
 _COMMANDS = {

@@ -10,7 +10,9 @@ stage evaluations collapse into two constant matrices,
 
 where c = B u + G p is the forcing over the step. This is algebraically
 identical to running the four stages and keeps the hot loop at one
-matrix-vector product per step.
+matrix-vector product per step. The step inputs cut the rows into
+stretches of constant forcing, which `_inputs` forms once for both
+`integrate` and `ise_evaluator`.
 
 The performance index needs no stepping at all. Over a stretch of rows
 with constant forcing the augmented state z = [x; 1] follows
@@ -61,9 +63,9 @@ __all__ = [
 ]
 
 # `integrate` stores every row: a 600 001-row `simulate --out` peaked at
-# 340-480 MB of resident memory across runs, at most 0.8 kB a row in the
-# trace, its value matrix and the CSV text, so this keeps a run under
-# 1.6 GB; the default 60 s / 1 ms scenario has 60 001 rows
+# 475 MB resident, about 0.8 kB a row, 0.15 kB of it the trace and the rest
+# its value matrix and CSV text, so this keeps a run under 1.6 GB; the
+# default 60 s / 1 ms scenario has 60 001 rows
 MAX_ROWS = 2_000_000
 
 
@@ -182,30 +184,32 @@ def rk4_growth(lam: np.ndarray, dt: float) -> float:
 
 
 def _inputs(model: StateSpaceModel, scenario: Scenario):
-    """Grid and input bookkeeping shared by `integrate` and `step_ise`.
-
-    Returns the row count, the constant control vector, one
-    (onset row, disturbance column, magnitude) triple per step, and the
-    initial state.
+    """What `integrate` and `ise_evaluator` need of the scenario: the row
+    count, the control vector u, the initial state and the schedule of
+    stretches of constant input. Row 0 and each distinct onset row start a
+    stretch; stretch i covers rows edges[i] .. edges[i+1] - 1, with
+    edges = [0, ..., rows], and holds ps[i] = p and forcings[i] = G p + B u.
+    An onset on the last row changes that row's derived outputs, no state.
     """
-    n, dlabels = model.n_states, model.disturbance_labels
-    dt = scenario.dt
+    dt, steps = scenario.dt, scenario.disturbances
     rows = int(math.floor(scenario.t_end / dt + 1e-9)) + 1
-    u_const = _input_vector(scenario.controls, model.control_labels, "control")
-    onsets = []
-    for lbl, step in scenario.disturbances.items():
-        if lbl not in dlabels:
-            raise InvalidArgument(f"unknown disturbance input '{lbl}'; model has {dlabels}")
-        onset_idx = int(math.floor(step.onset / dt + 1e-9))
-        onsets.append((onset_idx, dlabels.index(lbl), step.magnitude))
+    u = _input_vector(scenario.controls, model.control_labels, "control")
+    onset = {lbl: int(math.floor(step.onset / dt + 1e-9)) for lbl, step in steps.items()}
+    starts = sorted({0, *onset.values()})
+    active = [{lbl: s.magnitude for lbl, s in steps.items() if onset[lbl] <= r} for r in starts]
+    ps = np.array([_input_vector(a, model.disturbance_labels, "disturbance") for a in active])
+    # huge inputs can overflow here; the callers' finiteness checks report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        forcings = np.array([model.g @ p + model.b @ u for p in ps])
 
+    n = model.n_states
     if scenario.x0 is None:
         x = np.zeros(n)
     else:
         x = scenario.x0.reshape(-1)
         if x.shape != (n,):
             raise DimensionMismatch(f"initial state has length {x.size}, model has {n} states")
-    return rows, u_const, onsets, x
+    return rows, u, x, starts + [rows], ps, forcings
 
 
 def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> SimulationTrace:
@@ -218,11 +222,15 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
     A step that does not damp every decaying mode (`rk4_growth` >= 0)
     raises UnstableStepSize.
 
+    Each stretch of the `_inputs` schedule forms Q c once and steps its
+    rows with it, so beside the states the loop holds O(stretches).
+
     When an OutputMap is supplied its derived signals are evaluated along
     the trace, with controller outputs u = H x + u0 reconstructed when the
-    model carries a feedback matrix `h` (u = u0 otherwise).
+    model carries a feedback matrix `h` (u = u0 otherwise) and each
+    stretch's p added over its rows.
     """
-    a, b, g = model.a, model.b, model.g
+    a = model.a
     n = model.n_states
     dt = scenario.dt
 
@@ -233,27 +241,24 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
             "does not damp every decaying mode"
         )
 
-    rows, u_const, onsets, x = _inputs(model, scenario)
+    rows, u_const, x, edges, ps, forcings = _inputs(model, scenario)
     if rows > MAX_ROWS:
         raise InvariantViolation(
             f"scenario has {rows:.7g} rows, above the cap of {MAX_ROWS}; "
             "raise scenario.dt or lower scenario.t_end"
         )
     times = np.arange(rows) * dt
-    p_rows = np.zeros((rows, g.shape[1]))
-    for onset_idx, col, magnitude in onsets:
-        p_rows[onset_idx:, col] += magnitude
 
     states = np.empty((rows, n))
     states[0] = x
     # huge gains can overflow the propagators themselves; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         p_mat, q_mat = _propagators(a, dt)
-        # per-row forcing, already pushed through Q
-        qc = (p_rows @ g.T + b @ u_const) @ q_mat.T
-        for k in range(rows - 1):
-            x = p_mat @ x + qc[k]
-            states[k + 1] = x
+        # the steps leaving rows start .. stop - 1; the last row leaves none
+        for start, stop, qc in zip(edges, edges[1:], forcings @ q_mat.T):
+            for k in range(start + 1, min(stop + 1, rows)):
+                x = p_mat @ x + qc
+                states[k] = x
     if not np.all(np.isfinite(states)):
         raise NonFiniteState("simulation produced non-finite state values")
 
@@ -268,7 +273,9 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
             u_rows = states @ model.h.T + u_const
         else:
             u_rows = np.broadcast_to(u_const, (rows, len(u_const)))
-        y = states[:, :n_open] @ outputs.wx.T + u_rows @ outputs.wu.T + p_rows @ outputs.wp.T
+        y = states[:, :n_open] @ outputs.wx.T + u_rows @ outputs.wu.T
+        for start, stop, y_p in zip(edges, edges[1:], ps @ outputs.wp.T):
+            y[start:stop] += y_p
         out_cols = {lbl: y[:, j] for j, lbl in enumerate(outputs.labels)}
 
     return SimulationTrace(
@@ -305,33 +312,24 @@ def ise_evaluator(model: StateSpaceModel, scenario: Scenario, include_ft: bool =
         ise_evaluator(model, scenario, include_ft)(a)
             == step_ise(<model with state matrix a>, scenario, include_ft),
 
-    bit for bit. The set-up holds the row grid and input bookkeeping, the
-    weight W, the augmented start state and its weight y_0, the segment list
-    and each segment's forcing G p + B u; an evaluation forms only the
-    propagators, T and the doubling sums. Each evaluation allocates its own
-    T, so one evaluator may serve several threads.
+    bit for bit. The set-up holds the weight W, the augmented start state
+    and its weight y_0, and each `_inputs` stretch's length and forcing;
+    an evaluation forms only the propagators, T and the doubling sums.
+    Each evaluation allocates its own T, so one evaluator may serve several
+    threads.
     """
-    b, g = model.b, model.g
     n = model.n_states
     dt = scenario.dt
-    rows, u_const, onsets, x = _inputs(model, scenario)
+    rows, _, x, edges, _, forcings = _inputs(model, scenario)
     w = np.zeros((n + 1, n + 1))
     for i in _weighted_states(model.state_labels, include_ft):
         w[i, i] = 1.0
     z0 = np.append(x, 1.0)
     y0 = z0 @ w @ z0
-    # rows 0 .. rows-2 are summed by segment; the last row needs only its state
+    # rows 0 .. rows-2 are summed by stretch; the last row needs only its state
     last = rows - 1
-    starts = sorted(r for r in {0, *(row for row, _, _ in onsets)} if r < last)
-    segments = []
-    for start, stop in zip(starts, starts[1:] + [last]):
-        p = np.zeros(g.shape[1])
-        for row, col, magnitude in onsets:
-            if row <= start:
-                p[col] += magnitude
-        # huge inputs can overflow here; the evaluation reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            segments.append((stop - start, g @ p + b @ u_const))
+    stretches = zip(edges, edges[1:], forcings)
+    segments = [(min(stop, last) - start, f) for start, stop, f in stretches if start < last]
 
     def evaluate(a: np.ndarray) -> float:
         if a.shape != (n, n):

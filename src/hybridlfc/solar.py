@@ -237,20 +237,20 @@ def _mpp(p: PvCellParams) -> tuple[float, float, float]:
 
 def pv_curve(
     p: PvCellParams, v_step: float
-) -> tuple[list[float], list[float], tuple[float, float, float]]:
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float]]:
     """Cell curve on the grid {0, v_step, 2*v_step, ...} up to the
     open-circuit voltage, and its maximum power point.
 
-    Returns ``(volts, amps, (vm, im, pm))``. The grid is solved in one
-    array call, the maximum power point apart from it (see `_mpp`). Zero
-    irradiance leaves the single point V = 0 and the maximum power point
-    (0, 0, 0).
+    Returns ``(volts, amps, (vm, im, pm))``, the grid and its currents as
+    arrays. The grid is solved in one array call, the maximum power point
+    apart from it (see `_mpp`). Zero irradiance leaves the single point
+    V = 0 and the maximum power point (0, 0, 0).
     """
     if v_step <= 0:
         raise InvariantViolation("v_step must be > 0")
     voc = open_circuit_voltage(p)
-    volts = [i * v_step for i in range(voltage_grid_points(voc, v_step))]
-    amps = solve_pv_current(p, np.array(volts)).tolist()
+    volts = np.arange(voltage_grid_points(voc, v_step)) * v_step
+    amps = solve_pv_current(p, volts)
     return volts, amps, _mpp(p) if voc > 0.0 else (0.0, 0.0, 0.0)
 
 

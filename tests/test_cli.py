@@ -1,3 +1,4 @@
+import random
 import re
 import struct
 import subprocess
@@ -602,6 +603,34 @@ class TestContractGate:
                 problem = self.violation(capsys, path, command)
                 if problem:
                     found.append(f"{key} = {value}: {problem}")
+        assert not found, "\n".join(found)
+
+    # a breach that needs two extreme keys at once passes the one-key
+    # sweep, and most field faults involve one or two interacting
+    # parameters (Kuhn, Wallace & Gallo, IEEE TSE 30, 2004). Each config
+    # sets 2-3 keys: with many set, nearly every config would stop at an
+    # exit-2 check first. Every other one sets a scenario or control key,
+    # since each stretch's forcing scales with those inputs
+    PAIR_VALUES = VALUES + ("1e10", "1e-10", "1e20")
+    INPUT_KEYS = [key for key in KEYS if key.startswith("scenario.")]
+
+    def test_two_or_three_keys_at_the_edges(self, capsys, tmp_path):
+        rng = random.Random(1104)
+        path = tmp_path / "case.conf"
+        found = []
+        for i in range(520):
+            keys = rng.sample(self.KEYS, rng.randint(2, 3))
+            if i % 2 and not set(keys) & set(self.INPUT_KEYS):
+                keys[0] = rng.choice(self.INPUT_KEYS)
+            text = ""
+            for key in keys:
+                width = len(DEFAULTS[key]) if isinstance(DEFAULTS[key], tuple) else 1
+                text += f"{key} = {', '.join([rng.choice(self.PAIR_VALUES)] * width)}\n"
+            path.write_text(self.BASE + text)
+            for command in ("simulate", "steady", "eigen", "tune", "pvcurve"):
+                problem = self.violation(capsys, path, command)
+                if problem:
+                    found.append(f"{text!r} under {command}: {problem}")
         assert not found, "\n".join(found)
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -169,6 +170,27 @@ class TestIntegrate:
         with pytest.raises(KeyError):
             trace.column("bogus")
 
+    def test_traced_peak_stays_near_the_states(self, default_params):
+        # the loop holds one Q c per stretch of constant input, not a
+        # forcing row per time row: on 60 001 rows the traced peak is the
+        # states, the times and the finiteness check
+        gains = ControllerGains(Kdp=85.5, Kdi=35.0, Kpp=100.0, Kpi=43.0, Ksp=10.5, Ksi=0.5)
+        model = build_closed_loop(default_params, gains)
+        sc = Scenario(
+            t_end=60.0,
+            dt=0.001,
+            disturbances={"dPl": Step(0.01, 1.0), "dPiw": Step(0.005, 20.0)},
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = integrate(model, sc)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert trace.states.shape == (60_001, 12)
+        assert peak < 1.5 * trace.states.nbytes
+
 
 def rk4_factor(z: complex) -> float:
     """|R(z)| of one RK4 step, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
@@ -322,6 +344,53 @@ class TestClosedLoopTrace:
         dpis = np.where(np.arange(len(x)) >= 50, 0.02, 0.0)
         expected = p.solar.Kgs * (trace.column("xs2") + 0.7 / 3.0 * (us + dpis))
         np.testing.assert_allclose(trace.column("dPgs"), expected, rtol=1e-12, atol=1e-16)
+
+    # stretches of constant input at their edges: a first stretch that
+    # already carries a step, two labels sharing one onset row, and a
+    # stretch made of the last row alone; the biproper converter block
+    # passes dPis through to dPgs and dP1
+    BIPROPER = SystemParams(
+        solar=SolarChannelParams(gbc_num=(3.0, -1.0, 0.7), gbc_den=(2.0, 5.0, 3.0))
+    )
+    EDGE_STEPS = {
+        "onset_at_row_0": {"dPl": Step(0.01, 0.0), "dPiw": Step(0.005, 1.0)},
+        "shared_onset_row": {"dPl": Step(0.01, 1.0), "dPiw": Step(0.005, 1.0), "dPis": Step(0.02, 0.5)},
+        "dPis_on_last_row": {"dPl": Step(0.01, 0.5), "dPis": Step(0.02, 2.0)},
+    }
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed_loop", "open_plant"])
+    @pytest.mark.parametrize("case", list(EDGE_STEPS))
+    def test_outputs_match_a_dense_reference(self, stable_gains, case, closed):
+        p = self.BIPROPER
+        model = build_closed_loop(p, stable_gains) if closed else assemble_plant(p)
+        steps = self.EDGE_STEPS[case]
+        sc = Scenario(t_end=2.0, dt=0.01, disturbances=steps, controls={"us": 0.003})
+        om = output_map(p)
+        trace = integrate(model, sc, outputs=om)
+        # the disturbance term row by row, every row's p written out
+        rows = len(trace.times)
+        p_rows = np.zeros((rows, len(model.disturbance_labels)))
+        for lbl, step in steps.items():
+            p_rows[round(step.onset / sc.dt) :, model.disturbance_labels.index(lbl)] = step.magnitude
+        u = np.where(np.array(model.control_labels) == "us", 0.003, 0.0)
+        u_rows = trace.states @ model.h.T + u if closed else np.tile(u, (rows, 1))
+        x_open = trace.states[:, : om.wx.shape[1]]
+        want = x_open @ om.wx.T + u_rows @ om.wu.T + p_rows @ om.wp.T
+        got = np.column_stack([trace.column(lbl) for lbl in om.labels])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    def test_onset_on_the_last_row_moves_only_its_outputs(self, stable_gains):
+        model = build_closed_loop(self.BIPROPER, stable_gains)
+        om = output_map(self.BIPROPER)
+        steps = dict(self.EDGE_STEPS["dPis_on_last_row"])
+        with_step = integrate(model, Scenario(t_end=2.0, dt=0.01, disturbances=steps), om)
+        del steps["dPis"]
+        without = integrate(model, Scenario(t_end=2.0, dt=0.01, disturbances=steps), om)
+        np.testing.assert_array_equal(with_step.states, without.states)
+        for lbl in om.labels:
+            a, b = with_step.column(lbl), without.column(lbl)
+            np.testing.assert_array_equal(a[:-1], b[:-1])
+            assert (a[-1] != b[-1]) == (lbl in ("dPgs", "dP1"))
 
     def test_open_loop_control_path(self, default_params):
         plant = assemble_plant(default_params)
@@ -502,6 +571,18 @@ class TestIseEvaluator:
                 "dPis": Step(0.006, 8.0),
             },
             controls={"dPcd": 0.002, "us": -0.001},
+            x0=X0,
+        ),
+        # two labels sharing one onset row, after a first stretch that
+        # already carries a step
+        "shared_onset_row": Scenario(
+            t_end=8.0,
+            dt=0.01,
+            disturbances={
+                "dPl": Step(0.01, 2.5),
+                "dPiw": Step(-0.004, 2.5),
+                "dPis": Step(0.006, 0.0),
+            },
             x0=X0,
         ),
     }

@@ -330,8 +330,15 @@ class TestPvCurve:
     def test_each_grid_voltage_solved_once(self, monkeypatch, p):
         (volts, amps, _), solved = self.count_solves(monkeypatch, p, 0.01)
         # the maximum power point needs no solve of its own
-        assert solved == volts
-        assert amps == [solve_pv_current(p, v) for v in volts]
+        assert solved == volts.tolist()
+        assert amps.tolist() == [solve_pv_current(p, v) for v in solved]
+
+    @pytest.mark.parametrize("v_step", [0.01, 0.003, 1e-5, 0.1 + 0.2])
+    def test_grid_is_the_products_of_the_step(self, v_step):
+        # each grid voltage is the one rounding of i * v_step
+        volts, amps, _ = pv_curve(PvCellParams(), v_step)
+        assert isinstance(volts, np.ndarray) and isinstance(amps, np.ndarray)
+        assert volts.tolist() == [i * v_step for i in range(len(volts))]
 
     def test_default_cell_solve_count(self, monkeypatch):
         # the 70 grid points and nothing more
@@ -340,7 +347,7 @@ class TestPvCurve:
 
     def test_darkness_solves_only_the_origin(self, monkeypatch):
         (volts, amps, point), solved = self.count_solves(monkeypatch, PvCellParams(lam=0.0), 0.01)
-        assert volts == solved == [0.0]
+        assert volts.tolist() == solved == [0.0]
         assert point == (0.0, 0.0, 0.0)
 
 
