@@ -45,7 +45,7 @@ def run(args):
         system, gains = parse_config("").system, DEMO_GAINS
 
     if args.tune:
-        spec = TuneSpec(dpiw=args.dpiw, dpis=args.dpis, eta_include_ft=True)
+        spec = TuneSpec(dpl=args.dpl, dpiw=args.dpiw, dpis=args.dpis, eta_include_ft=True)
         gains, eta = tune_gains(system, spec)
         print(f"tuned gains (eta = {eta:.6e}):")
         for name in GAIN_ORDER:

@@ -15,7 +15,6 @@ from .assembly import (
     assemble_plant,
     build_closed_loop,
     build_feedback_matrix,
-    close_loop,
     output_map,
 )
 from .config import Config, parse_config
@@ -32,7 +31,6 @@ from .errors import (
     NonFiniteState,
     NonSquareMatrix,
     NoStableGainsFound,
-    OrderingMismatch,
     SingularSystem,
     ToolkitError,
     UnknownKey,

@@ -8,11 +8,13 @@ The augmentation trick: appending the integrals of dFs and dFt as states
 iFs and iFt turns every PI control law into pure state feedback u = H x,
 so the closed loop is just Ahat = Abar + Bbar H with unchanged
 disturbance topology. The 12-state layout is the ten plant states, then
-iFs and iFt. `augment_plant` gives the open loop in it (Abar, Bbar,
-Gbar), `closed_loop_matrix` forms Ahat for one set of gains, and
-`close_loop` does both at once. The closed loop is a plain
+iFs and iFt. `build_closed_loop(p, gains)` is the one function that
+writes it: it assembles the plant, fills Abar, Bbar and Gbar, and forms
+Ahat and H with `closed_loop_matrix`. The closed loop is a plain
 `StateSpaceModel` (A = Ahat, B = Bbar, G = Gbar) whose `h` field holds
-H, so the engine consumes plants and closed loops alike.
+H, so the engine consumes plants and closed loops alike. At zero gains
+A is Abar, the open loop a caller closing many loops re-closes with
+`closed_loop_matrix` for each set of gains.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .diesel import DieselParams, governor_residues
-from .errors import InvariantViolation, NonFiniteState, OrderingMismatch
+from .errors import InvariantViolation, NonFiniteState
 from .lti import StateSpaceModel
 from .solar import SolarChannelParams
 from .wind import WindParams
@@ -40,9 +42,7 @@ __all__ = [
     "assemble_plant",
     "output_map",
     "build_feedback_matrix",
-    "augment_plant",
     "closed_loop_matrix",
-    "close_loop",
     "build_closed_loop",
 ]
 
@@ -246,43 +246,6 @@ def build_feedback_matrix(g: ControllerGains, kig: float) -> np.ndarray:
     return h
 
 
-def _augmented(plant: StateSpaceModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if (plant.state_labels, plant.control_labels) != (PLANT_STATE_ORDER, PLANT_CONTROL_ORDER):
-        raise OrderingMismatch(
-            f"plant orderings {plant.state_labels}, {plant.control_labels} do not match "
-            f"the assembled {PLANT_STATE_ORDER}, {PLANT_CONTROL_ORDER}"
-        )
-    abar = np.zeros((N_AUGMENTED, N_AUGMENTED))
-    abar[:IFS, :IFS] = plant.a
-    abar[IFS, FS] = abar[IFT, FT] = 1.0
-    bbar = np.zeros((N_AUGMENTED, plant.b.shape[1]))
-    bbar[:IFS] = plant.b
-    gbar = np.zeros((N_AUGMENTED, plant.g.shape[1]))
-    gbar[:IFS] = plant.g
-    return abar, bbar, gbar
-
-
-def augment_plant(plant: StateSpaceModel) -> StateSpaceModel:
-    """The augmented open loop of an `assemble_plant` model: A = Abar,
-    B = Bbar, G = Gbar, with iFs and iFt appended at IFS and IFT as pure
-    selectors on dFs and dFt (zero in Bbar's and Gbar's rows).
-
-    It does not depend on the gains, so a caller closing many loops
-    around one plant augments it once and forms each Ahat with
-    `closed_loop_matrix`. Raises OrderingMismatch unless the plant
-    carries the assembled state and control orderings.
-    """
-    abar, bbar, gbar = _augmented(plant)
-    return StateSpaceModel(
-        a=abar,
-        b=bbar,
-        g=gbar,
-        state_labels=PLANT_STATE_ORDER + INTEGRATOR_LABELS,
-        control_labels=plant.control_labels,
-        disturbance_labels=plant.disturbance_labels,
-    )
-
-
 def closed_loop_matrix(
     abar: np.ndarray, bbar: np.ndarray, gains: ControllerGains, kig: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -291,18 +254,27 @@ def closed_loop_matrix(
     return abar + bbar @ h, h
 
 
-def close_loop(plant: StateSpaceModel, gains: ControllerGains, kig: float) -> StateSpaceModel:
-    """Closed loop of an `assemble_plant` model under PI gains.
+def build_closed_loop(p: SystemParams, gains: ControllerGains) -> StateSpaceModel:
+    """Closed loop of the assembled plant under PI gains.
 
-    Augments the plant as `augment_plant` does, builds H and applies
+    Assembles the plant, writes the augmented open loop (Abar, Bbar,
+    Gbar: iFs and iFt appended at IFS and IFT as pure selectors on dFs
+    and dFt, zero in Bbar's and Gbar's rows), builds H and applies
     u = H x: Ahat = Abar + Bbar H (`closed_loop_matrix`), the disturbance
-    matrix untouched. Raises OrderingMismatch unless the plant carries
-    the assembled state and control orderings, and NonFiniteState when
-    extreme gains and constants overflow Ahat.
+    matrix untouched. With zero gains H = 0 and A is Abar, which is how
+    the tuner gets the open loop it closes each candidate around. Raises
+    NonFiniteState when extreme gains and constants overflow Ahat.
     """
-    abar, bbar, gbar = _augmented(plant)
+    plant = assemble_plant(p)
+    abar = np.zeros((N_AUGMENTED, N_AUGMENTED))
+    abar[:IFS, :IFS] = plant.a
+    abar[IFS, FS] = abar[IFT, FT] = 1.0
+    bbar = np.zeros((N_AUGMENTED, len(PLANT_CONTROL_ORDER)))
+    bbar[:IFS] = plant.b
+    gbar = np.zeros((N_AUGMENTED, len(PLANT_DISTURBANCE_ORDER)))
+    gbar[:IFS] = plant.g
     with np.errstate(over="ignore", invalid="ignore"):
-        a, h = closed_loop_matrix(abar, bbar, gains, kig)
+        a, h = closed_loop_matrix(abar, bbar, gains, p.wind.Kig)
     if not np.isfinite(a).all():
         raise NonFiniteState("closed-loop state matrix is not finite")
     return StateSpaceModel(
@@ -311,11 +283,6 @@ def close_loop(plant: StateSpaceModel, gains: ControllerGains, kig: float) -> St
         g=gbar,
         h=h,
         state_labels=PLANT_STATE_ORDER + INTEGRATOR_LABELS,
-        control_labels=plant.control_labels,
-        disturbance_labels=plant.disturbance_labels,
+        control_labels=PLANT_CONTROL_ORDER,
+        disturbance_labels=PLANT_DISTURBANCE_ORDER,
     )
-
-
-def build_closed_loop(p: SystemParams, gains: ControllerGains) -> StateSpaceModel:
-    """Convenience chain: assemble the plant, then close the loop."""
-    return close_loop(assemble_plant(p), gains, p.wind.Kig)

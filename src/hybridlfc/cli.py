@@ -1,9 +1,10 @@
 """Command-line front end: configuration loading, the five study
 commands and CSV/report serialization.
 
-Exit codes: 0 success, 2 configuration errors, 4 step-size rejection,
-3 any other numeric failure. Errors print one machine-parsable line to
-stderr, `error: <Class>: <message>`.
+Exit codes: 0 success, 2 configuration errors (a config file that is
+not valid UTF-8 among them), 4 step-size rejection, 3 any other numeric
+failure. Errors print one machine-parsable line to stderr,
+`error: <Class>: <message>`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .assembly import assemble_plant, build_closed_loop, output_map
 from .config import Config, parse_config
 from .engine import integrate, steady_state
-from .errors import ConfigError, ToolkitError, UnstableStepSize
+from .errors import ConfigError, InvalidValue, ToolkitError, UnstableStepSize
 from .lti import eigenvalues
 from .solar import pv_curve
 from .tuning import GAIN_ORDER, STABILITY_MARGIN, tune_gains
@@ -245,8 +246,16 @@ def main(argv=None) -> int:
     try:
         text = ""
         if args.config is not None:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            # read as bytes: parse_config's splitlines ends lines at \r\n and \r
+            # as text mode would, and a decode error gives the file's byte offset
+            with open(args.config, "rb") as fh:
+                data = fh.read()
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InvalidValue(
+                    f"config is not valid UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+                ) from None
         cfg = parse_config(text)
         if args.include_solar is not None:
             cfg = replace(

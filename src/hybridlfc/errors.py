@@ -43,11 +43,6 @@ class NoConvergence(ToolkitError):
     """PV-current solve did not settle, or its series-resistance drop overflows."""
 
 
-class OrderingMismatch(ToolkitError):
-    """A plant handed to `close_loop` does not carry the assembled state and
-    control orderings."""
-
-
 class InvalidArgument(ToolkitError, ValueError):
     """A library call got an argument it cannot use: an input label the model
     lacks, duplicate state labels or non-finite entries. Also a ValueError,

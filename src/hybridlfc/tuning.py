@@ -7,13 +7,14 @@ pattern search with step halving is used instead of gradient descent.
 No randomized moves are taken; the seed field exists for interface
 stability should stochastic restarts ever be added.
 
-Nothing but Ahat depends on the gains, so a run assembles and augments
-the plant once and sets up the index's scenario bookkeeping once
-(`engine.ise_evaluator`). A candidate then costs one fill of
-Ahat = Abar + Bbar H, one eigenvalue solve, the stability and step
-headroom screen, and, when it passes, one evaluation of the exact
-trapezoidal index of its RK4 trace, summed in closed form with no
-stepping: a fraction of a millisecond in all.
+Nothing but Ahat depends on the gains, so a run builds one closed loop
+at zero gains (`assembly.build_closed_loop`, whose A is then the
+augmented open loop Abar) and sets up the index's scenario bookkeeping
+once (`engine.ise_evaluator`). A candidate then costs one fill of
+Ahat = Abar + Bbar H (`assembly.closed_loop_matrix`), one eigenvalue
+solve, the stability and step headroom screen, and, when it passes, one
+evaluation of the exact trapezoidal index of its RK4 trace, summed in
+closed form with no stepping: a fraction of a millisecond in all.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from .assembly import (
     GAIN_ORDER,
     ControllerGains,
     SystemParams,
-    assemble_plant,
-    augment_plant,
+    build_closed_loop,
     closed_loop_matrix,
 )
 from .engine import Scenario, Step, ise_evaluator, rk4_growth
@@ -177,8 +177,9 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
     when they were built, so a bad box or horizon raises InvariantViolation
     from `TuneSpec`, not from here.
     """
-    open_loop = augment_plant(assemble_plant(params))
-    evaluate = ise_evaluator(open_loop, spec.scenario(), include_ft=spec.eta_include_ft)
+    # at zero gains H = 0, so base.a is the augmented open loop Abar
+    base = build_closed_loop(params, ControllerGains())
+    evaluate = ise_evaluator(base, spec.scenario(), include_ft=spec.eta_include_ft)
     kig = params.wind.Kig
 
     active = list(GAIN_ORDER) if params.include_solar else list(GAIN_ORDER[:4])
@@ -195,7 +196,7 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
             return cache[key]
         if len(cache) >= cap:
             raise _OutOfBudget
-        a, _ = closed_loop_matrix(open_loop.a, open_loop.b, ControllerGains(*key), kig)
+        a, _ = closed_loop_matrix(base.a, base.b, ControllerGains(*key), kig)
         try:
             admissible = _admissible(eigenvalues(a), spec.dt)
         except InvalidArgument:  # eigenvalues refuses an Ahat that overflowed

@@ -1,11 +1,13 @@
 """Label-wired reference model for the tests.
 
-`assembly.assemble_plant` and `assembly.close_loop` write the plant and the
-closed loop at fixed indices. This module builds the same matrices the
-long way round: one state model per subsystem block, its own
-companion-form realization of the converter block, the blocks summed into
-zero matrices by label, and the PI loop wired by named row and column. The
-tests compare the two bit for bit, signed zeros included.
+`assembly.assemble_plant` writes the plant at fixed indices, and
+`assembly.build_closed_loop(p, gains)`, the toolkit's one closed-loop
+builder, writes the 12-state augmented loop around it the same way. This
+module builds the same matrices the long way round: one state model per
+subsystem block, its own companion-form realization of the converter
+block, the blocks summed into zero matrices by label, and the PI loop
+wired by named row and column. The tests compare the two bit for bit,
+signed zeros included.
 
 It also holds the small polynomial and transfer-function helpers
 (evaluation, products, the DC gain) on plain coefficient tuples, and

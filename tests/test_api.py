@@ -22,11 +22,11 @@ PUBLIC_NAMES = {
     "ConfigError", "ConvergenceFailure", "DimensionMismatch",
     "InvalidArgument", "InvalidValue", "InvariantViolation",
     "NoConvergence", "NoStableGainsFound",
-    "NonFiniteState", "NonSquareMatrix", "OrderingMismatch", "SingularSystem",
+    "NonFiniteState", "NonSquareMatrix", "SingularSystem",
     "ToolkitError", "UnknownKey", "UnstableStepSize",
     # functions
     "assemble_plant", "boost_switched_step", "build_closed_loop",
-    "build_feedback_matrix", "close_loop", "governor_residues", "integrate",
+    "build_feedback_matrix", "governor_residues", "integrate",
     "ise", "open_circuit_voltage", "output_map",
     "parse_config", "photocurrent", "pv_curve", "solve_pv_current",
     "steady_state", "step_ise", "tune_gains",
@@ -50,13 +50,18 @@ MOVED_TO_TESTS = [
 ]
 
 # the general polynomial / transfer-function layer: the converter block is
-# two coefficient tuples on SolarChannelParams, realized in assembly
+# two coefficient tuples on SolarChannelParams, realized in assembly; and a
+# second closed-loop builder taking any model: build_closed_loop(p, gains) is
+# the one builder
 REMOVED = [
     "Polynomial",
     "TransferFunction",
     "tf_feedthrough",
     "companion_coefficients",
     "ImproperTransferFunction",
+    "close_loop",
+    "augment_plant",
+    "OrderingMismatch",
 ]
 
 

@@ -16,20 +16,18 @@ from hybridlfc.assembly import (
     assemble_plant,
     build_closed_loop,
     build_feedback_matrix,
-    close_loop,
     output_map,
 )
 from hybridlfc.engine import steady_state
 from hybridlfc.errors import (
     DimensionMismatch,
     InvariantViolation,
-    OrderingMismatch,
     SingularSystem,
 )
-from hybridlfc.lti import StateSpaceModel, eigenvalues
+from hybridlfc.lti import eigenvalues
 from hybridlfc.solar import SolarChannelParams
 from hybridlfc.tuning import GAIN_ORDER, TuneSpec, tune_gains
-from reference import build_turbine_subsystem, labelled_closed_loop, wired_plant
+from reference import labelled_closed_loop, wired_plant
 
 # Steady frequency deviation for a 0.01 pu load step with all controllers
 # off: the droop and slip contributions in closed form,
@@ -175,17 +173,6 @@ def draw_gains(rng):
     )
 
 
-def relabelled(plant, state_labels=None, control_labels=None):
-    return StateSpaceModel(
-        a=plant.a,
-        b=plant.b,
-        g=plant.g,
-        state_labels=state_labels or plant.state_labels,
-        control_labels=control_labels or plant.control_labels,
-        disturbance_labels=plant.disturbance_labels,
-    )
-
-
 class TestFeedbackMatrix:
     ORDER = PLANT_STATE_ORDER + INTEGRATOR_LABELS
 
@@ -211,25 +198,11 @@ class TestFeedbackMatrix:
         assert h[2, self.ORDER.index("iFs")] == -3.0
         assert np.all(h[:, : len(PLANT_STATE_ORDER)] == 0.0)
 
-    def test_rejects_foreign_ordering(self, default_params):
-        # H is written at the assembled indices, so close_loop refuses a
-        # plant whose states are ordered otherwise
-        plant = assemble_plant(default_params)
-        shuffled = PLANT_STATE_ORDER[1:] + PLANT_STATE_ORDER[:1]
-        with pytest.raises(OrderingMismatch):
-            close_loop(relabelled(plant, state_labels=shuffled), ControllerGains(), 0.9969)
-
-    def test_rejects_foreign_control_ordering(self, default_params):
-        plant = assemble_plant(default_params)
-        swapped = ("dPcu", "dPcd", "us")
-        with pytest.raises(OrderingMismatch):
-            close_loop(relabelled(plant, control_labels=swapped), ControllerGains(), 0.9969)
-
 
 class TestAugmentation:
     def test_shapes_and_selectors(self, default_params):
         plant = assemble_plant(default_params)
-        model = close_loop(plant, ControllerGains(), default_params.wind.Kig)
+        model = build_closed_loop(default_params, ControllerGains())
         abar, bbar, gbar = model.a, model.b, model.g
         assert abar.shape == (12, 12)
         assert bbar.shape == (12, 3)
@@ -242,14 +215,9 @@ class TestAugmentation:
         np.testing.assert_array_equal(bbar[10:], 0.0)
         np.testing.assert_array_equal(gbar[10:], 0.0)
 
-    def test_requires_both_frequency_states(self):
-        turbine = build_turbine_subsystem(SystemParams().wind)
-        with pytest.raises(OrderingMismatch):
-            close_loop(turbine, ControllerGains(), 0.9969)
-
 
 class TestLabelledReference:
-    """close_loop writes the augmentation and H at fixed indices; it must
+    """build_closed_loop writes the augmentation and H at fixed indices; it must
     match the loop wired by label bit for bit, signed zeros included."""
 
     @pytest.mark.parametrize("include_solar", [True, False])
@@ -287,7 +255,7 @@ class TestClosedLoop:
     def test_zero_feedback_passthrough(self, default_params):
         plant = assemble_plant(default_params)
         abar, bbar, gbar, _ = labelled_closed_loop(plant, ControllerGains(), 0.9969)
-        model = close_loop(plant, ControllerGains(), default_params.wind.Kig)
+        model = build_closed_loop(default_params, ControllerGains())
         np.testing.assert_array_equal(model.a, abar)
         np.testing.assert_array_equal(model.g, gbar)
         np.testing.assert_array_equal(model.h, 0.0)
@@ -307,7 +275,7 @@ class TestClosedLoop:
             model.h[0, 0] = 1.0
 
     def test_rejects_misshapen_feedback(self, default_params):
-        # close_loop builds H itself; a caller constructing the model directly
+        # build_closed_loop builds H itself; a caller constructing the model directly
         # still gets its shapes checked
         model = build_closed_loop(default_params, ControllerGains())
         with pytest.raises(DimensionMismatch):

@@ -347,6 +347,22 @@ class TestFailureModes:
         assert err.startswith("error: InvalidValue: line 1:")
         assert len(err.splitlines()) == 1
 
+    def test_undecodable_config_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.conf"
+        path.write_bytes(b"system.Kp = 72.0\n\xff\xfe\n")
+        code = main(["--command", "eigen", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: InvalidValue: config is not valid UTF-8: byte 0xff at offset 17\n"
+
+    def test_line_endings_read_as_in_text_mode(self, capsys, tmp_path):
+        # the config is decoded from bytes; \r\n and \r still end lines
+        want = run_cli(capsys, tmp_path, "steady", "system.Kp = 50\nscenario.dPl = 0.02\n")
+        path = tmp_path / "crlf.conf"
+        path.write_bytes(b"system.Kp = 50\r\nscenario.dPl = 0.02\r")
+        code = main(["--command", "steady", "--config", str(path)])
+        assert (code, *capsys.readouterr()) == want
+
     @pytest.mark.parametrize("command", ["eigen", "steady", "tune"])
     @pytest.mark.parametrize(
         "line", ["system.Tp = 1e-320", "diesel.Td3 = 1e-310"], ids=["tiny_Tp", "tiny_Td3"]

@@ -12,7 +12,6 @@ from hybridlfc.assembly import (
     ControllerGains,
     SystemParams,
     assemble_plant,
-    augment_plant,
     build_closed_loop,
     output_map,
 )
@@ -591,7 +590,7 @@ class TestIseEvaluator:
     @pytest.mark.parametrize("name", list(SCENARIOS))
     def test_matches_step_ise_and_the_trace(self, default_params, name, include_ft):
         sc = self.SCENARIOS[name]
-        evaluate = ise_evaluator(augment_plant(assemble_plant(default_params)), sc, include_ft)
+        evaluate = ise_evaluator(build_closed_loop(default_params, ControllerGains()), sc, include_ft)
         loops = random_stable_loops(default_params, sc.dt, 6, seed=4100)
         # one set-up serves every loop in turn, with nothing carried over
         for model in loops + loops[::-1]:
@@ -604,7 +603,7 @@ class TestIseEvaluator:
         # each evaluation allocates its own T: threads sharing one evaluator
         # get the serial results bit for bit
         sc = self.SCENARIOS["three_onsets"]
-        evaluate = ise_evaluator(augment_plant(assemble_plant(default_params)), sc, True)
+        evaluate = ise_evaluator(build_closed_loop(default_params, ControllerGains()), sc, True)
         loops = random_stable_loops(default_params, sc.dt, 8, seed=77)
         serial = [evaluate(m.a) for m in loops]
         old = sys.getswitchinterval()
@@ -619,7 +618,7 @@ class TestIseEvaluator:
 
     def test_rejects_a_misshapen_state_matrix(self, default_params):
         sc = self.SCENARIOS["one_onset"]
-        evaluate = ise_evaluator(augment_plant(assemble_plant(default_params)), sc)
+        evaluate = ise_evaluator(build_closed_loop(default_params, ControllerGains()), sc)
         with pytest.raises(DimensionMismatch):
             evaluate(assemble_plant(default_params).a)
 

@@ -1,6 +1,9 @@
+import importlib.util
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,18 +238,26 @@ class TestSearch:
 
     @pytest.mark.parametrize("per_loop", [False, True], ids=["joint", "per_loop"])
     def test_scenario_set_up_once_per_run(self, default_params, monkeypatch, per_loop):
-        # the input bookkeeping belongs to the run, not to each candidate:
-        # one `_inputs` call serves every search group
-        calls = []
+        # the plant and the input bookkeeping belong to the run, not to each
+        # candidate: one zero-gain closed loop and one `_inputs` call serve
+        # every search group
+        calls, built = [], []
         real_inputs = hybridlfc.engine._inputs
+        real_build = hybridlfc.tuning.build_closed_loop
 
         def counting_inputs(model, scenario):
             calls.append(scenario)
             return real_inputs(model, scenario)
 
+        def counting_build(params, gains):
+            built.append(gains)
+            return real_build(params, gains)
+
         monkeypatch.setattr(hybridlfc.engine, "_inputs", counting_inputs)
+        monkeypatch.setattr(hybridlfc.tuning, "build_closed_loop", counting_build)
         tune_gains(default_params, replace(QUICK, per_loop=per_loop))
         assert len(calls) == 1
+        assert built == [ControllerGains()]
 
     def test_per_loop_mode(self, default_params):
         spec = replace(QUICK, per_loop=True, budget=90)
@@ -303,3 +314,31 @@ class TestSearch:
                 include_ft=spec.eta_include_ft,
             )
             assert cost == fresh
+
+
+def load_step_response():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "step_response.py"
+    spec = importlib.util.spec_from_file_location("step_response", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestStepResponseScript:
+    def test_tunes_for_the_simulated_steps(self, monkeypatch, tmp_path, capsys):
+        # --tune must cost the same load, wind and solar steps that the
+        # script then simulates
+        script = load_step_response()
+        specs = []
+
+        def recording_tune(params, spec):
+            specs.append(spec)
+            return tune_gains(params, replace(spec, budget=10))
+
+        monkeypatch.setattr(script, "tune_gains", recording_tune)
+        argv = ["step_response.py", "--tune", "--dpl", "0.02", "--dpiw", "0.01", "--dpis", "0.005"]
+        argv += ["--t-end", "2", "--out", str(tmp_path / "step.csv")]
+        monkeypatch.setattr(sys, "argv", argv)
+        script.main()
+        capsys.readouterr()
+        assert [(s.dpl, s.dpiw, s.dpis) for s in specs] == [(0.02, 0.01, 0.005)]
