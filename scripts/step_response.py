@@ -15,8 +15,9 @@ import sys
 import numpy as np
 
 from hybridlfc.assembly import ControllerGains, build_closed_loop, output_map
-from hybridlfc.config import parse_config
-from hybridlfc.engine import Scenario, Step, integrate, ise
+from hybridlfc.config import parse_config, read_config
+from hybridlfc.engine import integrate, ise
+from hybridlfc.errors import ToolkitError
 from hybridlfc.tuning import GAIN_ORDER, TuneSpec, tune_gains
 
 # demo gains: stable everywhere, nothing optimized about them
@@ -25,35 +26,23 @@ DEMO_GAINS = ControllerGains(Kdp=10.0, Kdi=5.0, Kpp=10.0, Kpi=5.0, Ksp=10.0, Ksi
 COLUMNS = ("dFs", "dFt", "dPgd", "dPgw", "dPgs", "dP1")
 
 
-def build_scenario(args) -> Scenario:
-    steps = {}
-    if args.dpl:
-        steps["dPl"] = Step(args.dpl, args.onset)
-    if args.dpiw:
-        steps["dPiw"] = Step(args.dpiw, args.onset)
-    if args.dpis:
-        steps["dPis"] = Step(args.dpis, args.onset)
-    return Scenario(t_end=args.t_end, dt=args.dt, disturbances=steps)
-
-
 def run(args):
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-        system, gains = cfg.system, cfg.gains
-    else:
-        system, gains = parse_config("").system, DEMO_GAINS
+    cfg = parse_config(read_config(args.config) if args.config else "")
+    system, gains = cfg.system, (cfg.gains if args.config else DEMO_GAINS)
+    # one spec: --tune costs the very steps, horizon and step size simulated
+    spec = TuneSpec(
+        dpl=args.dpl, dpiw=args.dpiw, dpis=args.dpis, onset=args.onset,
+        t_end=args.t_end, dt=args.dt, eta_include_ft=True,
+    )
 
     if args.tune:
-        spec = TuneSpec(dpl=args.dpl, dpiw=args.dpiw, dpis=args.dpis, eta_include_ft=True)
         gains, eta = tune_gains(system, spec)
         print(f"tuned gains (eta = {eta:.6e}):")
         for name in GAIN_ORDER:
             print(f"  {name} = {getattr(gains, name)}")
 
     model = build_closed_loop(system, gains)
-    scenario = build_scenario(args)
-    trace = integrate(model, scenario, outputs=output_map(system))
+    trace = integrate(model, spec.scenario(), outputs=output_map(system))
 
     dfs = trace.column("dFs")
     print(f"peak |dFs| = {np.max(np.abs(dfs)):.6e} Hz (pu system)")
@@ -107,7 +96,10 @@ def main():
     ap.add_argument("--dt", type=float, default=0.005)
     ap.add_argument("--out", default="step_response.csv")
     ap.add_argument("--plot", action="store_true")
-    run(ap.parse_args())
+    try:
+        run(ap.parse_args())
+    except ToolkitError as exc:
+        sys.exit(f"error: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

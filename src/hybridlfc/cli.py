@@ -17,9 +17,9 @@ from dataclasses import replace
 import numpy as np
 
 from .assembly import assemble_plant, build_closed_loop, output_map
-from .config import Config, parse_config
+from .config import Config, parse_config, read_config
 from .engine import integrate, steady_state
-from .errors import ConfigError, InvalidValue, ToolkitError, UnstableStepSize
+from .errors import ConfigError, ToolkitError, UnstableStepSize
 from .lti import eigenvalues
 from .solar import pv_curve
 from .tuning import GAIN_ORDER, STABILITY_MARGIN, tune_gains
@@ -244,19 +244,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        text = ""
-        if args.config is not None:
-            # read as bytes: parse_config's splitlines ends lines at \r\n and \r
-            # as text mode would, and a decode error gives the file's byte offset
-            with open(args.config, "rb") as fh:
-                data = fh.read()
-            try:
-                text = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise InvalidValue(
-                    f"config is not valid UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
-                ) from None
-        cfg = parse_config(text)
+        cfg = parse_config("" if args.config is None else read_config(args.config))
         if args.include_solar is not None:
             cfg = replace(
                 cfg, system=replace(cfg.system, include_solar=args.include_solar == "true")

@@ -24,7 +24,7 @@ from .solar import PvCellParams, SolarChannelParams
 from .tuning import GAIN_ORDER, TuneSpec
 from .wind import WindParams
 
-__all__ = ["DEFAULTS", "Config", "parse_config"]
+__all__ = ["DEFAULTS", "Config", "read_config", "parse_config"]
 
 _SECTIONS = {
     "diesel": DieselParams,
@@ -109,6 +109,20 @@ def _parse_value(key: str, rhs: str, lineno: int):
         return value
     except ValueError as exc:
         raise InvalidValue(f"line {lineno}: cannot parse '{rhs}' for {key}: {exc}") from None
+
+
+def read_config(path) -> str:
+    """The text of a config file for `parse_config`. Read as bytes, so a
+    file that is not valid UTF-8 raises InvalidValue naming the offset of
+    its first bad byte; `parse_config` still ends lines at CRLF and at CR."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidValue(
+            f"config is not valid UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
 
 
 def parse_config(text: str) -> Config:

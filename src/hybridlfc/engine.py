@@ -12,19 +12,20 @@ where c = B u + G p is the forcing over the step. This is algebraically
 identical to running the four stages and keeps the hot loop at one
 matrix-vector product per step. The step inputs cut the rows into
 stretches of constant forcing, which `_inputs` forms once for both
-`integrate` and `ise_evaluator`.
+`integrate` and `ise_evaluator`; both form each stretch's Q c as
+`q_mat @ forcing`, so the trace and the index start from the same bits.
 
 The performance index needs no stepping at all. Over a stretch of rows
 with constant forcing the augmented state z = [x; 1] follows
 z+ = T z with T = [[P, Q c], [0, 1]], so the sum of squared frequency
 deviations over L rows is z' (sum_{j<L} (T^j)' W T^j) z, where W picks
-dFs (and dFt). `step_ise` sums that series by binary doubling,
+dFs (and dFt). `ise_evaluator` sums that series by binary doubling,
 S_2m = S_m + (T^m)' S_m T^m, in about 2 log2(L) small matrix products
 and without an inverse (Smith 1968; Van Loan 1978), then applies the
 trapezoid end correction. It returns what `ise(integrate(...))` returns,
-to rounding; `integrate` + `ise` stay as its reference. `ise_evaluator`
-splits it into a set-up over the scenario and one evaluation per state
-matrix, so the tuner does the scenario bookkeeping once per run.
+to rounding; `integrate` + `ise` stay as its reference. It is a set-up
+over the scenario and one evaluation per state matrix, so the tuner does
+the scenario bookkeeping once per run.
 
 Every function takes one model type, `lti.StateSpaceModel`; on a closed
 loop its `h` field holds the feedback matrix, so the engine needs only
@@ -56,7 +57,6 @@ __all__ = [
     "SimulationTrace",
     "rk4_growth",
     "integrate",
-    "step_ise",
     "ise_evaluator",
     "steady_state",
     "ise",
@@ -140,7 +140,7 @@ def _input_vector(values: Mapping[str, float], labels: tuple[str, ...], kind: st
 def _weighted_states(labels: tuple[str, ...], include_ft: bool) -> list[int]:
     """Indices of the states the performance index weighs: dFs, and dFt
     when include_ft is set. A missing one raises InvalidArgument, with the
-    same message from `step_ise` and `ise`."""
+    same message from `ise_evaluator` and `ise`."""
     wanted = ("dFs", "dFt") if include_ft else ("dFs",)
     for lbl in wanted:
         if lbl not in labels:
@@ -255,7 +255,8 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
     with np.errstate(over="ignore", invalid="ignore"):
         p_mat, q_mat = _propagators(a, dt)
         # the steps leaving rows start .. stop - 1; the last row leaves none
-        for start, stop, qc in zip(edges, edges[1:], forcings @ q_mat.T):
+        for start, stop, forcing in zip(edges, edges[1:], forcings):
+            qc = q_mat @ forcing
             for k in range(start + 1, min(stop + 1, rows)):
                 x = p_mat @ x + qc
                 states[k] = x
@@ -305,18 +306,32 @@ def _doubling_sum(t: np.ndarray, w: np.ndarray, z: np.ndarray, length: int):
 
 
 def ise_evaluator(model: StateSpaceModel, scenario: Scenario, include_ft: bool = False):
-    """`step_ise` split in two: the set-up over the model's B, G and labels,
-    the scenario and include_ft, done here once, and a returned function
-    that evaluates one n x n state matrix `a`,
+    """`ise(integrate(model, scenario), include_ft)` without stepping, split
+    in two: the set-up over the model's B, G and labels, the scenario and
+    include_ft, done here once, and a returned function that evaluates the
+    index of the model with n x n state matrix `a`, so the index of `model`
+    itself is `ise_evaluator(model, scenario, include_ft)(model.a)`. The
+    set-up holds the weight W, the augmented start state and its weight
+    y_0, and each `_inputs` stretch's length and forcing; an evaluation
+    forms only the propagators, T and the doubling sums. Each evaluation
+    allocates its own T, so one evaluator may serve several threads.
 
-        ise_evaluator(model, scenario, include_ft)(a)
-            == step_ise(<model with state matrix a>, scenario, include_ft),
+    Each stretch of rows between onsets has constant forcing, so its sum
+    of squared deviations is one quadratic form in the augmented state,
+    summed by binary doubling; the last row enters through the trapezoid
+    end correction dt * (sum - (y_0 + y_N) / 2). A stretch that starts at
+    rest (x = 0) with zero forcing stays at rest, and since W ignores the
+    constant component each of its rows adds exactly 0.0; such a stretch,
+    like the quiet rows before a step onset, is skipped, which leaves the
+    result bit-for-bit unchanged.
 
-    bit for bit. The set-up holds the weight W, the augmented start state
-    and its weight y_0, and each `_inputs` stretch's length and forcing;
-    an evaluation forms only the propagators, T and the doubling sums.
-    Each evaluation allocates its own T, so one evaluator may serve several
-    threads.
+    Unlike `integrate` this applies no eigenvalue step guard: the tuner
+    screens every candidate with its own, stricter step headroom, and
+    another caller that needs the guard can call `rk4_growth` on the
+    eigenvalues it has. Raises NonFiniteState when the sum overflows; on
+    an unstable model this can happen through the matrix powers alone,
+    even from a mode that the scenario never excites and that stays at
+    zero in the stepped trace.
     """
     n = model.n_states
     dt = scenario.dt
@@ -352,31 +367,6 @@ def ise_evaluator(model: StateSpaceModel, scenario: Scenario, include_ft: bool =
         return float(result)
 
     return evaluate
-
-
-def step_ise(model: StateSpaceModel, scenario: Scenario, include_ft: bool = False) -> float:
-    """`ise(integrate(model, scenario), include_ft)` without stepping.
-
-    Each stretch of rows between onsets has constant forcing, so its sum
-    of squared deviations is one quadratic form in the augmented state,
-    summed by binary doubling; the last row enters through the trapezoid
-    end correction dt * (sum - (y_0 + y_N) / 2). A stretch that starts at
-    rest (x = 0) with zero forcing stays at rest, and since W ignores the
-    constant component each of its rows adds exactly 0.0; such a stretch,
-    like the quiet rows before a step onset, is skipped, which leaves the
-    result bit-for-bit unchanged. This is `ise_evaluator` set up on the
-    model and evaluated once, on `model.a`; a caller that evaluates many
-    state matrices under one scenario sets up once itself.
-
-    Unlike `integrate` this applies no eigenvalue step guard: the tuner
-    screens every candidate with its own, stricter step headroom, and
-    another caller that needs the guard can call `rk4_growth` on the
-    eigenvalues it has. Raises NonFiniteState when the sum overflows; on
-    an unstable model this can happen through the matrix powers alone,
-    even from a mode that the scenario never excites and that stays at
-    zero in the stepped trace.
-    """
-    return ise_evaluator(model, scenario, include_ft)(model.a)
 
 
 def steady_state(

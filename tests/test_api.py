@@ -29,7 +29,7 @@ PUBLIC_NAMES = {
     "build_feedback_matrix", "governor_residues", "integrate",
     "ise", "open_circuit_voltage", "output_map",
     "parse_config", "photocurrent", "pv_curve", "solve_pv_current",
-    "steady_state", "step_ise", "tune_gains",
+    "steady_state", "tune_gains",
     # submodules
     "assembly", "config", "diesel", "engine", "errors", "lti", "solar",
     "tuning", "wind",
@@ -50,9 +50,9 @@ MOVED_TO_TESTS = [
 ]
 
 # the general polynomial / transfer-function layer: the converter block is
-# two coefficient tuples on SolarChannelParams, realized in assembly; and a
+# two coefficient tuples on SolarChannelParams, realized in assembly; a
 # second closed-loop builder taking any model: build_closed_loop(p, gains) is
-# the one builder
+# the one builder; and a one-model index: ise_evaluator(model, sc)(model.a)
 REMOVED = [
     "Polynomial",
     "TransferFunction",
@@ -62,6 +62,7 @@ REMOVED = [
     "close_loop",
     "augment_plant",
     "OrderingMismatch",
+    "step_ise",
 ]
 
 

@@ -19,11 +19,11 @@ from hybridlfc.engine import (
     Scenario,
     SimulationTrace,
     Step,
+    _propagators,
     integrate,
     ise,
     ise_evaluator,
     rk4_growth,
-    step_ise,
     steady_state,
 )
 from hybridlfc.errors import (
@@ -157,7 +157,7 @@ class TestIntegrate:
     def test_unknown_labels_are_toolkit_errors(self, default_params):
         model = build_closed_loop(default_params, ControllerGains())
         sc = Scenario(t_end=1.0, dt=0.01, controls={"dPcx": 1.0})
-        for run in (integrate, step_ise):
+        for run in (integrate, lambda m, s: ise_evaluator(m, s)(m.a)):
             with pytest.raises(InvalidArgument, match="unknown control input 'dPcx'"):
                 run(model, sc)
         with pytest.raises(InvalidArgument, match="unknown disturbance input 'dPx'"):
@@ -391,6 +391,34 @@ class TestClosedLoopTrace:
             np.testing.assert_array_equal(a[:-1], b[:-1])
             assert (a[-1] != b[-1]) == (lbl in ("dPgs", "dP1"))
 
+    def test_states_step_with_the_evaluators_q_c(self, default_params, stable_gains):
+        # each stretch's Q c is `q_mat @ forcing`, the product ise_evaluator
+        # forms, so the trace and the index start from the same bits; one
+        # many-row product for all stretches rounds some of them differently
+        model = build_closed_loop(default_params, stable_gains)
+        steps = {
+            "dPl": Step(0.017666, 0.1),
+            "dPiw": Step(0.01258, 0.5),
+            "dPis": Step(0.005365, 0.8),
+        }
+        trace = integrate(model, Scenario(t_end=1.0, dt=0.01, disturbances=steps))
+        p_mat, q_mat = _propagators(model.a, 0.01)
+        u = np.zeros(len(model.control_labels))
+        x = np.zeros(model.n_states)
+        want = [x]
+        # the onsets fall on rows 10, 50 and 80: four stretches of steps
+        for steps_taken, active in [(10, ""), (40, "dPl"), (30, "dPl dPiw"), (20, "dPl dPiw dPis")]:
+            p = np.array([
+                steps[lbl].magnitude if lbl in active.split() else 0.0
+                for lbl in model.disturbance_labels
+            ])
+            qc = q_mat @ (model.g @ p + model.b @ u)
+            for _ in range(steps_taken):
+                x = p_mat @ x + qc
+                want.append(x)
+        assert trace.states.shape == (101, model.n_states)
+        np.testing.assert_array_equal(trace.states, np.array(want))
+
     def test_open_loop_control_path(self, default_params):
         plant = assemble_plant(default_params)
         x_ss = steady_state(plant, controls={"dPcd": 0.1})
@@ -412,7 +440,7 @@ class TestStepIse:
 
     @staticmethod
     def _assert_matches(model, scenario, include_ft):
-        got = step_ise(model, scenario, include_ft=include_ft)
+        got = ise_evaluator(model, scenario, include_ft)(model.a)
         assert type(got) is float
         want = ise(integrate(model, scenario), include_ft=include_ft)
         assert got == pytest.approx(want, rel=1e-12)
@@ -487,7 +515,7 @@ class TestStepIse:
         with pytest.raises(ValueError) as stepped:
             integrate(model, sc)
         with pytest.raises(ValueError) as closed:
-            step_ise(model, sc)
+            ise_evaluator(model, sc)(model.a)
         assert str(closed.value) == str(stepped.value)
 
     @pytest.mark.parametrize(
@@ -503,7 +531,7 @@ class TestStepIse:
         with pytest.raises(InvalidArgument, match=f"'{missing}' state") as stepped:
             ise(integrate(model, sc), include_ft=include_ft)
         with pytest.raises(InvalidArgument) as closed:
-            step_ise(model, sc, include_ft=include_ft)
+            ise_evaluator(model, sc, include_ft)(model.a)
         assert str(closed.value) == str(stepped.value)
 
     def test_overflow_reported(self):
@@ -517,7 +545,7 @@ class TestStepIse:
         with pytest.raises(NonFiniteState):
             integrate(model, sc)
         with pytest.raises(NonFiniteState):
-            step_ise(model, sc)
+            ise_evaluator(model, sc)(model.a)
 
     def test_overflowing_forcing_reported(self, default_params, stable_gains):
         # a step of 1e308 overflows G p in the set-up; the failure is a
@@ -527,7 +555,7 @@ class TestStepIse:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteState):
-                step_ise(model, sc)
+                ise_evaluator(model, sc)(model.a)
 
     def test_overflowing_propagators_reported(self, default_params):
         # a gain of -1e300 overflows P and Q themselves, before any step; the
@@ -537,7 +565,7 @@ class TestStepIse:
         with pytest.raises(NonFiniteState):
             integrate(model, sc)
         with pytest.raises(NonFiniteState):
-            step_ise(model, sc)
+            ise_evaluator(model, sc)(model.a)
 
 
 def random_stable_loops(params, dt, count, seed):
@@ -555,7 +583,8 @@ def random_stable_loops(params, dt, count, seed):
 
 class TestIseEvaluator:
     """One set-up per scenario, one evaluation per state matrix: bit for bit
-    `step_ise`, and the stepped index to rounding."""
+    an evaluator set up on each model itself, and the stepped index to
+    rounding."""
 
     X0 = np.linspace(0.01, -0.02, 12)
     SCENARIOS = {
@@ -595,7 +624,7 @@ class TestIseEvaluator:
         # one set-up serves every loop in turn, with nothing carried over
         for model in loops + loops[::-1]:
             got = evaluate(model.a)
-            assert got == step_ise(model, sc, include_ft=include_ft)
+            assert got == ise_evaluator(model, sc, include_ft)(model.a)
             want = ise(integrate(model, sc), include_ft=include_ft)
             assert got == pytest.approx(want, rel=1e-12)
 

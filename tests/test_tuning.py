@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 import hybridlfc.engine
 import hybridlfc.tuning
 from hybridlfc.assembly import ControllerGains, SystemParams, build_closed_loop
-from hybridlfc.engine import integrate, ise, rk4_growth, step_ise
+from hybridlfc.engine import integrate, ise, ise_evaluator, rk4_growth
 from hybridlfc.errors import InvariantViolation, NoStableGainsFound
 from hybridlfc.lti import eigenvalues
 from hybridlfc.tuning import (
@@ -308,17 +309,16 @@ class TestSearch:
         tune_gains(params, spec)
         assert len(gains_seen) == 40 and len(costed) > 20
         for gains, cost in costed:
-            fresh = step_ise(
-                build_closed_loop(params, gains),
-                spec.scenario(),
-                include_ft=spec.eta_include_ft,
-            )
+            model = build_closed_loop(params, gains)
+            fresh = ise_evaluator(model, spec.scenario(), spec.eta_include_ft)(model.a)
             assert cost == fresh
 
 
+STEP_RESPONSE = Path(__file__).resolve().parents[1] / "scripts" / "step_response.py"
+
+
 def load_step_response():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "step_response.py"
-    spec = importlib.util.spec_from_file_location("step_response", path)
+    spec = importlib.util.spec_from_file_location("step_response", STEP_RESPONSE)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -342,3 +342,40 @@ class TestStepResponseScript:
         script.main()
         capsys.readouterr()
         assert [(s.dpl, s.dpiw, s.dpis) for s in specs] == [(0.02, 0.01, 0.005)]
+
+    def test_tunes_the_simulated_onset_and_horizon(self, monkeypatch, tmp_path, capsys):
+        # one spec: --tune costs the onset, horizon and step size that the
+        # script then simulates, and the simulated scenario is that spec's
+        script = load_step_response()
+        specs, scenarios = [], []
+
+        def recording_tune(params, spec):
+            specs.append(spec)
+            return tune_gains(params, replace(spec, budget=10))
+
+        def recording_integrate(model, scenario, outputs=None):
+            scenarios.append(scenario)
+            return integrate(model, scenario, outputs)
+
+        monkeypatch.setattr(script, "tune_gains", recording_tune)
+        monkeypatch.setattr(script, "integrate", recording_integrate)
+        argv = ["step_response.py", "--tune", "--onset", "5", "--t-end", "8", "--dt", "0.01"]
+        monkeypatch.setattr(sys, "argv", argv + ["--out", str(tmp_path / "step.csv")])
+        script.main()
+        capsys.readouterr()
+        assert [(s.onset, s.t_end, s.dt) for s in specs] == [(5.0, 8.0, 0.01)]
+        assert scenarios == [specs[0].scenario()]
+
+    def test_undecodable_config_is_one_error_line(self, tmp_path):
+        path = tmp_path / "bad.conf"
+        path.write_bytes(b"\xff\xfe")
+        argv = [sys.executable, str(STEP_RESPONSE), "--config", str(path)]
+        result = subprocess.run(
+            argv + ["--out", str(tmp_path / "step.csv")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0 and result.stdout == ""
+        want = "error: InvalidValue: config is not valid UTF-8: byte 0xff at offset 0\n"
+        assert result.stderr == want
