@@ -10,6 +10,7 @@ traces are also rendered to a PNG next to the CSV.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -18,7 +19,7 @@ from hybridlfc.assembly import ControllerGains, build_closed_loop, output_map
 from hybridlfc.config import parse_config, read_config
 from hybridlfc.engine import integrate, ise
 from hybridlfc.errors import ToolkitError
-from hybridlfc.tuning import GAIN_ORDER, TuneSpec, tune_gains
+from hybridlfc.tuning import GAIN_ORDER, tune_gains
 
 # demo gains: stable everywhere, nothing optimized about them
 DEMO_GAINS = ControllerGains(Kdp=10.0, Kdi=5.0, Kpp=10.0, Kpi=5.0, Ksp=10.0, Ksi=5.0)
@@ -29,9 +30,10 @@ COLUMNS = ("dFs", "dFt", "dPgd", "dPgw", "dPgs", "dP1")
 def run(args):
     cfg = parse_config(read_config(args.config) if args.config else "")
     system, gains = cfg.system, (cfg.gains if args.config else DEMO_GAINS)
-    # one spec: --tune costs the very steps, horizon and step size simulated
-    spec = TuneSpec(
-        dpl=args.dpl, dpiw=args.dpiw, dpis=args.dpis, onset=args.onset,
+    # one spec: --tune costs the very steps, horizon and step size simulated,
+    # over the config's box, budget and per_loop
+    spec = dataclasses.replace(
+        cfg.tune, dpl=args.dpl, dpiw=args.dpiw, dpis=args.dpis, onset=args.onset,
         t_end=args.t_end, dt=args.dt, eta_include_ft=True,
     )
 

@@ -14,6 +14,10 @@ It also holds the small polynomial and transfer-function helpers
 `plant_block`, which cuts one subsystem's block out of an assembled plant
 so that a test can check src's rows against a block-level property.
 
+`stepped_states` is the RK4 recurrence x+ = P x + Q c stepped one row at
+a time: the oracle of `engine.integrate`, which fills rows in chunks of
+matrix powers.
+
 Last, `golden_mpp` finds a cell's maximum power point by a grid scan
 refined with golden-section search, and `dp_dv` gives the slope of the
 power curve in closed form: two oracles for `solar.pv_curve`'s Newton
@@ -32,6 +36,7 @@ from hybridlfc.assembly import (
     PLANT_STATE_ORDER,
 )
 from hybridlfc.diesel import governor_residues
+from hybridlfc.engine import _inputs, _propagators
 from hybridlfc.errors import ToolkitError
 from hybridlfc.lti import StateSpaceModel
 from hybridlfc.solar import (
@@ -291,6 +296,31 @@ def labelled_closed_loop(plant, g, kig):
     h[row["us"], col["dFs"]] = -g.Ksp
     h[row["us"], col["iFs"]] = -g.Ksi
     return abar + bbar @ h, bbar, gbar, h
+
+
+# --- stepped RK4 trace ---------------------------------------------------------
+
+
+def stepped_states(model, scenario, dtype=float):
+    """(rows, n) states of `engine.integrate`'s recurrence stepped one row at
+    a time: x+ = P x + Q c, with each `_inputs` stretch's Q c formed as
+    q_mat @ forcing. No step guard, row cap or finiteness check. With
+    dtype=np.longdouble the same double P and Q c are stepped in extended
+    precision, where the platform has it."""
+    rows, _, x, edges, _, forcings = _inputs(model, scenario)
+    states = np.empty((rows, model.n_states), dtype=dtype)
+    states[0] = x
+    x = states[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_mat, q_mat = _propagators(model.a, scenario.dt)
+        p_mat = p_mat.astype(dtype)
+        # the steps leaving rows start .. stop - 1; the last row leaves none
+        for start, stop, forcing in zip(edges, edges[1:], forcings):
+            qc = (q_mat @ forcing).astype(dtype)
+            for k in range(start + 1, min(stop + 1, rows)):
+                x = p_mat @ x + qc
+                states[k] = x
+    return states
 
 
 # --- golden-section maximum power point --------------------------------------

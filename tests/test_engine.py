@@ -7,8 +7,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from reference import stepped_states
 
+import hybridlfc.engine
 from hybridlfc.assembly import (
+    GAIN_ORDER,
     ControllerGains,
     SystemParams,
     assemble_plant,
@@ -16,9 +19,12 @@ from hybridlfc.assembly import (
     output_map,
 )
 from hybridlfc.engine import (
+    MAX_CHUNK,
     Scenario,
     SimulationTrace,
     Step,
+    _chunk_length,
+    _chunk_propagators,
     _propagators,
     integrate,
     ise,
@@ -36,6 +42,16 @@ from hybridlfc.errors import (
 )
 from hybridlfc.lti import StateSpaceModel, eigenvalues
 from hybridlfc.solar import SolarChannelParams
+
+
+def assert_near_stepped(model, scenario):
+    """`integrate` within 1e-12 of each column's scale of the stepped
+    recurrence; a column that stays exactly 0 when stepped stays 0."""
+    got = integrate(model, scenario).states
+    want = stepped_states(model, scenario)
+    scale = np.abs(want).max(axis=0)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    return got
 
 
 def scalar_decay(a=-1.0):
@@ -391,10 +407,12 @@ class TestClosedLoopTrace:
             np.testing.assert_array_equal(a[:-1], b[:-1])
             assert (a[-1] != b[-1]) == (lbl in ("dPgs", "dP1"))
 
-    def test_states_step_with_the_evaluators_q_c(self, default_params, stable_gains):
+    def test_states_step_with_the_evaluators_q_c(self, default_params, stable_gains, monkeypatch):
         # each stretch's Q c is `q_mat @ forcing`, the product ise_evaluator
         # forms, so the trace and the index start from the same bits; one
-        # many-row product for all stretches rounds some of them differently
+        # many-row product for all stretches rounds some of them differently.
+        # Chunks of one row are the stepped recurrence, bit for bit
+        monkeypatch.setattr(hybridlfc.engine, "_chunk_length", lambda rows: 1)
         model = build_closed_loop(default_params, stable_gains)
         steps = {
             "dPl": Step(0.017666, 0.1),
@@ -419,6 +437,17 @@ class TestClosedLoopTrace:
         assert trace.states.shape == (101, model.n_states)
         np.testing.assert_array_equal(trace.states, np.array(want))
 
+    def test_chunked_states_stay_near_the_stepped_ones(self, default_params, stable_gains):
+        # the same three onsets at the default chunk length, 8 rows for 101
+        model = build_closed_loop(default_params, stable_gains)
+        steps = {
+            "dPl": Step(0.017666, 0.1),
+            "dPiw": Step(0.01258, 0.5),
+            "dPis": Step(0.005365, 0.8),
+        }
+        assert _chunk_length(101) == 8
+        assert_near_stepped(model, Scenario(t_end=1.0, dt=0.01, disturbances=steps))
+
     def test_open_loop_control_path(self, default_params):
         plant = assemble_plant(default_params)
         x_ss = steady_state(plant, controls={"dPcd": 0.1})
@@ -426,6 +455,142 @@ class TestClosedLoopTrace:
             plant, Scenario(t_end=60.0, dt=0.005, controls={"dPcd": 0.1})
         )
         assert np.max(np.abs(trace.states[-1] - x_ss)) < 1e-6
+
+
+class TestChunkedPropagation:
+    """`integrate` fills rows in chunks of matrix powers; the stepped
+    recurrence in tests/reference.py is its oracle."""
+
+    @pytest.mark.parametrize(
+        "rows, chunk",
+        [(2, 1), (3, 1), (6, 2), (101, 8), (201, 16), (60_001, 256), (2_000_000, MAX_CHUNK)],
+    )
+    def test_chunk_length_is_the_power_of_two_nearest_the_root(self, rows, chunk):
+        assert _chunk_length(rows) == chunk
+
+    def test_stacks_hold_powers_and_partial_sums(self, default_params, stable_gains):
+        p_mat, _ = _propagators(build_closed_loop(default_params, stable_gains).a, 0.01)
+        chunk, powers, sums = _chunk_propagators(p_mat, 8)
+        n = p_mat.shape[0]
+        assert chunk == 8 and powers.shape == sums.shape == (8 * n, n)
+        power, total = np.eye(n), np.zeros((n, n))
+        for j in range(8):
+            total = total + power
+            power = power @ p_mat
+            for got, want in ((powers, power), (sums, total)):
+                block = got[j * n : (j + 1) * n]
+                np.testing.assert_allclose(block, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    def test_random_stable_closed_loops(self, default_params):
+        rng = np.random.default_rng(2020)
+        box = [100.0 if name.endswith("p") else 50.0 for name in GAIN_ORDER]
+        checked = 0
+        while checked < 12:
+            gains = ControllerGains(*(rng.uniform(0.0, hi) for hi in box))
+            model = build_closed_loop(default_params, gains)
+            lam = eigenvalues(model.a)
+            dt = float(rng.uniform(0.002, 0.02))
+            if lam[0].real >= 0.0 or rk4_growth(lam, dt) >= 0.0:
+                continue
+            rows = int(rng.integers(2, 700))
+            t_end = (rows - 1) * dt
+            onsets = rng.uniform(0.0, t_end, size=3)
+            steps = {
+                lbl: Step(float(rng.uniform(-0.02, 0.02)), float(t))
+                for lbl, t in zip(model.disturbance_labels, onsets)
+            }
+            x0 = rng.normal(0.0, 1e-3, model.n_states) if checked % 2 else None
+            sc = Scenario(t_end=t_end, dt=dt, disturbances=steps, x0=x0)
+            assert assert_near_stepped(model, sc).shape == (rows, model.n_states)
+            checked += 1
+
+    @pytest.mark.parametrize("rows", [2, 3, 256, 257, 258])
+    def test_open_plant_with_controls_and_initial_state(self, default_params, rows):
+        # at 256-258 rows a chunk is 16 rows; the dPl onset on row 17 leaves a
+        # first stretch of a chunk + 1 steps and a second of 238, 239 and 240,
+        # which ends two rows short of, one row short of and on a chunk edge
+        plant = assemble_plant(default_params)
+        chunk = _chunk_length(rows)
+        onset = min(chunk + 1, rows - 1) * 0.01
+        sc = Scenario(
+            t_end=(rows - 1) * 0.01,
+            dt=0.01,
+            disturbances={"dPl": Step(0.01, onset)},
+            controls={"dPcd": 0.002, "us": -0.001},
+            x0=np.linspace(-1e-3, 1e-3, plant.n_states),
+        )
+        assert assert_near_stepped(plant, sc).shape == (rows, plant.n_states)
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            {"dPl": Step(0.01, 0.37), "dPiw": Step(0.005, 0.37), "dPis": Step(0.02, 1.0)},
+            {"dPl": Step(0.01, 0.5), "dPis": Step(0.02, 2.37)},
+        ],
+        ids=["two_onsets_on_one_row", "onset_on_the_last_row"],
+    )
+    def test_onsets_at_the_edges(self, default_params, stable_gains, steps):
+        model = build_closed_loop(default_params, stable_gains)
+        sc = Scenario(t_end=2.37, dt=0.01, disturbances=steps)
+        assert _chunk_length(238) == 16
+        assert_near_stepped(model, sc)
+
+    def test_step_just_inside_the_guard(self, default_params):
+        # the guard refuses 0.028 on the default (zero-gain) loop, whose
+        # fastest mode, -99.5, meets the RK4 edge there; at 0.026 its free
+        # integrators ramp and its slowest mode decays by under 1% a step:
+        # where P^B and stepping part most
+        model = build_closed_loop(default_params, ControllerGains())
+        lam = eigenvalues(model.a)
+        assert rk4_growth(lam, 0.026) < 0.0 <= rk4_growth(lam, 0.028)
+        sc = Scenario(t_end=60.0, dt=0.026, disturbances={"dPl": Step(0.01, 1.0)})
+        assert_near_stepped(model, sc)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision"
+    )
+    def test_long_run_near_the_guard_rounds_less_than_stepping(self, default_params):
+        # over 23 077 rows of the same loop the chunks, 128 rows each, round
+        # less than the stepped oracle, measured against the same double
+        # recurrence stepped in extended precision
+        model = build_closed_loop(default_params, ControllerGains())
+        sc = Scenario(t_end=600.0, dt=0.026, disturbances={"dPl": Step(0.01, 1.0)})
+        exact = stepped_states(model, sc, np.longdouble)
+        scale = np.abs(exact).max(axis=0).astype(float)
+        scale[scale == 0.0] = 1.0
+        error = lambda states: np.max(np.abs((states - exact).astype(float)) / scale)
+        chunked, stepped = error(integrate(model, sc).states), error(stepped_states(model, sc))
+        assert chunked < 1e-13 and chunked < stepped
+
+    @staticmethod
+    def _fast_growing(excited):
+        # dx2/dt = 6e4 x2 grows by 5.4e9 a step at dt = 0.01, so P^32 overflows
+        return StateSpaceModel(
+            a=np.diag([-1.0, 6e4]),
+            b=np.zeros((2, 0)),
+            g=np.array([[1.0], [1.0 if excited else 0.0]]),
+            state_labels=("x1", "x2"),
+            disturbance_labels=("w",),
+        )
+
+    def test_unexcited_overflowing_mode_stays_at_zero(self):
+        model = self._fast_growing(excited=False)
+        sc = Scenario(t_end=10.0, dt=0.01, disturbances={"w": Step(1.0, 0.5)})
+        # 1 001 rows would take 32 a chunk; P^32 overflows, P^16 does not
+        assert _chunk_length(1001) == 32
+        p_mat, _ = _propagators(model.a, 0.01)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _chunk_propagators(p_mat, 32)[0] == 16
+        states = assert_near_stepped(model, sc)
+        assert np.all(np.isfinite(states)) and not states[:, 1].any()
+
+    def test_excited_overflow_raises_without_a_warning(self):
+        model = self._fast_growing(excited=True)
+        sc = Scenario(t_end=10.0, dt=0.01, disturbances={"w": Step(1.0, 0.5)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState):
+                integrate(model, sc)
 
 
 class TestStepIse:

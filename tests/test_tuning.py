@@ -366,6 +366,28 @@ class TestStepResponseScript:
         assert [(s.onset, s.t_end, s.dt) for s in specs] == [(5.0, 8.0, 0.01)]
         assert scenarios == [specs[0].scenario()]
 
+    def test_tunes_within_the_configured_box_and_budget(self, monkeypatch, tmp_path, capsys):
+        # the config's tune.* keys reach the spec; the flags set only the steps
+        script = load_step_response()
+        specs = []
+
+        def recording_tune(params, spec):
+            specs.append(spec)
+            return tune_gains(params, spec)
+
+        config = tmp_path / "tune.conf"
+        config.write_text("tune.budget = 5\ntune.Kdp_max = 1.0\ntune.per_loop = true\n")
+        monkeypatch.setattr(script, "tune_gains", recording_tune)
+        argv = ["step_response.py", "--config", str(config), "--tune", "--t-end", "2"]
+        monkeypatch.setattr(sys, "argv", argv + ["--out", str(tmp_path / "step.csv")])
+        script.main()
+        out = capsys.readouterr().out
+        [spec] = specs
+        assert (spec.budget, spec.bounds["Kdp"], spec.per_loop) == (5, (0.0, 1.0), True)
+        assert (spec.t_end, spec.eta_include_ft) == (2.0, True)
+        kdp = float(out.split("Kdp = ")[1].split()[0])
+        assert 0.0 <= kdp <= 1.0
+
     def test_undecodable_config_is_one_error_line(self, tmp_path):
         path = tmp_path / "bad.conf"
         path.write_bytes(b"\xff\xfe")
