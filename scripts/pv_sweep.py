@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from hybridlfc.errors import ToolkitError
 from hybridlfc.solar import PvCellParams, open_circuit_voltage, pv_curve, solve_pv_current
 
 
@@ -26,8 +27,13 @@ def sweep(cell: PvCellParams, v_step: float):
     return [(v, i, v * i) for v, i in zip(grid.tolist(), amps.tolist())], mpp
 
 
+def irradiance_levels(text: str) -> list[float]:
+    """The levels of a comma-separated --irradiance (W/m^2)."""
+    return [float(x) for x in text.split(",")]
+
+
 def run(args):
-    levels = [float(x) for x in args.irradiance.split(",")]
+    levels = args.irradiance
     all_rows = []
     mpps = []
     for lam in levels:
@@ -77,6 +83,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
         "--irradiance",
+        type=irradiance_levels,
         default="200,400,600,800,1000",
         help="comma-separated irradiance levels (W/m^2)",
     )
@@ -84,7 +91,10 @@ def main():
     ap.add_argument("--v-step", type=float, default=0.005, help="voltage grid (V)")
     ap.add_argument("--out", default="pv_sweep.csv")
     ap.add_argument("--plot", action="store_true")
-    run(ap.parse_args())
+    try:
+        run(ap.parse_args())
+    except ToolkitError as exc:
+        sys.exit(f"error: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

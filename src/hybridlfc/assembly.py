@@ -98,9 +98,6 @@ class ControllerGains:
             if not math.isfinite(getattr(self, name)):
                 raise InvariantViolation(f"gains.{name} must be finite")
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in GAIN_ORDER)
-
 
 GAIN_ORDER = tuple(f.name for f in fields(ControllerGains))
 

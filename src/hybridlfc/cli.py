@@ -12,7 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -140,27 +143,23 @@ def _slots(data: np.ndarray, flags: np.ndarray | None) -> np.ndarray:
 CSV_BLOCK = 4096
 
 
-def _csv(data: np.ndarray, flags: np.ndarray | None = None) -> list[str]:
-    """The CSV lines of a 2-D float array's rows (see `_slots`), joined by
-    newlines in blocks of CSV_BLOCK rows."""
-    return [
-        _slots(data[i : i + CSV_BLOCK], None if flags is None else flags[i : i + CSV_BLOCK])
-        .tobytes()
-        .translate(None, b"\0")
-        .decode("ascii")
-        for i in range(0, len(data), CSV_BLOCK)
-    ]
+def _csv(*columns: np.ndarray, flags: np.ndarray | None = None) -> Iterator[str]:
+    """The CSV lines of the rows of the columns side by side (a 1-D array
+    is one column, a 2-D array its own columns; see `_slots`), yielded as
+    the lines of each CSV_BLOCK rows joined by newlines."""
+    for i in range(0, len(columns[0]), CSV_BLOCK):
+        block = np.column_stack([c[i : i + CSV_BLOCK] for c in columns])
+        slots = _slots(block, None if flags is None else flags[i : i + CSV_BLOCK])
+        yield slots.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _cmd_simulate(cfg: Config) -> list[str]:
+def _cmd_simulate(cfg: Config) -> Iterable[str]:
     model = build_closed_loop(cfg.system, cfg.gains)
     outs = output_map(cfg.system)
     trace = integrate(model, cfg.scenario, outputs=outs)
     header = "t," + ",".join(model.state_labels) + "," + ",".join(outs.labels)
-    data = np.column_stack(
-        [trace.times, trace.states] + [trace.outputs[lbl] for lbl in outs.labels]
-    )
-    return [header, *_csv(data)]
+    outputs = [trace.outputs[lbl] for lbl in outs.labels]
+    return chain([header], _csv(trace.times, trace.states, *outputs))
 
 
 def _cmd_steady(cfg: Config) -> list[str]:
@@ -188,7 +187,7 @@ def _cmd_tune(cfg: Config) -> list[str]:
     return lines
 
 
-def _cmd_pvcurve(cfg: Config) -> list[str]:
+def _cmd_pvcurve(cfg: Config) -> Iterable[str]:
     volts, amps, (vm, im, _) = pv_curve(cfg.pv, cfg.pv_v_step)
     # flag the grid row at exactly vm (the dark cell's V = 0), else insert
     # one; its power vm*im is the point's own pm
@@ -198,7 +197,7 @@ def _cmd_pvcurve(cfg: Config) -> list[str]:
         amps = np.concatenate((amps[:at], [im], amps[at:]))
     flags = np.zeros(len(volts), np.uint8)
     flags[at] = 1
-    return ["V,I,P,mpp", *_csv(np.column_stack([volts, amps, volts * amps]), flags)]
+    return chain(["V,I,P,mpp"], _csv(volts, amps, volts * amps, flags=flags))
 
 
 _COMMANDS = {
@@ -250,13 +249,15 @@ def main(argv=None) -> int:
                 cfg, system=replace(cfg.system, include_solar=args.include_solar == "true")
             )
 
-        # one copy of the text: the lines are dropped once joined
-        payload = "\n".join([*_COMMANDS[args.command](cfg), ""])
-        if args.out is None:
-            sys.stdout.write(payload)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+        # every check has run by the time a command returns, so a failure
+        # leaves stdout empty and writes no file; simulate and pvcurve return
+        # their CSV lazily, which is formatted one block at a time as written
+        texts = _COMMANDS[args.command](cfg)
+        sink = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+        with sink as out:
+            for text in texts:
+                out.write(text)
+                out.write("\n")
         return 0
     except ConfigError as exc:
         _report(exc)

@@ -78,7 +78,6 @@ DEFAULTS: dict[str, object] = _defaults()
 class Config:
     """Typed view of a merged configuration."""
 
-    values: dict
     system: SystemParams
     gains: ControllerGains
     scenario: Scenario
@@ -171,7 +170,6 @@ def _build(v: dict) -> Config:
         bounds={name: (v[f"tune.{name}_min"], v[f"tune.{name}_max"]) for name in GAIN_ORDER},
     )
     return Config(
-        values=v,
         system=system,
         gains=gains,
         scenario=scenario,

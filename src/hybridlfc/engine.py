@@ -19,12 +19,11 @@ x_{k+j} = P^j x_k + (I + P + ... + P^{j-1}) Q c, so one stack of
 P, P^2, ..., P^B and one of the partial sums, built once per run, fill
 up to B rows with one matrix-vector product (the standard power
 treatment of a linear recurrence; Moler & Van Loan, SIAM Rev. 45, 2003).
-B is the power of two nearest sqrt(rows - 1), at most MAX_CHUNK, halved
-while a stacked power or sum is not finite, so that an unstable mode the
-scenario never excites stays at zero as it does when stepping. The
-result is within 1e-12 of each column's scale of the stepped recurrence
-(tests/reference.py keeps it as the oracle), not bit for bit; at B = 1
-it is the stepped recurrence.
+B is MAX_CHUNK, halved while a stacked power or sum is not finite, so
+that an unstable mode the scenario never excites stays at zero as it
+does when stepping. The result is within 1e-12 of each column's scale
+of the stepped recurrence (tests/reference.py keeps it as the oracle),
+not bit for bit; at B = 1 it is the stepped recurrence.
 
 The performance index needs no stepping at all. Over a stretch of rows
 with constant forcing the augmented state z = [x; 1] follows
@@ -73,15 +72,17 @@ __all__ = [
     "ise",
 ]
 
-# `integrate` stores every row: a 600 001-row `simulate --out` peaked at
-# 475 MB resident, about 0.8 kB a row, 0.15 kB of it the trace and the rest
-# its value matrix and CSV text, so this keeps a run under 1.6 GB; the
-# default 60 s / 1 ms scenario has 60 001 rows
+# `integrate` stores every row; `simulate` writes its CSV a block at a
+# time, so a run holds about 0.16 kB a row, its states, times and derived
+# outputs (132 MB resident at 600 001 rows), and this keeps it under 0.4 GB
+# and about 6 s; the default 60 s / 1 ms scenario has 60 001 rows
 MAX_ROWS = 2_000_000
 
 # `integrate` fills at most this many rows per matrix-vector product: on a
-# 60 001-row run the loop takes about 240 turns instead of 60 000
-MAX_CHUNK = 256
+# 60 001-row run the loop takes about 1 900 turns instead of 60 000. Each
+# of its two (32 n x n) stacks takes 37 kB at n = 12, below glibc's 128 kB
+# mmap threshold; 16 costs more on long runs and 64 on short ones
+MAX_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -175,14 +176,6 @@ def _propagators(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _chunk_length(rows: int) -> int:
-    """Rows `integrate` fills per matrix-vector product: the power of two
-    nearest sqrt(rows - 1) (on a log scale), at most MAX_CHUNK; about as many
-    loop turns as rows per turn, so neither the set-up nor the loop
-    dominates."""
-    return min(1 << round(math.log2(max(rows - 1, 1)) / 2), MAX_CHUNK)
-
-
 def _chunk_propagators(p_mat: np.ndarray, chunk: int):
     """The chunk length B actually used, at most `chunk` (a power of two),
     and, as (B*n, n) stacks, the powers P, P^2, ..., P^B and the partial
@@ -273,11 +266,10 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
     Rows are filled in chunks of up to B by x_{k+j} = P^j x_k + r_j,
     j = 1..B, from the stacks of `_chunk_propagators`, built once per run;
     each stretch of the `_inputs` schedule forms Q c = q_mat @ forcing and
-    r = (partial sums) @ Q c once. B is the power of two nearest
-    sqrt(rows - 1), at most MAX_CHUNK, halved while a stacked power is not
-    finite. Every row is within 1e-12 of its column's scale of the stepped
-    recurrence x+ = P x + Q c, and B = 1 is that recurrence; beside the
-    states the loop holds O(B n^2).
+    r = (partial sums) @ Q c once. B is MAX_CHUNK, halved while a stacked
+    power is not finite. Every row is within 1e-12 of its column's scale
+    of the stepped recurrence x+ = P x + Q c, and B = 1 is that
+    recurrence; beside the states the loop holds O(B n^2).
 
     When an OutputMap is supplied its derived signals are evaluated along
     the trace, with controller outputs u = H x + u0 reconstructed when the
@@ -308,7 +300,7 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
     # huge gains can overflow the propagators themselves; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         p_mat, q_mat = _propagators(a, dt)
-        chunk, powers, sums = _chunk_propagators(p_mat, _chunk_length(rows))
+        chunk, powers, sums = _chunk_propagators(p_mat, MAX_CHUNK)
         # the steps leaving rows start .. stop - 1 fill rows start + 1 ..
         # stop; the last row leaves none
         for start, stop, forcing in zip(edges, edges[1:], forcings):

@@ -3,6 +3,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ class TestCsvRows:
         rows = 2 * CSV_BLOCK + 1
         data = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-30, 30, (rows, 2))
         flags = rng.integers(0, 2, rows)
-        blocks = _csv(data, flags)
+        blocks = list(_csv(data, flags=flags))
         assert len(blocks) == 3
         lines = [f"{line},{flag}" for line, flag in zip(per_value_csv(data), flags)]
         assert "\n".join(blocks) == "\n".join(lines)
@@ -118,8 +119,8 @@ class TestCsvRows:
     @settings(max_examples=300)
     def test_matches_percent_format(self, values):
         cells = ["%.8e" % x for x in values]
-        assert _csv(np.array([values])) == [",".join(cells)]
-        assert _csv(np.array(values)[:, None]) == ["\n".join(cells)]
+        assert list(_csv(np.array([values]))) == [",".join(cells)]
+        assert list(_csv(np.array(values)[:, None])) == ["\n".join(cells)]
 
     def test_simulate_output_matches_per_value_format(self, capsys, tmp_path):
         # quiet all-zero rows up to the 0.5 s onset, then a response
@@ -165,6 +166,42 @@ class TestSimulate:
         assert min(dfs) < 0.0
         dp1 = [float(r.split(",")[cols.index("dP1")]) for r in lines[1:]]
         assert dp1[1] < 0.0  # generation lags the step at first
+
+    def test_stdout_and_out_file_get_the_same_bytes(self, capsys, tmp_path):
+        # 5 001 rows: two CSV blocks, each written as it is formatted
+        text = "scenario.t_end = 50\nscenario.dt = 0.01\n" + STABLE_GAINS + "scenario.dPl = 0.01\n"
+        code, out, err = run_cli(capsys, tmp_path, "simulate", text)
+        assert code == 0 and err == ""
+        assert out.count("\n") == 1 + 5001 > 1 + CSV_BLOCK
+        path = tmp_path / "trace.csv"
+        code, out_again, _ = run_cli(capsys, tmp_path, "simulate", text, ["--out", str(path)])
+        assert code == 0 and out_again == ""
+        assert path.read_bytes() == out.encode("ascii")
+
+    def test_traced_peak_of_a_long_run_stays_near_the_states(self, tmp_path):
+        # 60 001 rows with the acceptance gains: the text is made and written
+        # one CSV block at a time, so beside the trace (states, times and
+        # derived outputs) the peak holds one block, not the whole file
+        path = tmp_path / "case.conf"
+        path.write_text(
+            "gains.Kdp = 85.5\ngains.Kdi = 35.0\ngains.Kpp = 100.0\n"
+            "gains.Kpi = 43.0\ngains.Ksp = 10.5\ngains.Ksi = 0.5\n"
+            "scenario.dPl = 0.01\nscenario.dPl_onset = 1.0\n"
+            "scenario.dPiw = 0.005\nscenario.dPiw_onset = 20.0\n"
+        )
+        argv = ["--command", "simulate", "--config", str(path), "--out", str(tmp_path / "long.csv")]
+        main(argv)  # first use builds `_csv`'s tables, which stay
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        states = 60_001 * 12 * 8
+        assert (tmp_path / "long.csv").read_text().count("\n") == 1 + 60_001
+        assert peak < 3 * states
 
 
 class TestSteady:
@@ -382,6 +419,18 @@ class TestFailureModes:
         assert code == 4 and out == ""
         assert err.startswith("error: UnstableStepSize:")
         assert len(err.splitlines()) == 1
+
+    def test_overflow_mid_run_writes_nothing(self, capsys, tmp_path):
+        # Kdi < 0 makes a growing mode that the step guard, which checks only
+        # decaying ones, lets through; it overflows long before t = 600 s
+        text = "gains.Kdi = -50\nscenario.t_end = 600\nscenario.dt = 0.01\nscenario.dPl = 0.01\n"
+        path = tmp_path / "trace.csv"
+        for extra in ([], ["--out", str(path)]):
+            code, out, err = run_cli(capsys, tmp_path, "simulate", text, extra)
+            assert code == 3 and out == ""
+            assert err.startswith("error: NonFiniteState:")
+            assert len(err.splitlines()) == 1
+        assert not path.exists()
 
     def test_missing_config_file(self, capsys, tmp_path):
         code = main(["--command", "eigen", "--config", str(tmp_path / "absent.conf")])

@@ -23,7 +23,6 @@ from hybridlfc.engine import (
     Scenario,
     SimulationTrace,
     Step,
-    _chunk_length,
     _chunk_propagators,
     _propagators,
     integrate,
@@ -412,7 +411,7 @@ class TestClosedLoopTrace:
         # forms, so the trace and the index start from the same bits; one
         # many-row product for all stretches rounds some of them differently.
         # Chunks of one row are the stepped recurrence, bit for bit
-        monkeypatch.setattr(hybridlfc.engine, "_chunk_length", lambda rows: 1)
+        monkeypatch.setattr(hybridlfc.engine, "MAX_CHUNK", 1)
         model = build_closed_loop(default_params, stable_gains)
         steps = {
             "dPl": Step(0.017666, 0.1),
@@ -438,14 +437,13 @@ class TestClosedLoopTrace:
         np.testing.assert_array_equal(trace.states, np.array(want))
 
     def test_chunked_states_stay_near_the_stepped_ones(self, default_params, stable_gains):
-        # the same three onsets at the default chunk length, 8 rows for 101
+        # the same three onsets in chunks of MAX_CHUNK rows
         model = build_closed_loop(default_params, stable_gains)
         steps = {
             "dPl": Step(0.017666, 0.1),
             "dPiw": Step(0.01258, 0.5),
             "dPis": Step(0.005365, 0.8),
         }
-        assert _chunk_length(101) == 8
         assert_near_stepped(model, Scenario(t_end=1.0, dt=0.01, disturbances=steps))
 
     def test_open_loop_control_path(self, default_params):
@@ -460,13 +458,6 @@ class TestClosedLoopTrace:
 class TestChunkedPropagation:
     """`integrate` fills rows in chunks of matrix powers; the stepped
     recurrence in tests/reference.py is its oracle."""
-
-    @pytest.mark.parametrize(
-        "rows, chunk",
-        [(2, 1), (3, 1), (6, 2), (101, 8), (201, 16), (60_001, 256), (2_000_000, MAX_CHUNK)],
-    )
-    def test_chunk_length_is_the_power_of_two_nearest_the_root(self, rows, chunk):
-        assert _chunk_length(rows) == chunk
 
     def test_stacks_hold_powers_and_partial_sums(self, default_params, stable_gains):
         p_mat, _ = _propagators(build_closed_loop(default_params, stable_gains).a, 0.01)
@@ -506,12 +497,11 @@ class TestChunkedPropagation:
 
     @pytest.mark.parametrize("rows", [2, 3, 256, 257, 258])
     def test_open_plant_with_controls_and_initial_state(self, default_params, rows):
-        # at 256-258 rows a chunk is 16 rows; the dPl onset on row 17 leaves a
-        # first stretch of a chunk + 1 steps and a second of 238, 239 and 240,
+        # a chunk is 32 rows; at 256-258 rows the dPl onset on row 33 leaves a
+        # first stretch of a chunk + 1 steps and a second of 222, 223 and 224,
         # which ends two rows short of, one row short of and on a chunk edge
         plant = assemble_plant(default_params)
-        chunk = _chunk_length(rows)
-        onset = min(chunk + 1, rows - 1) * 0.01
+        onset = min(MAX_CHUNK + 1, rows - 1) * 0.01
         sc = Scenario(
             t_end=(rows - 1) * 0.01,
             dt=0.01,
@@ -532,7 +522,6 @@ class TestChunkedPropagation:
     def test_onsets_at_the_edges(self, default_params, stable_gains, steps):
         model = build_closed_loop(default_params, stable_gains)
         sc = Scenario(t_end=2.37, dt=0.01, disturbances=steps)
-        assert _chunk_length(238) == 16
         assert_near_stepped(model, sc)
 
     def test_step_just_inside_the_guard(self, default_params):
@@ -550,7 +539,7 @@ class TestChunkedPropagation:
         np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision"
     )
     def test_long_run_near_the_guard_rounds_less_than_stepping(self, default_params):
-        # over 23 077 rows of the same loop the chunks, 128 rows each, round
+        # over 23 077 rows of the same loop the chunks, 32 rows each, round
         # less than the stepped oracle, measured against the same double
         # recurrence stepped in extended precision
         model = build_closed_loop(default_params, ControllerGains())
@@ -576,11 +565,10 @@ class TestChunkedPropagation:
     def test_unexcited_overflowing_mode_stays_at_zero(self):
         model = self._fast_growing(excited=False)
         sc = Scenario(t_end=10.0, dt=0.01, disturbances={"w": Step(1.0, 0.5)})
-        # 1 001 rows would take 32 a chunk; P^32 overflows, P^16 does not
-        assert _chunk_length(1001) == 32
+        # a chunk is 32 rows; P^32 overflows, P^16 does not
         p_mat, _ = _propagators(model.a, 0.01)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _chunk_propagators(p_mat, 32)[0] == 16
+            assert _chunk_propagators(p_mat, MAX_CHUNK)[0] == 16
         states = assert_near_stepped(model, sc)
         assert np.all(np.isfinite(states)) and not states[:, 1].any()
 

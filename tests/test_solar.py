@@ -1,5 +1,7 @@
 import importlib.util
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +379,30 @@ class TestPvSweepScript:
         assert mpp == pv_curve(cell, 0.005)[2]
         if lam == 1000.0:
             assert rows[-1][0] > voc
+
+    @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            (["--irradiance", "-5"], 1, "error: InvariantViolation: pv.lambda must be >= 0"),
+            (["--v-step", "0"], 1, "error: InvariantViolation: v_step must be > 0"),
+            (["--v-step", "1e-9"], 1, "error: InvariantViolation: voltage grid of 6.4e+08 points"),
+            (["--irradiance", "abc"], 2, "error: argument --irradiance: invalid irradiance_levels"),
+        ],
+        ids=["negative_irradiance", "zero_step", "grid_over_the_cap", "not_a_number"],
+    )
+    def test_bad_input_is_one_error_line(self, tmp_path, flags, code, message):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "pv_sweep.py"
+        result = subprocess.run(
+            [sys.executable, str(path), *flags, "--out", str(tmp_path / "pv.csv")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == code and result.stdout == ""
+        assert "Traceback" not in result.stderr
+        [line] = [line for line in result.stderr.splitlines() if "error:" in line]
+        assert message in line
+        assert not (tmp_path / "pv.csv").exists()
 
 
 BOOST = BoostParams(L=1e-3, C=1e-3, R=10.0, Ts=1e-5, duty=0.5)

@@ -2,7 +2,7 @@ import importlib.util
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -147,7 +147,7 @@ class TestSearch:
     def test_deterministic(self, default_params):
         first = tune_gains(default_params, QUICK)
         second = tune_gains(default_params, QUICK)
-        assert first[0].as_tuple() == second[0].as_tuple()
+        assert astuple(first[0]) == astuple(second[0])
         assert first[1] == second[1]
 
     def test_result_is_stable(self, default_params):
@@ -177,7 +177,7 @@ class TestSearch:
 
     def test_unit_budget_returns_start_cost(self, default_params):
         gains, eta = tune_gains(default_params, replace(QUICK, budget=1))
-        assert gains.as_tuple() == tuple(0.5 for _ in GAIN_ORDER)
+        assert astuple(gains) == tuple(0.5 for _ in GAIN_ORDER)
         start_cost = ise(
             integrate(build_closed_loop(default_params, gains), QUICK.scenario())
         )
@@ -233,7 +233,7 @@ class TestSearch:
 
         monkeypatch.setattr(hybridlfc.tuning, "closed_loop_matrix", counting_fill)
         gains, got = tune_gains(default_params, TuneSpec(per_loop=per_loop))
-        assert gains.as_tuple() == expected
+        assert astuple(gains) == expected
         assert got == pytest.approx(eta, rel=1e-9)
         assert len(built) == closed
 
