@@ -93,7 +93,7 @@ def main():
     ap.add_argument("--plot", action="store_true")
     try:
         run(ap.parse_args())
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:
         sys.exit(f"error: {type(exc).__name__}: {exc}")
 
 

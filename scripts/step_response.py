@@ -44,7 +44,7 @@ def run(args):
             print(f"  {name} = {getattr(gains, name)}")
 
     model = build_closed_loop(system, gains)
-    trace = integrate(model, spec.scenario(), outputs=output_map(system))
+    trace = integrate(model, spec.scenario(), outputs=output_map(system, gains))
 
     dfs = trace.column("dFs")
     print(f"peak |dFs| = {np.max(np.abs(dfs)):.6e} Hz (pu system)")
@@ -100,7 +100,7 @@ def main():
     ap.add_argument("--plot", action="store_true")
     try:
         run(ap.parse_args())
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:
         sys.exit(f"error: {type(exc).__name__}: {exc}")
 
 

@@ -10,11 +10,13 @@ so the closed loop is just Ahat = Abar + Bbar H with unchanged
 disturbance topology. The 12-state layout is the ten plant states, then
 iFs and iFt. `build_closed_loop(p, gains)` is the one function that
 writes it: it assembles the plant, fills Abar, Bbar and Gbar, and forms
-Ahat and H with `closed_loop_matrix`. The closed loop is a plain
-`StateSpaceModel` (A = Ahat, B = Bbar, G = Gbar) whose `h` field holds
-H, so the engine consumes plants and closed loops alike. At zero gains
-A is Abar, the open loop a caller closing many loops re-closes with
-`closed_loop_matrix` for each set of gains.
+Ahat with `closed_loop_matrix`. The closed loop is a plain
+`StateSpaceModel` (A = Ahat, B = Bbar, G = Gbar), so the engine consumes
+plants and closed loops alike. `output_map(p, gains)` folds H into the
+derived-signal weights over the same 12 states, so nothing past this
+module needs H or the layout. At zero gains A is Abar, the open loop a
+caller closing many loops re-closes with `closed_loop_matrix` for each
+set of gains.
 """
 
 from __future__ import annotations
@@ -104,12 +106,11 @@ GAIN_ORDER = tuple(f.name for f in fields(ControllerGains))
 
 @dataclass(frozen=True)
 class OutputMap:
-    """Linear read-outs y = Wx x + Wu u + Wp p over the open-loop ordering.
+    """Linear read-outs y = Wx x + Wu u + Wp p of the derived signals dPgw
+    (wind generation), dPgs (solar generation) and dP1 (surplus power).
 
-    Carries the derived signals dPgw (wind generation), dPgs (solar
-    generation) and dP1 (surplus power). For closed loops the state
-    weights apply to the leading plant states; integrator states carry
-    zero weight.
+    Wx weighs the state of one model, as `output_map` documents; Wu weighs
+    the constant control offset u and Wp the disturbances p.
     """
 
     labels: tuple[str, ...]
@@ -197,8 +198,14 @@ def assemble_plant(p: SystemParams) -> StateSpaceModel:
     )
 
 
-def output_map(p: SystemParams) -> OutputMap:
-    """Derived-signal weights for [dPgw, dPgs, dP1] over the plant ordering."""
+def output_map(p: SystemParams, gains: ControllerGains | None = None) -> OutputMap:
+    """Derived-signal weights for [dPgw, dPgs, dP1] over the state of the
+    model the same arguments build: the ten plant states of
+    `assemble_plant(p)` without gains, the twelve of
+    `build_closed_loop(p, gains)` with them. There the controller outputs
+    u = H x + u0 fold into the state weights, Wx = [Wx_plant, 0] + Wu H,
+    and Wu weighs only the constant offset u0. Raises NonFiniteState when
+    a weight overflows."""
     wx = np.zeros((3, len(PLANT_STATE_ORDER)))
     wu = np.zeros((3, len(PLANT_CONTROL_ORDER)))
     wp = np.zeros((3, len(PLANT_DISTURBANCE_ORDER)))
@@ -221,6 +228,14 @@ def output_map(p: SystemParams) -> OutputMap:
         wp[2] += wp[1]
     wp[2, PL] += -1.0
 
+    if gains is not None:
+        h = build_feedback_matrix(gains, kig)
+        with np.errstate(over="ignore", invalid="ignore"):
+            wx = np.hstack([wx, np.zeros((3, len(INTEGRATOR_LABELS)))]) + wu @ h
+    # extreme but finite constants and gains (Kgs*d*Ksp past the double
+    # range, say) would read every state, zero ones too, as nan or inf
+    if not (np.isfinite(wx).all() and np.isfinite(wu).all() and np.isfinite(wp).all()):
+        raise NonFiniteState("output map weights are not finite")
     return OutputMap(labels=("dPgw", "dPgs", "dP1"), wx=wx, wu=wu, wp=wp)
 
 
@@ -245,10 +260,9 @@ def build_feedback_matrix(g: ControllerGains, kig: float) -> np.ndarray:
 
 def closed_loop_matrix(
     abar: np.ndarray, bbar: np.ndarray, gains: ControllerGains, kig: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ahat = Abar + Bbar H under PI gains, and H."""
-    h = build_feedback_matrix(gains, kig)
-    return abar + bbar @ h, h
+) -> np.ndarray:
+    """Ahat = Abar + Bbar H under PI gains."""
+    return abar + bbar @ build_feedback_matrix(gains, kig)
 
 
 def build_closed_loop(p: SystemParams, gains: ControllerGains) -> StateSpaceModel:
@@ -271,14 +285,13 @@ def build_closed_loop(p: SystemParams, gains: ControllerGains) -> StateSpaceMode
     gbar = np.zeros((N_AUGMENTED, len(PLANT_DISTURBANCE_ORDER)))
     gbar[:IFS] = plant.g
     with np.errstate(over="ignore", invalid="ignore"):
-        a, h = closed_loop_matrix(abar, bbar, gains, p.wind.Kig)
+        a = closed_loop_matrix(abar, bbar, gains, p.wind.Kig)
     if not np.isfinite(a).all():
         raise NonFiniteState("closed-loop state matrix is not finite")
     return StateSpaceModel(
         a=a,
         b=bbar,
         g=gbar,
-        h=h,
         state_labels=PLANT_STATE_ORDER + INTEGRATOR_LABELS,
         control_labels=PLANT_CONTROL_ORDER,
         disturbance_labels=PLANT_DISTURBANCE_ORDER,

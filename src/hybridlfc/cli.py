@@ -13,7 +13,6 @@ import argparse
 import functools
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -155,7 +154,7 @@ def _csv(*columns: np.ndarray, flags: np.ndarray | None = None) -> Iterator[str]
 
 def _cmd_simulate(cfg: Config) -> Iterable[str]:
     model = build_closed_loop(cfg.system, cfg.gains)
-    outs = output_map(cfg.system)
+    outs = output_map(cfg.system, cfg.gains)
     trace = integrate(model, cfg.scenario, outputs=outs)
     header = "t," + ",".join(model.state_labels) + "," + ",".join(outs.labels)
     outputs = [trace.outputs[lbl] for lbl in outs.labels]
@@ -231,11 +230,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="key = value configuration file")
     parser.add_argument("--out", metavar="PATH", help="output file (stdout when omitted)")
-    parser.add_argument(
-        "--include-solar",
-        choices=("true", "false"),
-        help="override system.include_solar",
-    )
     return parser
 
 
@@ -244,10 +238,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config("" if args.config is None else read_config(args.config))
-        if args.include_solar is not None:
-            cfg = replace(
-                cfg, system=replace(cfg.system, include_solar=args.include_solar == "true")
-            )
 
         # every check has run by the time a command returns, so a failure
         # leaves stdout empty and writes no file; simulate and pvcurve return

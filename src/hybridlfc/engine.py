@@ -37,9 +37,10 @@ to rounding; `integrate` + `ise` stay as its reference. It is a set-up
 over the scenario and one evaluation per state matrix, so the tuner does
 the scenario bookkeeping once per run.
 
-Every function takes one model type, `lti.StateSpaceModel`; on a closed
-loop its `h` field holds the feedback matrix, so the engine needs only
-`lti`.
+Every function takes one model type, `lti.StateSpaceModel`, plants and
+closed loops alike, so the engine needs only `lti`. The derived outputs
+are one affine read-out of the state, y = Wx x + Wu u + Wp p, with the
+weights over that state from `assembly.output_map`.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ __all__ = [
 ]
 
 # `integrate` stores every row; `simulate` writes its CSV a block at a
-# time, so a run holds about 0.16 kB a row, its states, times and derived
-# outputs (132 MB resident at 600 001 rows), and this keeps it under 0.4 GB
+# time, so a run holds about 0.13 kB a row, its states, times and derived
+# outputs (115 MB resident at 600 001 rows), and this keeps it under 0.4 GB
 # and about 6 s; the default 60 s / 1 ms scenario has 60 001 rows
 MAX_ROWS = 2_000_000
 
@@ -272,13 +273,19 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
     recurrence; beside the states the loop holds O(B n^2).
 
     When an OutputMap is supplied its derived signals are evaluated along
-    the trace, with controller outputs u = H x + u0 reconstructed when the
-    model carries a feedback matrix `h` (u = u0 otherwise) and each
-    stretch's p added over its rows.
+    the trace as y = states Wx' plus, over each stretch's rows, the offset
+    Wu u + Wp p of the scenario's controls u and the stretch's p. The map
+    must weigh the model's own states (`output_map` with the gains the
+    closed loop was built with); one over another state count raises
+    DimensionMismatch.
     """
     a = model.a
     n = model.n_states
     dt = scenario.dt
+    if outputs is not None and outputs.wx.shape[1] != n:
+        raise DimensionMismatch(
+            f"output map weighs {outputs.wx.shape[1]} states, model has {n}"
+        )
 
     growth = rk4_growth(eigenvalues(a), dt)
     if growth >= 0.0:
@@ -287,7 +294,7 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
             "does not damp every decaying mode"
         )
 
-    rows, u_const, x, edges, ps, forcings = _inputs(model, scenario)
+    rows, u, x, edges, ps, forcings = _inputs(model, scenario)
     if rows > MAX_ROWS:
         raise InvariantViolation(
             f"scenario has {rows:.7g} rows, above the cap of {MAX_ROWS}; "
@@ -316,17 +323,8 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
 
     out_cols: dict[str, np.ndarray] = {}
     if outputs is not None:
-        n_open = outputs.wx.shape[1]
-        if n < n_open:
-            raise DimensionMismatch(
-                f"output map expects at least {n_open} states, model has {n}"
-            )
-        if model.h is not None:
-            u_rows = states @ model.h.T + u_const
-        else:
-            u_rows = np.broadcast_to(u_const, (rows, len(u_const)))
-        y = states[:, :n_open] @ outputs.wx.T + u_rows @ outputs.wu.T
-        for start, stop, y_p in zip(edges, edges[1:], ps @ outputs.wp.T):
+        y = states @ outputs.wx.T
+        for start, stop, y_p in zip(edges, edges[1:], outputs.wu @ u + ps @ outputs.wp.T):
             y[start:stop] += y_p
         out_cols = {lbl: y[:, j] for j, lbl in enumerate(outputs.labels)}
 

@@ -32,11 +32,9 @@ class StateSpaceModel:
     """Linear model dx/dt = A x + B u + G p with named states and inputs.
 
     A is n x n, B is n x m (control inputs), G is n x k (disturbance
-    inputs). A closed loop also carries its m x n state feedback H: A
-    already holds Abar + Bbar H, and H reads the controller outputs back
-    out as u = H x (plus any constant control offset). Plants and
-    subsystem blocks have no H. Matrices are stored as read-only copies;
-    models are safe to share.
+    inputs). Plants and closed loops alike are this one type: a closed
+    loop's A already holds its state feedback. Matrices are stored as
+    read-only copies; models are safe to share.
     """
 
     a: np.ndarray
@@ -45,7 +43,6 @@ class StateSpaceModel:
     state_labels: tuple[str, ...]
     control_labels: tuple[str, ...] = ()
     disturbance_labels: tuple[str, ...] = ()
-    h: np.ndarray | None = None
 
     def __post_init__(self):
         # copies, so that freezing them leaves the caller's arrays writable
@@ -64,20 +61,11 @@ class StateSpaceModel:
             raise DimensionMismatch("control label count does not match B columns")
         if g.shape[1] != len(self.disturbance_labels):
             raise DimensionMismatch("disturbance label count does not match G columns")
-        h = self.h
-        if h is not None:
-            h = np.array(h, dtype=float)
-            if h.shape != (b.shape[1], n):
-                raise DimensionMismatch(
-                    f"feedback matrix has shape {h.shape}, want {(b.shape[1], n)}"
-                )
-            h.flags.writeable = False
         for m in (a, b, g):
             m.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
         object.__setattr__(self, "state_labels", labels)
         object.__setattr__(self, "control_labels", tuple(self.control_labels))
         object.__setattr__(self, "disturbance_labels", tuple(self.disturbance_labels))

@@ -15,7 +15,7 @@ balance through the gain Kgs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,6 +53,12 @@ class PvCellParams:
     lam: float = 1000.0  # irradiance (W/m^2)
 
     def __post_init__(self):
+        # a nan passes every comparison below, and an inf only fails deep
+        # in the solve, so both are refused by name first
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                key = "lambda" if f.name == "lam" else f.name
+                raise InvariantViolation(f"pv.{key} must be finite")
         if self.Isc <= 0:
             raise InvariantViolation("pv.Isc must be > 0")
         if self.Isat <= 0:

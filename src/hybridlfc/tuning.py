@@ -196,7 +196,7 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
             return cache[key]
         if len(cache) >= cap:
             raise _OutOfBudget
-        a, _ = closed_loop_matrix(base.a, base.b, ControllerGains(*key), kig)
+        a = closed_loop_matrix(base.a, base.b, ControllerGains(*key), kig)
         try:
             admissible = _admissible(eigenvalues(a), spec.dt)
         except InvalidArgument:  # eigenvalues refuses an Ahat that overflowed

@@ -19,11 +19,7 @@ from hybridlfc.assembly import (
     output_map,
 )
 from hybridlfc.engine import steady_state
-from hybridlfc.errors import (
-    DimensionMismatch,
-    InvariantViolation,
-    SingularSystem,
-)
+from hybridlfc.errors import InvariantViolation, SingularSystem
 from hybridlfc.lti import eigenvalues
 from hybridlfc.solar import SolarChannelParams
 from hybridlfc.tuning import GAIN_ORDER, TuneSpec, tune_gains
@@ -228,7 +224,8 @@ class TestLabelledReference:
             gains = draw_gains(rng)
             model = build_closed_loop(p, gains)
             want = labelled_closed_loop(assemble_plant(p), gains, p.wind.Kig)
-            for got, ref in zip((model.a, model.b, model.g, model.h), want):
+            h = build_feedback_matrix(gains, p.wind.Kig)
+            for got, ref in zip((model.a, model.b, model.g, h), want):
                 assert got.tobytes() == ref.tobytes()
             assert model.state_labels == PLANT_STATE_ORDER + INTEGRATOR_LABELS
 
@@ -257,8 +254,8 @@ class TestClosedLoop:
         abar, bbar, gbar, _ = labelled_closed_loop(plant, ControllerGains(), 0.9969)
         model = build_closed_loop(default_params, ControllerGains())
         np.testing.assert_array_equal(model.a, abar)
+        np.testing.assert_array_equal(model.b, bbar)
         np.testing.assert_array_equal(model.g, gbar)
-        np.testing.assert_array_equal(model.h, 0.0)
         assert model.state_labels == PLANT_STATE_ORDER + INTEGRATOR_LABELS
         assert model.n_states == 12
 
@@ -271,17 +268,6 @@ class TestClosedLoop:
         model = build_closed_loop(default_params, stable_gains)
         with pytest.raises(ValueError):
             model.a[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            model.h[0, 0] = 1.0
-
-    def test_rejects_misshapen_feedback(self, default_params):
-        # build_closed_loop builds H itself; a caller constructing the model directly
-        # still gets its shapes checked
-        model = build_closed_loop(default_params, ControllerGains())
-        with pytest.raises(DimensionMismatch):
-            replace(model, h=np.zeros((3, 11)))
-        with pytest.raises(DimensionMismatch):
-            replace(model, b=model.b[:11])
 
     def test_zero_gain_equilibrium_is_singular(self, default_params):
         model = build_closed_loop(default_params, ControllerGains())
@@ -348,9 +334,24 @@ class TestOutputMap:
     ):
         model = build_closed_loop(default_params, stable_gains)
         x = steady_state(model, disturbances={"dPl": 0.01})
-        om = output_map(default_params)
-        u = model.h @ x
+        om = output_map(default_params, stable_gains)
         p = np.array([0.01, 0.0, 0.0])
-        y = om.wx @ x[:10] + om.wu @ u + om.wp @ p
+        y = om.wx @ x + om.wp @ p
         assert abs(y[0]) < 1e-12  # frequencies agree, no slip power
         assert y[2] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "solar",
+        [SolarChannelParams(), SolarChannelParams(gbc_num=(3.0, -1.0, 0.7), gbc_den=(2.0, 5.0, 3.0))],
+        ids=["strictly_proper", "biproper"],
+    )
+    def test_zero_gains_pad_the_plant_map(self, solar):
+        # the closed loop's map at H = 0 is the plant map over two more
+        # states of zero weight, signed zeros included
+        p = SystemParams(solar=solar)
+        plant, closed = output_map(p), output_map(p, ControllerGains())
+        assert closed.labels == plant.labels
+        padded = np.hstack([plant.wx, np.zeros((3, len(INTEGRATOR_LABELS)))])
+        for got, want in ((closed.wx, padded), (closed.wu, plant.wu), (closed.wp, plant.wp)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert closed.wu.any() == (solar.gbc_num[-1] == 0.7)

@@ -130,7 +130,7 @@ class TestCsvRows:
 
         cfg = parse_config(text)
         model = build_closed_loop(cfg.system, cfg.gains)
-        outs = output_map(cfg.system)
+        outs = output_map(cfg.system, cfg.gains)
         trace = integrate(model, cfg.scenario, outputs=outs)
         data = np.column_stack(
             [trace.times, trace.states] + [trace.outputs[lbl] for lbl in outs.labels]
@@ -216,7 +216,7 @@ class TestSteady:
         text = "scenario.us = 1.0\n"
         _, out_on, _ = run_cli(capsys, tmp_path, "steady", text)
         code, out_off, _ = run_cli(
-            capsys, tmp_path, "steady", text, extra=["--include-solar", "false"]
+            capsys, tmp_path, "steady", text + "system.include_solar = false\n"
         )
         assert code == 0
 
@@ -410,6 +410,23 @@ class TestFailureModes:
         assert err.startswith("error: NonFiniteState:")
         assert len(err.splitlines()) == 1
 
+    # a tiny Kp/Tp keeps the plant finite while Kgs times the converter's
+    # feedthrough d, or that times a solar gain, overflows a read-out weight
+    OVERFLOWING_WEIGHTS = {
+        "feedthrough": "solar.gbc_num = 3.0, -1.0, 1e10\n",
+        "folded_feedback": "solar.gbc_num = 3.0, -1.0, 0.7\ngains.Ksp = 1e10\n",
+    }
+
+    @pytest.mark.parametrize("case", list(OVERFLOWING_WEIGHTS))
+    def test_overflowing_output_weights_are_numeric_error(self, capsys, tmp_path, case):
+        text = (
+            "system.Kp = 1e-320\nsystem.Tp = 1\nsolar.Kgs = 1e300\n"
+            "solar.gbc_den = 2.0, 5.0, 3.0\nscenario.t_end = 1\nscenario.dt = 0.01\n"
+            "scenario.dPl = 0.01\n" + self.OVERFLOWING_WEIGHTS[case]
+        )
+        code, out, err = run_cli(capsys, tmp_path, "simulate", text)
+        assert (code, out, err) == (3, "", "error: NonFiniteState: output map weights are not finite\n")
+
     @pytest.mark.parametrize("tp", ["1e-40", "1e-300"])
     def test_far_too_fast_plant_is_step_error(self, capsys, tmp_path, tp):
         # the fastest mode is so far outside the RK4 stability region that
@@ -589,17 +606,19 @@ class TestParserReuse:
         fresh = self.fresh_process(path)
         steady = ["--command", "steady", "--config", str(path)]
 
-        assert main([*steady, "--include-solar", "false"]) == 0
-        assert capsys.readouterr().out != fresh
-        assert main(steady) == 0
-        assert capsys.readouterr().out == fresh
-
         out = tmp_path / "steady.txt"
         assert main([*steady, "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert main(steady) == 0
         assert capsys.readouterr().out == fresh
         assert out.read_text() == fresh
+
+    def test_include_solar_is_a_config_key_only(self, capsys):
+        # system.include_solar has one spelling; the old flag is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["--command", "steady", "--include-solar", "false"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --include-solar false" in capsys.readouterr().err
 
     def test_unknown_command_exits_2_on_every_call(self, capsys, tmp_path):
         for _ in range(3):

@@ -16,6 +16,7 @@ from hybridlfc.assembly import (
     SystemParams,
     assemble_plant,
     build_closed_loop,
+    build_feedback_matrix,
     output_map,
 )
 from hybridlfc.engine import (
@@ -322,7 +323,7 @@ class TestClosedLoopTrace:
 
     def test_derived_outputs_along_trace(self, default_params, stable_gains):
         model = build_closed_loop(default_params, stable_gains)
-        om = output_map(default_params)
+        om = output_map(default_params, stable_gains)
         trace = integrate(
             model,
             Scenario(t_end=60.0, dt=0.005, disturbances={"dPl": 0.01}),
@@ -341,19 +342,19 @@ class TestClosedLoopTrace:
         # on a closed loop and us = u0 on the plant, which has no H
         solar = SolarChannelParams(gbc_num=(3.0, -1.0, 0.7), gbc_den=(2.0, 5.0, 3.0))
         p = SystemParams(solar=solar)
-        model = build_closed_loop(p, stable_gains) if closed else assemble_plant(p)
+        gains = stable_gains if closed else None
+        model = build_closed_loop(p, gains) if closed else assemble_plant(p)
         sc = Scenario(
             t_end=5.0,
             dt=0.01,
             disturbances={"dPl": 0.01, "dPis": Step(0.02, 0.5)},
             controls={"us": 0.03},
         )
-        trace = integrate(model, sc, outputs=output_map(p))
+        trace = integrate(model, sc, outputs=output_map(p, gains))
         x = trace.states
         if closed:
-            us = 0.03 + x @ model.h[2]
+            us = 0.03 + x @ build_feedback_matrix(gains, p.wind.Kig)[2]
         else:
-            assert model.h is None
             us = 0.03
         dpis = np.where(np.arange(len(x)) >= 50, 0.02, 0.0)
         expected = p.solar.Kgs * (trace.column("xs2") + 0.7 / 3.0 * (us + dpis))
@@ -375,19 +376,24 @@ class TestClosedLoopTrace:
     @pytest.mark.parametrize("closed", [True, False], ids=["closed_loop", "open_plant"])
     @pytest.mark.parametrize("case", list(EDGE_STEPS))
     def test_outputs_match_a_dense_reference(self, stable_gains, case, closed):
+        # the plant map's weights, with u = H x + u0 read out row by row
         p = self.BIPROPER
-        model = build_closed_loop(p, stable_gains) if closed else assemble_plant(p)
+        gains = stable_gains if closed else None
+        model = build_closed_loop(p, gains) if closed else assemble_plant(p)
         steps = self.EDGE_STEPS[case]
         sc = Scenario(t_end=2.0, dt=0.01, disturbances=steps, controls={"us": 0.003})
         om = output_map(p)
-        trace = integrate(model, sc, outputs=om)
+        trace = integrate(model, sc, outputs=output_map(p, gains))
         # the disturbance term row by row, every row's p written out
         rows = len(trace.times)
         p_rows = np.zeros((rows, len(model.disturbance_labels)))
         for lbl, step in steps.items():
             p_rows[round(step.onset / sc.dt) :, model.disturbance_labels.index(lbl)] = step.magnitude
         u = np.where(np.array(model.control_labels) == "us", 0.003, 0.0)
-        u_rows = trace.states @ model.h.T + u if closed else np.tile(u, (rows, 1))
+        if closed:
+            u_rows = trace.states @ build_feedback_matrix(gains, p.wind.Kig).T + u
+        else:
+            u_rows = np.tile(u, (rows, 1))
         x_open = trace.states[:, : om.wx.shape[1]]
         want = x_open @ om.wx.T + u_rows @ om.wu.T + p_rows @ om.wp.T
         got = np.column_stack([trace.column(lbl) for lbl in om.labels])
@@ -395,7 +401,7 @@ class TestClosedLoopTrace:
 
     def test_onset_on_the_last_row_moves_only_its_outputs(self, stable_gains):
         model = build_closed_loop(self.BIPROPER, stable_gains)
-        om = output_map(self.BIPROPER)
+        om = output_map(self.BIPROPER, stable_gains)
         steps = dict(self.EDGE_STEPS["dPis_on_last_row"])
         with_step = integrate(model, Scenario(t_end=2.0, dt=0.01, disturbances=steps), om)
         del steps["dPis"]
@@ -405,6 +411,17 @@ class TestClosedLoopTrace:
             a, b = with_step.column(lbl), without.column(lbl)
             np.testing.assert_array_equal(a[:-1], b[:-1])
             assert (a[-1] != b[-1]) == (lbl in ("dPgs", "dP1"))
+
+    def test_map_over_another_state_count_is_refused(self, default_params, stable_gains):
+        # the plant's 10-state map cannot read a 12-state closed loop, nor
+        # the closed loop's map a plant
+        sc = Scenario(t_end=1.0, dt=0.01, disturbances={"dPl": 0.01})
+        model = build_closed_loop(default_params, stable_gains)
+        with pytest.raises(DimensionMismatch, match="weighs 10 states, model has 12"):
+            integrate(model, sc, outputs=output_map(default_params))
+        plant = assemble_plant(default_params)
+        with pytest.raises(DimensionMismatch, match="weighs 12 states, model has 10"):
+            integrate(plant, sc, outputs=output_map(default_params, stable_gains))
 
     def test_states_step_with_the_evaluators_q_c(self, default_params, stable_gains, monkeypatch):
         # each stretch's Q c is `q_mat @ forcing`, the product ise_evaluator

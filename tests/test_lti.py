@@ -175,8 +175,6 @@ class TestStateSpaceModel:
             ({"disturbance_labels": ("w", "v")}, DimensionMismatch),
             ({"b": np.zeros((1, 2))}, DimensionMismatch),
             ({"g": np.zeros(3)}, DimensionMismatch),
-            ({"h": np.zeros((1, 3))}, DimensionMismatch),
-            ({"h": np.zeros((2, 2))}, DimensionMismatch),
         ],
         ids=[
             "label_count",
@@ -185,8 +183,6 @@ class TestStateSpaceModel:
             "disturbance_count",
             "b_rows",
             "g_size",
-            "h_columns",
-            "h_rows",
         ],
     )
     def test_checks_raise_toolkit_errors(self, change, error):
@@ -223,33 +219,17 @@ class TestStateSpaceModel:
         with pytest.raises(ValueError):
             model.a[0, 0] = 1.0
 
-    def test_feedback_optional_and_stored_read_only(self):
-        model, _ = tf_to_ss(((1.0,), (1.0, 2.0)))
-        assert model.h is None
-        m = StateSpaceModel(
-            a=np.eye(2),
-            b=np.ones(2),
-            g=(),
-            state_labels=("x", "y"),
-            control_labels=("u",),
-            h=[[1, 2]],
-        )
-        assert m.h.dtype == float and m.h.tolist() == [[1.0, 2.0]]
-        with pytest.raises(ValueError):
-            m.h[0, 0] = 3.0
-
     def test_caller_arrays_stay_writable(self):
-        a, b, g, h = np.eye(2), np.ones((2, 1)), np.ones((2, 1)), np.ones((1, 2))
+        a, b, g = np.eye(2), np.ones((2, 1)), np.ones((2, 1))
         m = StateSpaceModel(
             a=a,
             b=b,
             g=g,
-            h=h,
             state_labels=("x", "y"),
             control_labels=("u",),
             disturbance_labels=("p",),
         )
-        for mine, stored in ((a, m.a), (b, m.b), (g, m.g), (h, m.h)):
+        for mine, stored in ((a, m.a), (b, m.b), (g, m.g)):
             mine[0, 0] = 5.0
             assert stored[0, 0] == 1.0
 

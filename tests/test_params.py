@@ -75,6 +75,16 @@ def test_invalid_field_rejected_directly_and_by_replace(cls, valid, bad, message
         replace(base, **bad)
 
 
+@pytest.mark.parametrize("field", ["Isc", "KI", "Isat", "Rs", "Aq", "T", "lam"])
+def test_pv_cell_fields_must_be_finite(field):
+    # each non-finite field once built and failed late: a nan or inf grid,
+    # an overflowing series-resistance drop, or an underflowing Vt
+    key = "lambda" if field == "lam" else field
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvariantViolation, match=f"^pv\\.{key} must be finite$"):
+            PvCellParams(**{field: value})
+
+
 @pytest.mark.parametrize(
     "box",
     [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0), 5.0, (0.0, 1.0, 2.0), (1.0,), "ab", None],

@@ -404,6 +404,19 @@ class TestPvSweepScript:
         assert message in line
         assert not (tmp_path / "pv.csv").exists()
 
+    def test_unwritable_out_is_one_error_line(self, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "pv_sweep.py"
+        out = tmp_path / "missing" / "pv.csv"
+        result = subprocess.run(
+            [sys.executable, str(path), "--irradiance", "200", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0 and "Traceback" not in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: FileNotFoundError: ")
+
 
 BOOST = BoostParams(L=1e-3, C=1e-3, R=10.0, Ts=1e-5, duty=0.5)
 

@@ -401,3 +401,15 @@ class TestStepResponseScript:
         assert result.returncode != 0 and result.stdout == ""
         want = "error: InvalidValue: config is not valid UTF-8: byte 0xff at offset 0\n"
         assert result.stderr == want
+
+    def test_unwritable_out_is_one_error_line(self, tmp_path):
+        out = tmp_path / "missing" / "step.csv"
+        result = subprocess.run(
+            [sys.executable, str(STEP_RESPONSE), "--t-end", "2", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0 and "Traceback" not in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: FileNotFoundError: ")
