@@ -12,7 +12,7 @@ where c = B u + G p is the forcing over the step. This is algebraically
 identical to running the four stages. The step inputs cut the rows into
 stretches of constant forcing, which `_inputs` forms once for both
 `integrate` and `ise_evaluator`; both form each stretch's Q c as
-`q_mat @ forcing`, so the trace and the index start from the same bits.
+`q_mat.dot(forcing)`, so the trace and the index start from the same bits.
 
 `integrate` does not step row by row. Within a stretch,
 x_{k+j} = P^j x_k + (I + P + ... + P^{j-1}) Q c, so one stack of
@@ -165,13 +165,16 @@ def _weighted_states(labels: tuple[str, ...], include_ft: bool) -> list[int]:
     return [labels.index(lbl) for lbl in wanted]
 
 
+# `_propagators`, `_doubling_sum` and the evaluator run once per tuner
+# candidate on 13 x 13 operands, where `ndarray.dot` costs about half the
+# call overhead of `@`; it calls the same BLAS routine, so the bits match
 def _propagators(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     eye = np.eye(n)
     m1 = dt * a
-    m2 = m1 @ m1
-    m3 = m2 @ m1
-    m4 = m3 @ m1
+    m2 = m1.dot(m1)
+    m3 = m2.dot(m1)
+    m4 = m3.dot(m1)
     p = eye + m1 + m2 / 2.0 + m3 / 6.0 + m4 / 24.0
     q = dt * (eye + m1 / 2.0 + m2 / 6.0 + m3 / 24.0)
     return p, q
@@ -266,7 +269,7 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
 
     Rows are filled in chunks of up to B by x_{k+j} = P^j x_k + r_j,
     j = 1..B, from the stacks of `_chunk_propagators`, built once per run;
-    each stretch of the `_inputs` schedule forms Q c = q_mat @ forcing and
+    each stretch of the `_inputs` schedule forms Q c = q_mat.dot(forcing) and
     r = (partial sums) @ Q c once. B is MAX_CHUNK, halved while a stacked
     power is not finite. Every row is within 1e-12 of its column's scale
     of the stepped recurrence x+ = P x + Q c, and B = 1 is that
@@ -312,7 +315,7 @@ def integrate(model: StateSpaceModel, scenario: Scenario, outputs=None) -> Simul
         # stop; the last row leaves none
         for start, stop, forcing in zip(edges, edges[1:], forcings):
             k, end = start, min(stop, rows - 1)
-            r = (sums @ (q_mat @ forcing)).reshape(chunk, n)
+            r = (sums @ q_mat.dot(forcing)).reshape(chunk, n)
             while k < end:
                 m = min(chunk, end - k)
                 states[k + 1 : k + 1 + m] = (powers[: m * n] @ x).reshape(m, n) + r[:m]
@@ -345,13 +348,13 @@ def _doubling_sum(t: np.ndarray, w: np.ndarray, z: np.ndarray, length: int):
     s, tm, total = w, t, 0.0
     while True:
         if length & 1:
-            total += z @ s @ z
-            z = tm @ z
+            total += z.dot(s).dot(z)
+            z = tm.dot(z)
         length >>= 1
         if not length:
             return total, z
-        s = s + tm.T @ s @ tm
-        tm = tm @ tm
+        s = s + tm.T.dot(s).dot(tm)
+        tm = tm.dot(tm)
 
 
 def ise_evaluator(model: StateSpaceModel, scenario: Scenario, include_ft: bool = False):
@@ -374,11 +377,12 @@ def ise_evaluator(model: StateSpaceModel, scenario: Scenario, include_ft: bool =
     like the quiet rows before a step onset, is skipped, which leaves the
     result bit-for-bit unchanged.
 
-    Unlike `integrate` this applies no eigenvalue step guard: the tuner
-    screens every candidate with its own, stricter step headroom, and
-    another caller that needs the guard can call `rk4_growth` on the
-    eigenvalues it has. Raises NonFiniteState when the sum overflows; on
-    an unstable model this can happen through the matrix powers alone,
+    Unlike `integrate` this applies no eigenvalue step guard, so it also
+    returns an index for an unstable model: the tuner screens, with its
+    own stricter step headroom, every candidate whose index would beat its
+    best, and another caller that needs the guard can call `rk4_growth` on
+    the eigenvalues it has. Raises NonFiniteState when the sum overflows;
+    on an unstable model this can happen through the matrix powers alone,
     even from a mode that the scenario never excites and that stays at
     zero in the stepped trace.
     """
@@ -405,12 +409,12 @@ def ise_evaluator(model: StateSpaceModel, scenario: Scenario, include_ft: bool =
             p_mat, q_mat = _propagators(a, dt)
             t[:n, :n] = p_mat
             for length, forcing in segments:
-                t[:n, n] = q_mat @ forcing
+                t[:n, n] = q_mat.dot(forcing)
                 if not (z[:n].any() or t[:n, n].any()):
                     continue  # at rest and unforced: every row adds 0.0, z stays
                 part, z = _doubling_sum(t, w, z, length)
                 total += part
-            result = dt * (total + (z @ w @ z - y0) / 2.0)
+            result = dt * (total + (z.dot(w).dot(z) - y0) / 2.0)
         if not math.isfinite(result):
             raise NonFiniteState("performance index is not finite")
         return float(result)

@@ -89,6 +89,11 @@ class BoostParams:
     duty: float  # duty ratio in [0, 1)
 
     def __post_init__(self):
+        # a nan passes the comparisons below, and so does an inf, which is
+        # no physical converter; both are refused by name first
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise InvariantViolation(f"boost {f.name} must be finite")
         if self.L <= 0 or self.C <= 0 or self.R <= 0 or self.Ts <= 0:
             raise InvariantViolation("boost L, C, R, Ts must all be > 0")
         if not 0.0 <= self.duty < 1.0:
@@ -275,7 +280,7 @@ def boost_switched_step(
     Switch open (u = 0): the inductor feeds the output,
         L diL/dt = vpv - vo,     C dvo/dt = iL - vo/R.
     """
-    if dt <= 0 or dt > p.Ts:
+    if not 0 < dt <= p.Ts:  # also refuses a nan dt
         raise InvariantViolation("boost step requires 0 < dt <= Ts")
 
     if u:

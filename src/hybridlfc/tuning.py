@@ -11,10 +11,12 @@ Nothing but Ahat depends on the gains, so a run builds one closed loop
 at zero gains (`assembly.build_closed_loop`, whose A is then the
 augmented open loop Abar) and sets up the index's scenario bookkeeping
 once (`engine.ise_evaluator`). A candidate then costs one fill of
-Ahat = Abar + Bbar H (`assembly.closed_loop_matrix`), one eigenvalue
-solve, the stability and step headroom screen, and, when it passes, one
-evaluation of the exact trapezoidal index of its RK4 trace, summed in
-closed form with no stepping: a fraction of a millisecond in all.
+Ahat = Abar + Bbar H (`assembly.closed_loop_matrix`) and one evaluation
+of the exact trapezoidal index of its RK4 trace, summed in closed form
+with no stepping. Only a candidate whose index beats the best so far also
+costs an eigenvalue solve and the stability and step headroom screen:
+the search accepts nothing else, and the best never rises, so an index
+that does not beat it now never will (Hooke & Jeeves, J. ACM 8, 1961).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .assembly import (
     closed_loop_matrix,
 )
 from .engine import Scenario, Step, ise_evaluator, rk4_growth
-from .errors import InvalidArgument, InvariantViolation, NoStableGainsFound
+from .errors import InvalidArgument, InvariantViolation, NoStableGainsFound, NonFiniteState
 from .lti import eigenvalues
 
 __all__ = ["GAIN_ORDER", "TuneSpec", "tune_gains"]
@@ -140,9 +142,10 @@ def _descend(cost, x, names, bounds):
 
     Probes each coordinate one step up then down, accepts strict
     improvements, and halves every step after a sweep with no progress.
+    `cost(key, best)` is told the best cost so far, which never rises.
     """
     steps = {n: 0.1 * (bounds[n][1] - bounds[n][0]) for n in names}
-    best = cost(tuple(x))
+    best = cost(tuple(x), math.inf)
     while any(steps[n] > 1e-4 * max(bounds[n][1] - bounds[n][0], 1.0) for n in names):
         improved = False
         for n in names:
@@ -154,7 +157,7 @@ def _descend(cost, x, names, bounds):
                 cand = min(max(x[i] + sign * steps[n], lo), hi)
                 if cand == x[i]:
                     continue
-                c = cost((*x[:i], cand, *x[i + 1 :]))
+                c = cost((*x[:i], cand, *x[i + 1 :]), best)
                 if c < best:
                     x[i], best, improved = cand, c, True
                     break
@@ -167,9 +170,9 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
     """Best-found controller gains and their performance index.
 
     Candidates whose Ahat overflows, or whose closed loop has any
-    eigenvalue real part above the stability margin, cost infinity, as do
-    candidates on which a step STEP_HEADROOM times the evaluation step
-    would leave a decaying mode undamped, so every accepted iterate is a
+    eigenvalue real part above the stability margin, are never accepted,
+    nor are candidates on which a step STEP_HEADROOM times the evaluation
+    step would leave a decaying mode undamped, so every accepted iterate is a
     stable design that the evaluation step resolves with room to spare. The
     search is deterministic: rerunning with the same inputs returns
     bit-identical gains. Raises NoStableGainsFound when nothing stable
@@ -191,17 +194,29 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
     # costs by gain tuple; its size counts the evaluations, capped at `cap`
     cache: dict[tuple[float, ...], float] = {}
 
-    def cost(key: tuple[float, ...]) -> float:
+    def admissible(a: np.ndarray) -> bool:
+        try:
+            return _admissible(eigenvalues(a), spec.dt)
+        except InvalidArgument:  # eigenvalues refuses an Ahat that overflowed
+            return False
+
+    def cost(key: tuple[float, ...], best: float) -> float:
+        # the index, or infinity when the screen refuses the candidate; an
+        # index that does not beat `best` is cached unscreened, since it
+        # cannot beat any later best either
         if key in cache:
             return cache[key]
         if len(cache) >= cap:
             raise _OutOfBudget
         a = closed_loop_matrix(base.a, base.b, ControllerGains(*key), kig)
         try:
-            admissible = _admissible(eigenvalues(a), spec.dt)
-        except InvalidArgument:  # eigenvalues refuses an Ahat that overflowed
-            admissible = False
-        c = evaluate(a) if admissible else math.inf
+            c = evaluate(a)
+        except NonFiniteState:
+            if admissible(a):
+                raise
+            c = math.inf
+        if c < best and not admissible(a):
+            c = math.inf
         cache[key] = c
         return c
 
@@ -209,8 +224,9 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
     # the last capped at an equal share of the budget
     groups = [active[i : i + 2] for i in range(0, len(active), 2)] if spec.per_loop else [active]
     share = max(spec.budget // len(groups), 1)
-    # extreme gains can overflow Ahat; such a candidate costs infinity, and
-    # one errstate for the whole search keeps numpy from warning about it
+    # extreme gains can overflow Ahat, and unstable ones the index; such a
+    # candidate costs infinity, and one errstate for the whole search keeps
+    # numpy from warning about it
     with np.errstate(over="ignore", invalid="ignore"):
         for i, names in enumerate(groups):
             last = i == len(groups) - 1

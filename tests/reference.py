@@ -18,6 +18,11 @@ so that a test can check src's rows against a block-level property.
 a time: the oracle of `engine.integrate`, which fills rows in chunks of
 matrix powers.
 
+`eager_tune_gains` is the tuner with the eager cost, which screens every
+candidate for stability before its index: the oracle of
+`tuning.tune_gains`, which screens only a candidate whose index beats the
+best so far.
+
 Last, `golden_mpp` finds a cell's maximum power point by a grid scan
 refined with golden-section search, and `dp_dv` gives the slope of the
 power curve in closed form: two oracles for `solar.pv_curve`'s Newton
@@ -29,16 +34,19 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+import hybridlfc.tuning as tuning
 from hybridlfc.assembly import (
     INTEGRATOR_LABELS,
     PLANT_CONTROL_ORDER,
     PLANT_DISTURBANCE_ORDER,
     PLANT_STATE_ORDER,
+    ControllerGains,
+    build_closed_loop,
 )
 from hybridlfc.diesel import governor_residues
-from hybridlfc.engine import _inputs, _propagators
-from hybridlfc.errors import ToolkitError
-from hybridlfc.lti import StateSpaceModel
+from hybridlfc.engine import _inputs, _propagators, ise_evaluator
+from hybridlfc.errors import InvalidArgument, NoStableGainsFound, ToolkitError
+from hybridlfc.lti import StateSpaceModel, eigenvalues
 from hybridlfc.solar import (
     open_circuit_voltage,
     photocurrent,
@@ -321,6 +329,54 @@ def stepped_states(model, scenario, dtype=float):
                 x = p_mat @ x + qc
                 states[k] = x
     return states
+
+
+# --- eager tuner -----------------------------------------------------------------
+
+
+def eager_tune_gains(params, spec):
+    """`tuning.tune_gains` with the eager cost: every candidate is screened
+    (`tuning._admissible` on its eigenvalues) before its index, and one the
+    screen refuses costs infinity unevaluated. The search, its budget caps
+    and its groups are the tuner's. It looks up `tuning.closed_loop_matrix`
+    and `tuning._descend` at call time, so a test that wraps them sees this
+    search and the shipped one alike."""
+    base = build_closed_loop(params, ControllerGains())
+    evaluate = ise_evaluator(base, spec.scenario(), include_ft=spec.eta_include_ft)
+    active = tuning.GAIN_ORDER if params.include_solar else tuning.GAIN_ORDER[:4]
+    x = [
+        min(max(0.5, spec.bounds[name][0]), spec.bounds[name][1]) if name in active else 0.0
+        for name in tuning.GAIN_ORDER
+    ]
+    cache = {}
+
+    def cost(key, best):  # `best` unused: the screen comes first
+        if key in cache:
+            return cache[key]
+        if len(cache) >= cap:
+            raise tuning._OutOfBudget
+        a = tuning.closed_loop_matrix(base.a, base.b, ControllerGains(*key), params.wind.Kig)
+        try:
+            admissible = tuning._admissible(eigenvalues(a), spec.dt)
+        except InvalidArgument:
+            admissible = False
+        cache[key] = evaluate(a) if admissible else math.inf
+        return cache[key]
+
+    groups = [active[i : i + 2] for i in range(0, len(active), 2)] if spec.per_loop else [active]
+    share = max(spec.budget // len(groups), 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, names in enumerate(groups):
+            last = i == len(groups) - 1
+            cap = spec.budget if last else min(spec.budget, len(cache) + share)
+            try:
+                tuning._descend(cost, x, list(names), spec.bounds)
+            except tuning._OutOfBudget:
+                pass
+    eta = cache[tuple(x)]
+    if not math.isfinite(eta):
+        raise NoStableGainsFound(f"no stable gain set found within {spec.budget} evaluations")
+    return ControllerGains(*x), eta
 
 
 # --- golden-section maximum power point --------------------------------------

@@ -92,18 +92,25 @@ def test_tuner_search_path(default_params, tuned, monkeypatch):
     ok = gains == ControllerGains(**expected)
     ok = ok and eta == pytest.approx(1.0544345933961472e-05, rel=1e-9)
 
-    # the rerun must fill exactly the budget's worth of candidate loops
-    built = []
+    # the rerun must fill exactly the budget's worth of candidate loops, and
+    # solve for the eigenvalues of only those whose index beats the best
+    built, solved = [], []
     real_fill = hybridlfc.tuning.closed_loop_matrix
+    real_eigenvalues = hybridlfc.tuning.eigenvalues
 
     def counting_fill(abar, bbar, gains, kig):
         built.append(gains)
         return real_fill(abar, bbar, gains, kig)
 
+    def counting_eigenvalues(a):
+        solved.append(a)
+        return real_eigenvalues(a)
+
     monkeypatch.setattr(hybridlfc.tuning, "closed_loop_matrix", counting_fill)
+    monkeypatch.setattr(hybridlfc.tuning, "eigenvalues", counting_eigenvalues)
     spec = hybridlfc.tuning.TuneSpec(dpiw=0.01, dpis=0.01, eta_include_ft=True)
     ok = ok and hybridlfc.tuning.tune_gains(default_params, spec) == (gains, eta)
-    ok = ok and len(built) == 300
+    ok = ok and len(built) == 300 and len(solved) == 78
     report("acceptance tuning follows its pinned search path", ok)
 
 

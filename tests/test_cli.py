@@ -558,8 +558,27 @@ class TestFailureModes:
                 "diesel.Td3 = 1e-300\nwind.Kp2 = 1e10\ntune.Kpp_min = -1e300\n",
                 "error: NoStableGainsFound: no stable gain set found within 300 evaluations\n",
             ),
+            # every gain pinned at an unstable set, whose index overflows
+            # over 600 s before the screen refuses it
+            (
+                "tune",
+                "".join(
+                    f"tune.{n}_min = {v}\ntune.{n}_max = {v}\n"
+                    for n, v in zip(
+                        ("Kdp", "Kdi", "Kpp", "Kpi", "Ksp", "Ksi"), (0.5, -50, 0.5, 0.5, 0.5, 0.5)
+                    )
+                )
+                + "tune.t_end = 600\n",
+                "error: NoStableGainsFound: no stable gain set found within 300 evaluations\n",
+            ),
         ],
-        ids=["steady_overflow", "steady_input_overflow", "closed_loop_overflow", "tune_candidate_overflow"],
+        ids=[
+            "steady_overflow",
+            "steady_input_overflow",
+            "closed_loop_overflow",
+            "tune_candidate_overflow",
+            "tune_index_overflow",
+        ],
     )
     def test_overflow_gives_one_error_line(self, capsys, tmp_path, command, text, line):
         code, out, err = run_cli(capsys, tmp_path, command, text)

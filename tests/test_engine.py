@@ -424,8 +424,9 @@ class TestClosedLoopTrace:
             integrate(plant, sc, outputs=output_map(default_params, stable_gains))
 
     def test_states_step_with_the_evaluators_q_c(self, default_params, stable_gains, monkeypatch):
-        # each stretch's Q c is `q_mat @ forcing`, the product ise_evaluator
-        # forms, so the trace and the index start from the same bits; one
+        # each stretch's Q c is `q_mat.dot(forcing)`, the product
+        # ise_evaluator forms, so the trace and the index start from the
+        # same bits (`@` below calls the same BLAS routine); one
         # many-row product for all stretches rounds some of them differently.
         # Chunks of one row are the stepped recurrence, bit for bit
         monkeypatch.setattr(hybridlfc.engine, "MAX_CHUNK", 1)

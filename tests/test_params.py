@@ -37,8 +37,9 @@ BOOST = {"L": 1e-3, "C": 1e-3, "R": 10.0, "Ts": 1e-5, "duty": 0.5}
         lambda: open_circuit_voltage(PvCellParams(Isat=0.0)),
         lambda: boost_switched_step(BoostParams(**BOOST | {"L": 0.0}), (0, 0), 10.0, 1, 1e-5),
         lambda: build_closed_loop(SystemParams(), ControllerGains(Kdp=math.nan)),
+        lambda: boost_switched_step(BoostParams(**BOOST), (0, 0), 10.0, 1, math.nan),
     ],
-    ids=["pv_cold", "pv_no_saturation", "boost_no_inductance", "nan_gain"],
+    ids=["pv_cold", "pv_no_saturation", "boost_no_inductance", "nan_gain", "boost_nan_step"],
 )
 def test_library_defect_inputs_rejected_when_built(call):
     with pytest.raises(InvariantViolation):
@@ -83,6 +84,15 @@ def test_pv_cell_fields_must_be_finite(field):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvariantViolation, match=f"^pv\\.{key} must be finite$"):
             PvCellParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["L", "C", "R", "Ts"])
+def test_boost_fields_must_be_finite(field):
+    # a nan field once built and stepped to (nan, 0.0); an inf L with an
+    # inf Ts built too
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvariantViolation, match=f"^boost {field} must be finite$"):
+            BoostParams(**BOOST | {field: value})
 
 
 @pytest.mark.parametrize(

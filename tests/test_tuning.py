@@ -13,7 +13,7 @@ import hybridlfc.engine
 import hybridlfc.tuning
 from hybridlfc.assembly import ControllerGains, SystemParams, build_closed_loop
 from hybridlfc.engine import integrate, ise, ise_evaluator, rk4_growth
-from hybridlfc.errors import InvariantViolation, NoStableGainsFound
+from hybridlfc.errors import InvariantViolation, NonFiniteState, NoStableGainsFound
 from hybridlfc.lti import eigenvalues
 from hybridlfc.tuning import (
     GAIN_ORDER,
@@ -24,6 +24,7 @@ from hybridlfc.tuning import (
     _admissible,
     tune_gains,
 )
+from reference import eager_tune_gains
 
 # short horizon keeps each cost evaluation cheap for the search tests
 QUICK = TuneSpec(budget=60, t_end=10.0, dt=0.01)
@@ -206,36 +207,64 @@ class TestSearch:
             assert np.isfinite(tune_gains(default_params, spec)[1])
 
     @pytest.mark.parametrize(
-        "per_loop, expected, eta, closed",
+        "per_loop, expected, eta, closed, screened",
         [
-            (False, (19.5625, 25.15625, 100.0, 0.03125, 10.1875, 0.0), 4.953010115689521e-06, 300),
+            (
+                False,
+                (19.5625, 25.15625, 100.0, 0.03125, 10.1875, 0.0),
+                4.953010115689521e-06,
+                300,
+                81,
+            ),
             # the last pair converges before the budget runs out
             (
                 True,
                 (100.0, 5.72265625, 65.71484375, 16.017578125, 7.8046875, 0.578125),
                 5.068231155795195e-06,
                 162,
+                46,
             ),
         ],
         ids=["joint", "per_loop"],
     )
     def test_default_search_path(
-        self, default_params, monkeypatch, per_loop, expected, eta, closed
+        self, default_params, monkeypatch, per_loop, expected, eta, closed, screened
     ):
         # the default spec at its budget of 300, pinned like the acceptance
-        # spec; each candidate fills its Ahat exactly once
-        built = []
+        # spec; each candidate fills its Ahat exactly once, and only one
+        # whose index beats the best so far solves for its eigenvalues
+        built, solved = [], []
         real_fill = hybridlfc.tuning.closed_loop_matrix
+        real_eigenvalues = hybridlfc.tuning.eigenvalues
 
         def counting_fill(abar, bbar, gains, kig):
             built.append(gains)
             return real_fill(abar, bbar, gains, kig)
 
+        def counting_eigenvalues(a):
+            solved.append(a)
+            return real_eigenvalues(a)
+
         monkeypatch.setattr(hybridlfc.tuning, "closed_loop_matrix", counting_fill)
+        monkeypatch.setattr(hybridlfc.tuning, "eigenvalues", counting_eigenvalues)
         gains, got = tune_gains(default_params, TuneSpec(per_loop=per_loop))
         assert astuple(gains) == expected
         assert got == pytest.approx(eta, rel=1e-9)
         assert len(built) == closed
+        assert len(solved) == screened
+
+    def test_overflowing_index_is_no_stable_gains(self, default_params):
+        # a box pinned at gains whose closed loop is unstable: over 600 s the
+        # index overflows, so evaluate raises before the screen runs, and the
+        # search reports no stable gains, without a RuntimeWarning
+        pinned = {name: (0.5, 0.5) for name in GAIN_ORDER} | {"Kdi": (-50.0, -50.0)}
+        spec = TuneSpec(bounds=pinned, t_end=600.0)
+        model = build_closed_loop(default_params, ControllerGains(0.5, -50.0, 0.5, 0.5, 0.5, 0.5))
+        assert not _admissible(eigenvalues(model.a), spec.dt)
+        with pytest.raises(NonFiniteState):
+            ise_evaluator(model, spec.scenario(), spec.eta_include_ft)(model.a)
+        with pytest.raises(NoStableGainsFound):
+            tune_gains(default_params, spec)
 
     @pytest.mark.parametrize("per_loop", [False, True], ids=["joint", "per_loop"])
     def test_scenario_set_up_once_per_run(self, default_params, monkeypatch, per_loop):
@@ -312,6 +341,86 @@ class TestSearch:
             model = build_closed_loop(params, gains)
             fresh = ise_evaluator(model, spec.scenario(), spec.eta_include_ft)(model.a)
             assert cost == fresh
+
+
+def record_search(monkeypatch, tune, params, spec):
+    """The gain tuples `tune(params, spec)` fills an Ahat for, in order; each
+    cost call as (gains, best, cost); and the result, or None when it raises
+    NoStableGainsFound."""
+    filled, costed = [], []
+    real_fill = hybridlfc.tuning.closed_loop_matrix
+    real_descend = hybridlfc.tuning._descend
+
+    def recording_fill(abar, bbar, gains, kig):
+        filled.append(astuple(gains))
+        return real_fill(abar, bbar, gains, kig)
+
+    def recording_descend(cost, x, names, bounds):
+        def recording_cost(key, best):
+            c = cost(key, best)
+            costed.append((key, best, c))
+            return c
+
+        return real_descend(recording_cost, x, names, bounds)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hybridlfc.tuning, "closed_loop_matrix", recording_fill)
+        patch.setattr(hybridlfc.tuning, "_descend", recording_descend)
+        try:
+            result = tune(params, spec)
+        except NoStableGainsFound:
+            result = None
+    return filled, costed, result
+
+
+def seeded_box(seed):
+    # every lower bound negative, so the search probes unstable gains
+    rng = np.random.default_rng(seed)
+    return {name: (-rng.uniform(0.0, 50.0), rng.uniform(1.0, 100.0)) for name in GAIN_ORDER}
+
+
+class TestLazyScreen:
+    """The shipped tuner screens a candidate only when its index beats the
+    best so far; `reference.eager_tune_gains` screens every candidate first.
+    Both make the same accept and reject decisions, so they fill the same
+    candidates and return the same gains and eta, bit for bit."""
+
+    def assert_same_search(self, monkeypatch, params, spec):
+        """Returns how many candidates the eager screen refuses and the shipped
+        tuner costs at an index that does not beat the best."""
+        lazy_fills, lazy_costs, lazy = record_search(monkeypatch, tune_gains, params, spec)
+        eager_fills, eager_costs, eager = record_search(
+            monkeypatch, eager_tune_gains, params, spec
+        )
+        assert lazy_fills == eager_fills
+        assert len(lazy_costs) == len(eager_costs)
+        unscreened = 0
+        for (key, best, got), (eager_key, eager_best, want) in zip(lazy_costs, eager_costs):
+            assert key == eager_key and best.hex() == eager_best.hex()
+            if want == math.inf and got != math.inf:
+                assert not got < best
+                unscreened += 1
+            else:
+                assert got.hex() == want.hex()
+        assert lazy is not None and eager is not None
+        assert lazy[0] == eager[0] and lazy[1].hex() == eager[1].hex()
+        return unscreened
+
+    @pytest.mark.parametrize(
+        "spec",
+        [TuneSpec(), TuneSpec(dpiw=0.01, dpis=0.01, eta_include_ft=True), TuneSpec(per_loop=True)],
+        ids=["default", "acceptance", "per_loop"],
+    )
+    def test_matches_the_eager_tuner_on_the_pinned_specs(self, default_params, monkeypatch, spec):
+        self.assert_same_search(monkeypatch, default_params, spec)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_eager_tuner_in_unstable_boxes(self, default_params, monkeypatch, seed):
+        # over 10 s an unstable candidate's index can beat the best, and over
+        # 600 s some unstable candidates' indexes overflow
+        t_end = 10.0 if seed % 2 else 600.0
+        spec = TuneSpec(bounds=seeded_box(seed), budget=60, t_end=t_end, dt=0.01)
+        assert self.assert_same_search(monkeypatch, default_params, spec) > 0
 
 
 STEP_RESPONSE = Path(__file__).resolve().parents[1] / "scripts" / "step_response.py"
