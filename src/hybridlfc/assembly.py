@@ -9,14 +9,15 @@ iFs and iFt turns every PI control law into pure state feedback u = H x,
 so the closed loop is just Ahat = Abar + Bbar H with unchanged
 disturbance topology. The 12-state layout is the ten plant states, then
 iFs and iFt. `build_closed_loop(p, gains)` is the one function that
-writes it: it assembles the plant, fills Abar, Bbar and Gbar, and forms
-Ahat with `closed_loop_matrix`. The closed loop is a plain
-`StateSpaceModel` (A = Ahat, B = Bbar, G = Gbar), so the engine consumes
-plants and closed loops alike. `output_map(p, gains)` folds H into the
-derived-signal weights over the same 12 states, so nothing past this
-module needs H or the layout. At zero gains A is Abar, the open loop a
-caller closing many loops re-closes with `closed_loop_matrix` for each
-set of gains.
+writes it: it fills Abar, Bbar and Gbar at 12 states directly, through
+the helper that writes `assemble_plant`'s ten, and forms Ahat with
+`closed_loop_matrix`, so a closed loop builds and checks one model. The
+closed loop is a plain `StateSpaceModel` (A = Ahat, B = Bbar, G = Gbar),
+so the engine consumes plants and closed loops alike. `output_map(p,
+gains)` folds H into the derived-signal weights over the same 12
+states, so nothing past this module needs H or the layout. At zero gains
+A is Abar, the open loop a caller closing many loops re-closes with
+`closed_loop_matrix` for each set of gains.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .diesel import DieselParams, governor_residues
-from .errors import InvariantViolation, NonFiniteState
+from .errors import InvariantViolation, NonFiniteState, require_finite
 from .lti import StateSpaceModel
 from .solar import SolarChannelParams
 from .wind import WindParams
@@ -77,6 +78,7 @@ class SystemParams:
 
     def __post_init__(self):
         # diesel, wind and solar checked themselves when they were built
+        require_finite(self, "system.", {"Fs_nominal": "F"})
         if self.Kp <= 0:
             raise InvariantViolation("system.Kp must be > 0")
         if self.Tp <= 0:
@@ -132,6 +134,67 @@ def _channel(sol: SolarChannelParams) -> tuple[list[float], list[float], float]:
     return den, [num[0] - d * den[0], num[1] - d * den[1]], d
 
 
+def _fill_plant(p: SystemParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plant's A, B and G written into zero matrices of n >= 10 rows
+    (and A's n columns), the ten plant states first, one scalar write per
+    entry; raises NonFiniteState when an entry overflowed."""
+    dsl, wnd, sol = p.diesel, p.wind, p.solar
+    a = np.zeros((n, n))
+    b = np.zeros((n, len(PLANT_CONTROL_ORDER)))
+    g = np.zeros((n, len(PLANT_DISTURBANCE_ORDER)))
+
+    # diesel: governor branches on dPcd - dFs/Rd, then the generation lag
+    k1, k2 = governor_residues(dsl)
+    a[XED11, FS] = -k1 / (dsl.Rd * dsl.Td2)
+    a[XED11, XED11] = -1.0 / dsl.Td2
+    a[XED21, FS] = -k2 / (dsl.Rd * dsl.Td3)
+    a[XED21, XED21] = -1.0 / dsl.Td3
+    b[XED11, PCD] = k1 / dsl.Td2
+    b[XED21, PCD] = k2 / dsl.Td3
+    a[PGD, PGD] = -1.0 / dsl.Td4
+    a[PGD, XED11] = a[PGD, XED21] = 1.0 / dsl.Td4
+    # wind turbine: slip coupling to dFs, pitch power and wind input
+    a[FT, FS] = wnd.Kig / wnd.Tw
+    a[FT, FT] = -(1.0 + wnd.Kig - wnd.Ktp) / wnd.Tw
+    a[FT, PCW] = g[FT, PIW] = 1.0 / wnd.Tw
+    # pitch chain from dPcu
+    c = wnd.Kpc * wnd.Kp3 * wnd.Kp1 / wnd.Tp3
+    a[PCW, PCW] = -1.0 / wnd.Tp3
+    a[PCW, PC1] = c
+    a[PCW, PC2] = c * wnd.Tp1
+    a[PC1, PC1] = -1.0
+    a[PC1, PC2] = 1.0 - wnd.Tp1
+    a[PC2, PC2] = -1.0 / wnd.Tp2
+    b[PC2, PCU] = wnd.Kp2 / wnd.Tp2
+    # solar channel: companion form of gbc, with us and dPis summed at its input
+    den, col, d = _channel(sol)
+    a[XS1, XS2] = -den[0]
+    a[XS2, XS1] = 1.0
+    a[XS2, XS2] = -den[1]
+    b[XS1, US] = g[XS1, PIS] = col[0]
+    b[XS2, US] = g[XS2, PIS] = col[1]
+
+    kp_tp = p.Kp / p.Tp
+    if p.include_solar:
+        a[FS, XS2] = kp_tp * sol.Kgs
+        b[FS, US] = g[FS, PIS] = kp_tp * sol.Kgs * d
+    # as in a sum over the subsystem models, -0.0 is stored as +0.0 (K1 = 0
+    # when Td1 = Td2, say); the balance terms below are set and keep their sign
+    a += 0.0
+    b += 0.0
+    g += 0.0
+    a[FS, FS] = -(1.0 + wnd.Kig * p.Kp) / p.Tp
+    a[FS, FT] = wnd.Kig * kp_tp
+    a[FS, PGD] = kp_tp
+    g[FS, PL] = -kp_tp
+
+    # finite but extreme constants (Tp = 1e-320, say) overflow to inf here;
+    # every command fills the plant, so one check covers them all
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(g).all()):
+        raise NonFiniteState("assembled plant matrices are not finite")
+    return a, b, g
+
+
 def assemble_plant(p: SystemParams) -> StateSpaceModel:
     """Ten-state open-loop hybrid system model.
 
@@ -146,48 +209,7 @@ def assemble_plant(p: SystemParams) -> StateSpaceModel:
 
     with the dPgs term present only when include_solar is set.
     """
-    dsl, wnd, sol = p.diesel, p.wind, p.solar
-    n = len(PLANT_STATE_ORDER)
-    a = np.zeros((n, n))
-    b = np.zeros((n, len(PLANT_CONTROL_ORDER)))
-    g = np.zeros((n, len(PLANT_DISTURBANCE_ORDER)))
-
-    # diesel: governor branches on dPcd - dFs/Rd, then the generation lag
-    k1, k2 = governor_residues(dsl)
-    a[XED11, [FS, XED11]] = [-k1 / (dsl.Rd * dsl.Td2), -1.0 / dsl.Td2]
-    a[XED21, [FS, XED21]] = [-k2 / (dsl.Rd * dsl.Td3), -1.0 / dsl.Td3]
-    b[[XED11, XED21], PCD] = [k1 / dsl.Td2, k2 / dsl.Td3]
-    a[PGD, [PGD, XED11, XED21]] = [-1.0 / dsl.Td4, 1.0 / dsl.Td4, 1.0 / dsl.Td4]
-    # wind turbine: slip coupling to dFs, pitch power and wind input
-    a[FT, [FS, FT, PCW]] = [wnd.Kig / wnd.Tw, -(1.0 + wnd.Kig - wnd.Ktp) / wnd.Tw, 1.0 / wnd.Tw]
-    g[FT, PIW] = 1.0 / wnd.Tw
-    # pitch chain from dPcu
-    c = wnd.Kpc * wnd.Kp3 * wnd.Kp1 / wnd.Tp3
-    a[PCW, [PCW, PC1, PC2]] = [-1.0 / wnd.Tp3, c, c * wnd.Tp1]
-    a[PC1, [PC1, PC2]] = [-1.0, 1.0 - wnd.Tp1]
-    a[PC2, PC2] = -1.0 / wnd.Tp2
-    b[PC2, PCU] = wnd.Kp2 / wnd.Tp2
-    # solar channel: companion form of gbc, with us and dPis summed at its input
-    den, col, d = _channel(sol)
-    a[XS1:, XS1:] = [[0.0, -den[0]], [1.0, -den[1]]]
-    b[XS1:, US] = g[XS1:, PIS] = col
-
-    kp_tp = p.Kp / p.Tp
-    if p.include_solar:
-        a[FS, XS2] = kp_tp * sol.Kgs
-        b[FS, US] = g[FS, PIS] = kp_tp * sol.Kgs * d
-    # as in a sum over the subsystem models, -0.0 is stored as +0.0 (K1 = 0
-    # when Td1 = Td2, say); the balance terms below are set and keep their sign
-    a += 0.0
-    b += 0.0
-    g += 0.0
-    a[FS, [FS, FT, PGD]] = [-(1.0 + wnd.Kig * p.Kp) / p.Tp, wnd.Kig * kp_tp, kp_tp]
-    g[FS, PL] = -kp_tp
-
-    # finite but extreme constants (Tp = 1e-320, say) overflow to inf here;
-    # every command assembles the plant, so one check covers them all
-    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(g).all()):
-        raise NonFiniteState("assembled plant matrices are not finite")
+    a, b, g = _fill_plant(p, len(PLANT_STATE_ORDER))
     return StateSpaceModel(
         a=a,
         b=b,
@@ -250,11 +272,15 @@ def build_feedback_matrix(g: ControllerGains, kig: float) -> np.ndarray:
     why its gains appear scaled by Kig.
     """
     h = np.zeros((len(PLANT_CONTROL_ORDER), N_AUGMENTED))
-    # every loop reads dFs and iFs (rows dPcd, dPcu, us); only pitch reads dFt and iFt
-    h[:, FS] = [-g.Kdp, kig * g.Kpp, -g.Ksp]
-    h[:, IFS] = [-g.Kdi, kig * g.Kpi, -g.Ksi]
+    # every loop reads dFs and iFs; only pitch reads dFt and iFt
+    h[PCD, FS] = -g.Kdp
+    h[PCD, IFS] = -g.Kdi
+    h[PCU, FS] = kig * g.Kpp
+    h[PCU, IFS] = kig * g.Kpi
     h[PCU, FT] = -kig * g.Kpp
     h[PCU, IFT] = -kig * g.Kpi
+    h[US, FS] = -g.Ksp
+    h[US, IFS] = -g.Ksi
     return h
 
 
@@ -268,22 +294,17 @@ def closed_loop_matrix(
 def build_closed_loop(p: SystemParams, gains: ControllerGains) -> StateSpaceModel:
     """Closed loop of the assembled plant under PI gains.
 
-    Assembles the plant, writes the augmented open loop (Abar, Bbar,
-    Gbar: iFs and iFt appended at IFS and IFT as pure selectors on dFs
-    and dFt, zero in Bbar's and Gbar's rows), builds H and applies
-    u = H x: Ahat = Abar + Bbar H (`closed_loop_matrix`), the disturbance
-    matrix untouched. With zero gains H = 0 and A is Abar, which is how
-    the tuner gets the open loop it closes each candidate around. Raises
-    NonFiniteState when extreme gains and constants overflow Ahat.
+    Fills the augmented open loop at its 12 states directly, with the
+    plant's own entries (Abar, Bbar, Gbar: the plant, then iFs and iFt at
+    IFS and IFT as pure selectors on dFs and dFt, zero in Bbar's and
+    Gbar's rows), builds H and applies u = H x: Ahat = Abar + Bbar H
+    (`closed_loop_matrix`), the disturbance matrix untouched. With zero
+    gains H = 0 and A is Abar, which is how the tuner gets the open loop
+    it closes each candidate around. Raises NonFiniteState when the plant,
+    or Ahat under extreme gains and constants, overflows.
     """
-    plant = assemble_plant(p)
-    abar = np.zeros((N_AUGMENTED, N_AUGMENTED))
-    abar[:IFS, :IFS] = plant.a
+    abar, bbar, gbar = _fill_plant(p, N_AUGMENTED)
     abar[IFS, FS] = abar[IFT, FT] = 1.0
-    bbar = np.zeros((N_AUGMENTED, len(PLANT_CONTROL_ORDER)))
-    bbar[:IFS] = plant.b
-    gbar = np.zeros((N_AUGMENTED, len(PLANT_DISTURBANCE_ORDER)))
-    gbar[:IFS] = plant.g
     with np.errstate(over="ignore", invalid="ignore"):
         a = closed_loop_matrix(abar, bbar, gains, p.wind.Kig)
     if not np.isfinite(a).all():

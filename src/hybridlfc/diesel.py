@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, require_finite
 
 __all__ = ["DieselParams", "governor_residues"]
 
@@ -29,6 +29,7 @@ class DieselParams:
     Rd: float = 5.0  # speed regulation (Hz / pu kW)
 
     def __post_init__(self):
+        require_finite(self, "diesel.")
         if self.Td2 <= 0:
             raise InvariantViolation("diesel.Td2 must be > 0")
         if self.Td3 <= 0:

@@ -9,10 +9,13 @@ stage evaluations collapse into two constant matrices,
                       Q = dt (I + M/2 + M^2/6 + M^3/24),  M = dt A,
 
 where c = B u + G p is the forcing over the step. This is algebraically
-identical to running the four stages. The step inputs cut the rows into
-stretches of constant forcing, which `_inputs` forms once for both
-`integrate` and `ise_evaluator`; both form each stretch's Q c as
-`q_mat.dot(forcing)`, so the trace and the index start from the same bits.
+identical to running the four stages. `_propagators` evaluates both in
+Horner form with three products: R = I/6 + M/24, then R = M R + I/2,
+then R = M R + I, so Q = dt R and P = I + M R = I + M Q/dt. The step
+inputs cut the rows into stretches of constant forcing, which `_inputs`
+forms once for both `integrate` and `ise_evaluator`; both form each
+stretch's Q c as `q_mat.dot(forcing)`, so the trace and the index start
+from the same bits.
 
 `integrate` does not step row by row. Within a stretch,
 x_{k+j} = P^j x_k + (I + P + ... + P^{j-1}) Q c, so one stack of
@@ -45,6 +48,7 @@ weights over that state from `assembly.output_map`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -165,19 +169,32 @@ def _weighted_states(labels: tuple[str, ...], include_ft: bool) -> list[int]:
     return [labels.index(lbl) for lbl in wanted]
 
 
+# bounded, since a library caller may simulate models of many sizes
+@functools.lru_cache(maxsize=8)
+def _identities(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only I, I/2 and I/6 of order n, built once per state count."""
+    eyes = (np.eye(n), np.eye(n) / 2.0, np.eye(n) / 6.0)
+    for eye in eyes:
+        eye.flags.writeable = False
+    return eyes
+
+
 # `_propagators`, `_doubling_sum` and the evaluator run once per tuner
-# candidate on 13 x 13 operands, where `ndarray.dot` costs about half the
-# call overhead of `@`; it calls the same BLAS routine, so the bits match
+# candidate on 13 x 13 operands, where each numpy call costs more than the
+# arithmetic; `ndarray.dot` costs about half the call overhead of `@` and
+# calls the same BLAS routine, so the bits match
 def _propagators(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    n = a.shape[0]
-    eye = np.eye(n)
-    m1 = dt * a
-    m2 = m1.dot(m1)
-    m3 = m2.dot(m1)
-    m4 = m3.dot(m1)
-    p = eye + m1 + m2 / 2.0 + m3 / 6.0 + m4 / 24.0
-    q = dt * (eye + m1 / 2.0 + m2 / 6.0 + m3 / 24.0)
-    return p, q
+    eye, half, sixth = _identities(a.shape[0])
+    m = dt * a
+    r = m / 24.0
+    r += sixth
+    r = m.dot(r)
+    r += half
+    r = m.dot(r)
+    r += eye
+    p = m.dot(r)
+    p += eye
+    return p, dt * r
 
 
 def _chunk_propagators(p_mat: np.ndarray, chunk: int):
@@ -198,7 +215,7 @@ def _chunk_propagators(p_mat: np.ndarray, chunk: int):
         powers[m * n : 2 * m * n] = powers[: m * n] @ powers[(m - 1) * n : m * n]
         m *= 2
     stack = powers.reshape(chunk, n, n)
-    sums = np.cumsum(np.concatenate([np.eye(n)[None], stack[:-1]]), axis=0)
+    sums = np.cumsum(np.concatenate([_identities(n)[0][None], stack[:-1]]), axis=0)
     finite = np.isfinite(stack).all(axis=(1, 2)) & np.isfinite(sums).all(axis=(1, 2))
     while chunk > 1 and not finite[:chunk].all():
         chunk //= 2
@@ -366,7 +383,8 @@ def ise_evaluator(model: StateSpaceModel, scenario: Scenario, include_ft: bool =
     set-up holds the weight W, the augmented start state and its weight
     y_0, and each `_inputs` stretch's length and forcing; an evaluation
     forms only the propagators, T and the doubling sums. Each evaluation
-    allocates its own T, so one evaluator may serve several threads.
+    copies its own T from the set-up's template, whose corner 1 is already
+    written, so one evaluator may serve several threads.
 
     Each stretch of rows between onsets has constant forcing, so its sum
     of squared deviations is one quadratic form in the augmented state,
@@ -399,11 +417,14 @@ def ise_evaluator(model: StateSpaceModel, scenario: Scenario, include_ft: bool =
     stretches = zip(edges, edges[1:], forcings)
     segments = [(min(stop, last) - start, f) for start, stop, f in stretches if start < last]
 
+    # T = [[P, Q c], [0, 1]]: each evaluation copies this and writes P and Q c
+    t_template = np.zeros((n + 1, n + 1))
+    t_template[n, n] = 1.0
+
     def evaluate(a: np.ndarray) -> float:
         if a.shape != (n, n):
             raise DimensionMismatch(f"state matrix has shape {a.shape}, want {(n, n)}")
-        t = np.zeros((n + 1, n + 1))
-        t[n, n] = 1.0
+        t = t_template.copy()
         z, total = z0, 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             p_mat, q_mat = _propagators(a, dt)

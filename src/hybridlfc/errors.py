@@ -1,8 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the finiteness check
+that the parameter objects run first when they are built.
 
 The CLI maps these onto exit codes: config errors -> 2, step-size
 violations -> 4, every other model/numeric failure -> 3.
 """
+
+import math
 
 
 class ToolkitError(Exception):
@@ -71,3 +74,28 @@ class SingularSystem(ToolkitError):
 
 class NoStableGainsFound(ToolkitError):
     """Every controller-gain candidate evaluated by the tuner was unstable."""
+
+
+def require_finite(params, prefix: str, keys: dict[str, str] | None = None) -> None:
+    """Raise InvariantViolation naming the first float field of the
+    parameter object `params`, or float-tuple field, that holds a NaN or
+    an infinity, as `<prefix><key>`: the field's name, or its spelling in
+    `keys` (the config key, e.g. `system.F` for `Fs_nominal`). Other
+    fields (integers, flags, nested parameter objects) are skipped.
+
+    Each parameter object's `__post_init__` calls it before its other
+    checks: a NaN passes every comparison, and an inf fails only deep in a
+    later solve, if at all.
+    """
+    # the instance dict holds exactly the dataclass fields, and is several
+    # times cheaper to walk than `dataclasses.fields`
+    for name, value in vars(params).items():
+        if isinstance(value, float):
+            finite = math.isfinite(value)
+        elif isinstance(value, tuple):
+            finite = all(map(math.isfinite, value))
+        else:
+            continue
+        if not finite:
+            key = keys.get(name, name) if keys else name
+            raise InvariantViolation(f"{prefix}{key} must be finite")

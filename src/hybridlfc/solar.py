@@ -15,11 +15,11 @@ balance through the gain Kgs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, InvariantViolation, NoConvergence
+from .errors import InvalidArgument, InvariantViolation, NoConvergence, require_finite
 
 __all__ = [
     "PvCellParams",
@@ -53,12 +53,7 @@ class PvCellParams:
     lam: float = 1000.0  # irradiance (W/m^2)
 
     def __post_init__(self):
-        # a nan passes every comparison below, and an inf only fails deep
-        # in the solve, so both are refused by name first
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                key = "lambda" if f.name == "lam" else f.name
-                raise InvariantViolation(f"pv.{key} must be finite")
+        require_finite(self, "pv.", {"lam": "lambda"})
         if self.Isc <= 0:
             raise InvariantViolation("pv.Isc must be > 0")
         if self.Isat <= 0:
@@ -89,11 +84,7 @@ class BoostParams:
     duty: float  # duty ratio in [0, 1)
 
     def __post_init__(self):
-        # a nan passes the comparisons below, and so does an inf, which is
-        # no physical converter; both are refused by name first
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise InvariantViolation(f"boost {f.name} must be finite")
+        require_finite(self, "boost ")
         if self.L <= 0 or self.C <= 0 or self.R <= 0 or self.Ts <= 0:
             raise InvariantViolation("boost L, C, R, Ts must all be > 0")
         if not 0.0 <= self.duty < 1.0:
@@ -119,6 +110,7 @@ class SolarChannelParams:
             while c and c[-1] == 0.0:
                 c.pop()
             object.__setattr__(self, name, tuple(c))
+        require_finite(self, "solar.")
         if len(self.gbc_num) > len(self.gbc_den):
             raise InvariantViolation("solar.gbc must be a proper transfer function")
         if len(self.gbc_den) != 3:

@@ -175,10 +175,10 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
     step would leave a decaying mode undamped, so every accepted iterate is a
     stable design that the evaluation step resolves with room to spare. The
     search is deterministic: rerunning with the same inputs returns
-    bit-identical gains. Raises NoStableGainsFound when nothing stable
-    turns up within the budget. `params` and `spec` checked themselves
-    when they were built, so a bad box or horizon raises InvariantViolation
-    from `TuneSpec`, not from here.
+    bit-identical gains. Raises NoStableGainsFound, naming how many
+    candidates were costed, when nothing stable turns up within the budget.
+    `params` and `spec` checked themselves when they were built, so a bad
+    box or horizon raises InvariantViolation from `TuneSpec`, not from here.
     """
     # at zero gains H = 0, so base.a is the augmented open loop Abar
     base = build_closed_loop(params, ControllerGains())
@@ -238,7 +238,6 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
 
     eta = cache[tuple(x)]
     if not math.isfinite(eta):
-        raise NoStableGainsFound(
-            f"no stable gain set found within {spec.budget} evaluations"
-        )
+        n = len(cache)
+        raise NoStableGainsFound(f"no stable gain set found within {n} evaluation{'s' * (n != 1)}")
     return ControllerGains(*x), eta

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, require_finite
 
 __all__ = ["WindParams"]
 
@@ -31,6 +31,7 @@ class WindParams:
     Tp3: float = 1.0  # data-fit time constant (s)
 
     def __post_init__(self):
+        require_finite(self, "wind.")
         if self.Tw <= 0:
             raise InvariantViolation("wind.Tw must be > 0")
         if self.Tp2 <= 0:

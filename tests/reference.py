@@ -375,7 +375,8 @@ def eager_tune_gains(params, spec):
                 pass
     eta = cache[tuple(x)]
     if not math.isfinite(eta):
-        raise NoStableGainsFound(f"no stable gain set found within {spec.budget} evaluations")
+        n = len(cache)
+        raise NoStableGainsFound(f"no stable gain set found within {n} evaluation{'s' * (n != 1)}")
     return ControllerGains(*x), eta
 
 

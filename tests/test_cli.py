@@ -552,14 +552,15 @@ class TestFailureModes:
                 "error: NonFiniteState: closed-loop state matrix is not finite\n",
             ),
             # the tuner costs each overflowing candidate as unstable and
-            # finishes its search
+            # finishes its search, whose steps shrink away after 95 candidates
             (
                 "tune",
                 "diesel.Td3 = 1e-300\nwind.Kp2 = 1e10\ntune.Kpp_min = -1e300\n",
-                "error: NoStableGainsFound: no stable gain set found within 300 evaluations\n",
+                "error: NoStableGainsFound: no stable gain set found within 95 evaluations\n",
             ),
             # every gain pinned at an unstable set, whose index overflows
-            # over 600 s before the screen refuses it
+            # over 600 s before the screen refuses it: the one candidate
+            # the box holds is the only one costed
             (
                 "tune",
                 "".join(
@@ -569,7 +570,7 @@ class TestFailureModes:
                     )
                 )
                 + "tune.t_end = 600\n",
-                "error: NoStableGainsFound: no stable gain set found within 300 evaluations\n",
+                "error: NoStableGainsFound: no stable gain set found within 1 evaluation\n",
             ),
         ],
         ids=[

@@ -473,6 +473,72 @@ class TestClosedLoopTrace:
         assert np.max(np.abs(trace.states[-1] - x_ss)) < 1e-6
 
 
+def rk4_step(a, x, c, dt):
+    """One classical four-stage RK4 step of dx/dt = a x + c from x, column by
+    column, with its stages k1 ... k4 written out."""
+    k1 = a @ x + c
+    k2 = a @ (x + dt / 2.0 * k1) + c
+    k3 = a @ (x + dt / 2.0 * k2) + c
+    k4 = a @ (x + dt * k3) + c
+    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def guard_edge_dt(a):
+    """A step 0.9999 times the largest one that `integrate`'s guard admits for a."""
+    lam = eigenvalues(a)
+    lo, hi = 0.0, 10.0 / np.abs(lam).max()
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if rk4_growth(lam, mid) < 0.0 else (lo, mid)
+    return 0.9999 * lo
+
+
+class TestPropagators:
+    """P and Q c, the collapsed Horner form of `_propagators`, against an
+    explicit four-stage RK4 step: P e_j is one step from the unit state e_j
+    unforced, Q c one step from rest under the forcing c."""
+
+    def assert_one_rk4_step(self, model, dt):
+        a = model.a
+        n = model.n_states
+        p_mat, q_mat = _propagators(a, dt)
+        forcing = np.hstack([model.b, model.g, np.random.default_rng(7).normal(size=(n, 2))])
+        for got, want in [
+            (p_mat, rk4_step(a, np.eye(n), np.zeros((n, 1)), dt)),
+            (q_mat @ forcing, rk4_step(a, np.zeros_like(forcing), forcing, dt)),
+        ]:
+            scale = np.abs(want).max(axis=0)
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("dt", [0.001, 0.01])
+    def test_random_stable_closed_loops(self, default_params, dt):
+        rng = np.random.default_rng(2701)
+        box = [(0.0, 100.0), (0.0, 50.0)] * 3
+        stable = 0
+        while stable < 20:
+            gains = ControllerGains(*(rng.uniform(lo, hi) for lo, hi in box))
+            model = build_closed_loop(default_params, gains)
+            if eigenvalues(model.a)[0].real < 0.0:
+                self.assert_one_rk4_step(model, dt)
+                stable += 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [assemble_plant, lambda p: build_closed_loop(p, ControllerGains())],
+        ids=["plant", "zero_gains"],
+    )
+    def test_open_plant_with_free_integrators(self, default_params, build):
+        # the plant, and its loop at zero gains, where iFs and iFt integrate
+        # freely: two eigenvalues at 0
+        self.assert_one_rk4_step(build(default_params), 0.005)
+
+    def test_step_just_inside_the_guard(self, default_params, stable_gains):
+        model = build_closed_loop(default_params, stable_gains)
+        dt = guard_edge_dt(model.a)
+        assert -1e-3 < rk4_growth(eigenvalues(model.a), dt) < 0.0
+        self.assert_one_rk4_step(model, dt)
+
+
 class TestChunkedPropagation:
     """`integrate` fills rows in chunks of matrix powers; the stepped
     recurrence in tests/reference.py is its oracle."""

@@ -3,7 +3,7 @@ through `dataclasses.replace`, so no library call sees an invalid one."""
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from hybridlfc import (
     open_circuit_voltage,
     solve_pv_current,
 )
+from hybridlfc.config import _KEY_NAMES
 
 BOOST = {"L": 1e-3, "C": 1e-3, "R": 10.0, "Ts": 1e-5, "duty": 0.5}
 
@@ -93,6 +94,41 @@ def test_boost_fields_must_be_finite(field):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvariantViolation, match=f"^boost {field} must be finite$"):
             BoostParams(**BOOST | {field: value})
+
+
+# per class, its valid arguments and the prefix of its messages: the config
+# section and a dot, or "boost ", which has no section
+FINITE_FIELDS = [
+    (DieselParams, {}, "diesel."),
+    (WindParams, {}, "wind."),
+    (SolarChannelParams, {}, "solar."),
+    (SystemParams, {}, "system."),
+    (PvCellParams, {}, "pv."),
+    (BoostParams, BOOST, "boost "),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, valid, prefix", FINITE_FIELDS, ids=[case[0].__name__ for case in FINITE_FIELDS]
+)
+def test_every_float_field_must_be_finite(cls, valid, prefix):
+    # walks the dataclass fields by their declared type, so a field added
+    # later is covered by itself: each float field, and the last
+    # coefficient of each float-tuple one, refuses nan and both infinities
+    # under its config key (system.F for Fs_nominal, pv.lambda for lam).
+    # Each once built: a nan Td1, say, made governor_residues return (nan, nan)
+    base = cls(**valid)
+    checked = 0
+    for f in fields(cls):
+        if f.type not in ("float", "tuple[float, ...]"):
+            continue
+        key = _KEY_NAMES.get(prefix + f.name, prefix + f.name)
+        for bad in (math.nan, math.inf, -math.inf):
+            arg = bad if f.type == "float" else getattr(base, f.name)[:-1] + (bad,)
+            with pytest.raises(InvariantViolation, match=f"^{re.escape(key)} must be finite$"):
+                cls(**valid | {f.name: arg})
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize(

@@ -189,6 +189,15 @@ class TestSearch:
         with pytest.raises(NoStableGainsFound):
             tune_gains(default_params, replace(QUICK, bounds=pinned, budget=5))
 
+    @pytest.mark.parametrize("tune", [tune_gains, eager_tune_gains], ids=["shipped", "eager"])
+    def test_no_stable_gains_names_the_candidates_costed(self, default_params, tune):
+        # a box with every gain pinned holds one candidate, so one is costed
+        # whatever the budget; the zero gains leave the free integrators
+        pinned = {name: (0.0, 0.0) for name in GAIN_ORDER}
+        message = "^no stable gain set found within 1 evaluation$"
+        with pytest.raises(NoStableGainsFound, match=message):
+            tune(default_params, replace(QUICK, bounds=pinned))
+
     @pytest.mark.parametrize("dt, refused", [(0.02, False), (0.026, True)], ids=["0.02", "0.026"])
     def test_step_headroom_screens_the_start(self, default_params, dt, refused):
         # a budget of one costs only the start point; its closed loop takes a
