@@ -12,13 +12,15 @@ traces are also rendered to a PNG next to the CSV.
 import argparse
 import dataclasses
 import sys
+from itertools import chain
 
 import numpy as np
 
 from hybridlfc.assembly import ControllerGains, build_closed_loop, output_map
+from hybridlfc.cli import csv_blocks, write_lines
 from hybridlfc.config import parse_config, read_config
-from hybridlfc.engine import integrate, ise
-from hybridlfc.errors import ToolkitError
+from hybridlfc.engine import integrate, ise_evaluator
+from hybridlfc.errors import ToolkitError, report
 from hybridlfc.tuning import GAIN_ORDER, tune_gains
 
 # demo gains: stable everywhere, nothing optimized about them
@@ -44,17 +46,17 @@ def run(args):
             print(f"  {name} = {getattr(gains, name)}")
 
     model = build_closed_loop(system, gains)
-    trace = integrate(model, spec.scenario(), outputs=output_map(system, gains))
+    scenario = spec.scenario()
+    trace = integrate(model, scenario, outputs=output_map(system, gains))
 
     dfs = trace.column("dFs")
     print(f"peak |dFs| = {np.max(np.abs(dfs)):.6e} Hz (pu system)")
     print(f"final dFs  = {dfs[-1]:.6e}, final dFt = {trace.column('dFt')[-1]:.6e}")
-    print(f"ise(dFs)   = {ise(trace):.6e}")
+    print(f"ise(dFs)   = {ise_evaluator(model, scenario)(model.a):.6e}")
 
-    data = np.column_stack([trace.times] + [trace.column(c) for c in COLUMNS])
     header = "t," + ",".join(COLUMNS)
-    np.savetxt(args.out, data, delimiter=",", header=header, comments="")
-    print(f"wrote {data.shape[0]} rows to {args.out}")
+    write_lines(chain([header], csv_blocks(trace.times, *map(trace.column, COLUMNS))), args.out)
+    print(f"wrote {trace.times.size} rows to {args.out}")
 
     if args.plot:
         plot(trace, args.out.rsplit(".", 1)[0] + ".png")
@@ -101,7 +103,7 @@ def main():
     try:
         run(ap.parse_args())
     except (ToolkitError, OSError) as exc:
-        sys.exit(f"error: {type(exc).__name__}: {exc}")
+        sys.exit(report(exc))
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from .assembly import (
 )
 from .config import Config, parse_config
 from .diesel import DieselParams, governor_residues
-from .engine import Scenario, SimulationTrace, Step, integrate, ise, steady_state
+from .engine import Scenario, SimulationTrace, Step, integrate, steady_state
 from .errors import (
     ConfigError,
     ConvergenceFailure,

@@ -78,7 +78,7 @@ class SystemParams:
 
     def __post_init__(self):
         # diesel, wind and solar checked themselves when they were built
-        require_finite(self, "system.", {"Fs_nominal": "F"})
+        require_finite(self, "system.")
         if self.Kp <= 0:
             raise InvariantViolation("system.Kp must be > 0")
         if self.Tp <= 0:

@@ -1,10 +1,10 @@
 """Command-line front end: configuration loading, the five study
 commands and CSV/report serialization.
 
-Exit codes: 0 success, 2 configuration errors (a config file that is
-not valid UTF-8 among them), 4 step-size rejection, 3 any other numeric
-failure. Errors print one machine-parsable line to stderr,
-`error: <Class>: <message>`.
+Exit codes, from `errors.report` here and in the experiment scripts: 0
+success, 2 configuration errors (a config file that is not valid UTF-8
+among them), 4 step-size rejection, 3 any other failure. Errors print one
+machine-parsable line to stderr, `error: <Class>: <message>`.
 """
 
 from __future__ import annotations
@@ -21,17 +21,17 @@ import numpy as np
 from .assembly import assemble_plant, build_closed_loop, output_map
 from .config import Config, parse_config, read_config
 from .engine import integrate, steady_state
-from .errors import ConfigError, ToolkitError, UnstableStepSize
+from .errors import ToolkitError, report
 from .lti import eigenvalues
 from .solar import pv_curve
 from .tuning import GAIN_ORDER, STABILITY_MARGIN, tune_gains
 
-__all__ = ["main"]
+__all__ = ["csv_blocks", "write_lines", "main"]
 
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """`_csv`'s tables, built on first use: exact powers of ten to multiply
+    """`csv_blocks`'s tables, built on first use: exact powers of ten to multiply
     and to divide by, at index e + 16 for the decimal exponents e in
     [-16, 32], and pieces of text four bytes long, each read as one uint32."""
     exps = range(-16, 33)
@@ -137,19 +137,29 @@ def _slots(data: np.ndarray, flags: np.ndarray | None) -> np.ndarray:
     return slots
 
 
-# rows `_csv` formats at once: its temporaries, about 100 bytes a value,
+# rows `csv_blocks` formats at once: its temporaries, about 100 bytes a value,
 # stay a few MB whatever the length of the trace
 CSV_BLOCK = 4096
 
 
-def _csv(*columns: np.ndarray, flags: np.ndarray | None = None) -> Iterator[str]:
-    """The CSV lines of the rows of the columns side by side (a 1-D array
-    is one column, a 2-D array its own columns; see `_slots`), yielded as
-    the lines of each CSV_BLOCK rows joined by newlines."""
+def csv_blocks(*columns: np.ndarray, flags: np.ndarray | None = None) -> Iterator[str]:
+    """The `"%.8e"` CSV lines of the rows of the columns side by side (a
+    1-D array is one column, a 2-D array its own columns; see `_slots`),
+    yielded as the lines of each CSV_BLOCK rows joined by newlines."""
     for i in range(0, len(columns[0]), CSV_BLOCK):
         block = np.column_stack([c[i : i + CSV_BLOCK] for c in columns])
         slots = _slots(block, None if flags is None else flags[i : i + CSV_BLOCK])
         yield slots.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def write_lines(texts: Iterable[str], path) -> None:
+    """Write each text, then a newline, to the file at `path` (UTF-8),
+    or to stdout when `path` is None."""
+    sink = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
+    with sink as out:
+        for text in texts:
+            out.write(text)
+            out.write("\n")
 
 
 def _cmd_simulate(cfg: Config) -> Iterable[str]:
@@ -158,7 +168,7 @@ def _cmd_simulate(cfg: Config) -> Iterable[str]:
     trace = integrate(model, cfg.scenario, outputs=outs)
     header = "t," + ",".join(model.state_labels) + "," + ",".join(outs.labels)
     outputs = [trace.outputs[lbl] for lbl in outs.labels]
-    return chain([header], _csv(trace.times, trace.states, *outputs))
+    return chain([header], csv_blocks(trace.times, trace.states, *outputs))
 
 
 def _cmd_steady(cfg: Config) -> list[str]:
@@ -196,7 +206,7 @@ def _cmd_pvcurve(cfg: Config) -> Iterable[str]:
         amps = np.concatenate((amps[:at], [im], amps[at:]))
     flags = np.zeros(len(volts), np.uint8)
     flags[at] = 1
-    return chain(["V,I,P,mpp"], _csv(volts, amps, volts * amps, flags=flags))
+    return chain(["V,I,P,mpp"], csv_blocks(volts, amps, volts * amps, flags=flags))
 
 
 _COMMANDS = {
@@ -206,10 +216,6 @@ _COMMANDS = {
     "tune": _cmd_tune,
     "pvcurve": _cmd_pvcurve,
 }
-
-
-def _report(exc: BaseException) -> None:
-    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
 @functools.cache
@@ -242,25 +248,10 @@ def main(argv=None) -> int:
         # every check has run by the time a command returns, so a failure
         # leaves stdout empty and writes no file; simulate and pvcurve return
         # their CSV lazily, which is formatted one block at a time as written
-        texts = _COMMANDS[args.command](cfg)
-        sink = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
-        with sink as out:
-            for text in texts:
-                out.write(text)
-                out.write("\n")
+        write_lines(_COMMANDS[args.command](cfg), args.out)
         return 0
-    except ConfigError as exc:
-        _report(exc)
-        return 2
-    except UnstableStepSize as exc:
-        _report(exc)
-        return 4
-    except ToolkitError as exc:
-        _report(exc)
-        return 3
-    except OSError as exc:
-        _report(exc)
-        return 3
+    except (ToolkitError, OSError) as exc:
+        return report(exc)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 namespace over every model, scenario and tuner parameter.
 
 Keys and defaults come from the parameter dataclasses: every scalar or
-coefficient-tuple field is `<section>.<field>` (see `_KEY_NAMES` for five
-other spellings); the scenario inputs and tuner box are generated from the
+coefficient-tuple field is `<section>.<field>` (five keys are spelled
+otherwise; `errors.KEY_NAMES`, which the finiteness errors read too, is
+their one table); the scenario inputs and tuner box are generated from the
 plant's input labels and the default bounds. Unspecified keys fall back to
 these defaults. Comments start at `#`; duplicate keys are last-wins.
 Values are typed by their default: finite decimal reals, integers,
@@ -19,7 +20,7 @@ from dataclasses import MISSING, dataclass, fields
 from .assembly import PLANT_CONTROL_ORDER, PLANT_DISTURBANCE_ORDER, ControllerGains, SystemParams
 from .diesel import DieselParams
 from .engine import Scenario, Step
-from .errors import InvalidValue, InvariantViolation, UnknownKey
+from .errors import KEY_NAMES, InvalidValue, InvariantViolation, UnknownKey
 from .solar import PvCellParams, SolarChannelParams
 from .tuning import GAIN_ORDER, TuneSpec
 from .wind import WindParams
@@ -36,20 +37,11 @@ _SECTIONS = {
     "tune": TuneSpec,
 }
 
-# config keys whose spelling differs from the dataclass field
-_KEY_NAMES = {
-    "system.Fs_nominal": "system.F",
-    "pv.lam": "pv.lambda",
-    "tune.dpl": "tune.dPl",
-    "tune.dpiw": "tune.dPiw",
-    "tune.dpis": "tune.dPis",
-}
-
 # per section, (config key, field name) for every dataclass field with a
 # scalar or coefficient-tuple default
 _FIELDS = {
     section: [
-        (_KEY_NAMES.get(f"{section}.{f.name}", f"{section}.{f.name}"), f.name)
+        (KEY_NAMES.get(f"{section}.{f.name}", f"{section}.{f.name}"), f.name)
         for f in fields(cls)
         if f.default is not MISSING and isinstance(f.default, (bool, int, float, tuple))
     ]

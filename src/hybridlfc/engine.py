@@ -35,10 +35,10 @@ deviations over L rows is z' (sum_{j<L} (T^j)' W T^j) z, where W picks
 dFs (and dFt). `ise_evaluator` sums that series by binary doubling,
 S_2m = S_m + (T^m)' S_m T^m, in about 2 log2(L) small matrix products
 and without an inverse (Smith 1968; Van Loan 1978), then applies the
-trapezoid end correction. It returns what `ise(integrate(...))` returns,
-to rounding; `integrate` + `ise` stay as its reference. It is a set-up
-over the scenario and one evaluation per state matrix, so the tuner does
-the scenario bookkeeping once per run.
+trapezoid end correction. It returns the trapezoid sum over the rows of
+`integrate(...)` to rounding (tests/reference.py keeps that sum as its
+reference). It is a set-up over the scenario and one evaluation per state
+matrix, so the tuner does the scenario bookkeeping once per run.
 
 Every function takes one model type, `lti.StateSpaceModel`, plants and
 closed loops alike, so the engine needs only `lti`. The derived outputs
@@ -74,7 +74,6 @@ __all__ = [
     "integrate",
     "ise_evaluator",
     "steady_state",
-    "ise",
 ]
 
 # `integrate` stores every row; `simulate` writes its CSV a block at a
@@ -127,10 +126,15 @@ class Scenario:
         if not math.isfinite(self.t_end / self.dt):
             raise InvariantViolation("scenario.t_end / scenario.dt overflows")
         for lbl, step in self.disturbances.items():
+            if not math.isfinite(step.magnitude):
+                raise InvariantViolation(f"scenario.{lbl} must be finite")
             if not 0.0 <= step.onset <= self.t_end:
                 raise InvariantViolation(
                     f"onset of '{lbl}' must lie within [0, t_end]"
                 )
+        for lbl, value in self.controls.items():
+            if not math.isfinite(value):
+                raise InvariantViolation(f"scenario.{lbl} must be finite")
 
 
 @dataclass(frozen=True)
@@ -160,8 +164,7 @@ def _input_vector(values: Mapping[str, float], labels: tuple[str, ...], kind: st
 
 def _weighted_states(labels: tuple[str, ...], include_ft: bool) -> list[int]:
     """Indices of the states the performance index weighs: dFs, and dFt
-    when include_ft is set. A missing one raises InvalidArgument, with the
-    same message from `ise_evaluator` and `ise`."""
+    when include_ft is set. A missing one raises InvalidArgument."""
     wanted = ("dFs", "dFt") if include_ft else ("dFs",)
     for lbl in wanted:
         if lbl not in labels:
@@ -375,8 +378,9 @@ def _doubling_sum(t: np.ndarray, w: np.ndarray, z: np.ndarray, length: int):
 
 
 def ise_evaluator(model: StateSpaceModel, scenario: Scenario, include_ft: bool = False):
-    """`ise(integrate(model, scenario), include_ft)` without stepping, split
-    in two: the set-up over the model's B, G and labels, the scenario and
+    """The trapezoid integral of dFs^2 (plus dFt^2 with include_ft) over
+    the rows of `integrate(model, scenario)`, without stepping, split in
+    two: the set-up over the model's B, G and labels, the scenario and
     include_ft, done here once, and a returned function that evaluates the
     index of the model with n x n state matrix `a`, so the index of `model`
     itself is `ise_evaluator(model, scenario, include_ft)(model.a)`. The
@@ -472,15 +476,3 @@ def steady_state(
     if not np.isfinite(x).all():
         raise NonFiniteState("equilibrium state is not finite")
     return x
-
-
-def ise(trace: SimulationTrace, include_ft: bool = False) -> float:
-    """Performance index: integral of squared frequency deviation.
-
-    Trapezoidal integral of dFs(t)^2 over the trace; include_ft adds the
-    dFt(t)^2 term for tuning studies that weight both frequencies.
-    """
-    if trace.times.size == 0:
-        raise InvariantViolation("cannot integrate an empty trace")
-    y = sum(trace.states[:, i] ** 2 for i in _weighted_states(trace.state_labels, include_ft))
-    return float(np.trapezoid(y, trace.times))

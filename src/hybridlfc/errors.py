@@ -1,11 +1,11 @@
-"""Exception types shared across the toolkit, and the finiteness check
-that the parameter objects run first when they are built.
-
-The CLI maps these onto exit codes: config errors -> 2, step-size
-violations -> 4, every other model/numeric failure -> 3.
+"""Exception types shared across the toolkit, `report`, which maps one
+onto its exit code, and the finiteness check that the parameter objects
+run first when they are built, with `KEY_NAMES`, the config spellings
+of the fields whose key differs from their name.
 """
 
 import math
+import sys
 
 
 class ToolkitError(Exception):
@@ -76,11 +76,31 @@ class NoStableGainsFound(ToolkitError):
     """Every controller-gain candidate evaluated by the tuner was unstable."""
 
 
-def require_finite(params, prefix: str, keys: dict[str, str] | None = None) -> None:
+def report(exc: BaseException) -> int:
+    """Print the one stderr line `error: <Class>: <message>` for a
+    ToolkitError or an OSError, and return the exit code of the CLI and
+    the scripts: 2 for a config error, 4 for a step-size rejection, else 3."""
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    if isinstance(exc, ConfigError):
+        return 2
+    return 4 if isinstance(exc, UnstableStepSize) else 3
+
+
+# `<section>.<field>` of each field whose config key is spelled otherwise
+KEY_NAMES = {
+    "system.Fs_nominal": "system.F",
+    "pv.lam": "pv.lambda",
+    "tune.dpl": "tune.dPl",
+    "tune.dpiw": "tune.dPiw",
+    "tune.dpis": "tune.dPis",
+}
+
+
+def require_finite(params, prefix: str) -> None:
     """Raise InvariantViolation naming the first float field of the
     parameter object `params`, or float-tuple field, that holds a NaN or
-    an infinity, as `<prefix><key>`: the field's name, or its spelling in
-    `keys` (the config key, e.g. `system.F` for `Fs_nominal`). Other
+    an infinity, by its config key: `<prefix><name>`, or that key's
+    spelling in KEY_NAMES (e.g. `system.F` for `Fs_nominal`). Other
     fields (integers, flags, nested parameter objects) are skipped.
 
     Each parameter object's `__post_init__` calls it before its other
@@ -97,5 +117,5 @@ def require_finite(params, prefix: str, keys: dict[str, str] | None = None) -> N
         else:
             continue
         if not finite:
-            key = keys.get(name, name) if keys else name
-            raise InvariantViolation(f"{prefix}{key} must be finite")
+            key = prefix + name
+            raise InvariantViolation(f"{KEY_NAMES.get(key, key)} must be finite")

@@ -53,7 +53,7 @@ class PvCellParams:
     lam: float = 1000.0  # irradiance (W/m^2)
 
     def __post_init__(self):
-        require_finite(self, "pv.", {"lam": "lambda"})
+        require_finite(self, "pv.")
         if self.Isc <= 0:
             raise InvariantViolation("pv.Isc must be > 0")
         if self.Isat <= 0:

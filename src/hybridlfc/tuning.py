@@ -36,7 +36,13 @@ from .assembly import (
     closed_loop_matrix,
 )
 from .engine import Scenario, Step, ise_evaluator, rk4_growth
-from .errors import InvalidArgument, InvariantViolation, NoStableGainsFound, NonFiniteState
+from .errors import (
+    InvalidArgument,
+    InvariantViolation,
+    NoStableGainsFound,
+    NonFiniteState,
+    require_finite,
+)
 from .lti import eigenvalues
 
 __all__ = ["GAIN_ORDER", "TuneSpec", "tune_gains"]
@@ -92,6 +98,7 @@ class TuneSpec:
     onset: float = 1.0  # step onset, shared by all channels (s)
 
     def __post_init__(self):
+        require_finite(self, "tune.")
         # a read-only copy of tuples: no later change to the caller's dict
         # or lists can undo the box checks
         bounds = {}

@@ -16,7 +16,9 @@ so that a test can check src's rows against a block-level property.
 
 `stepped_states` is the RK4 recurrence x+ = P x + Q c stepped one row at
 a time: the oracle of `engine.integrate`, which fills rows in chunks of
-matrix powers.
+matrix powers. `ise`, the trapezoid sum of squared frequency deviations
+over an `integrate` trace, is the oracle of `engine.ise_evaluator`, which
+sums the same rows in closed form.
 
 `eager_tune_gains` is the tuner with the eager cost, which screens every
 candidate for stability before its index: the oracle of
@@ -44,8 +46,8 @@ from hybridlfc.assembly import (
     build_closed_loop,
 )
 from hybridlfc.diesel import governor_residues
-from hybridlfc.engine import _inputs, _propagators, ise_evaluator
-from hybridlfc.errors import InvalidArgument, NoStableGainsFound, ToolkitError
+from hybridlfc.engine import _inputs, _propagators, _weighted_states, ise_evaluator
+from hybridlfc.errors import InvalidArgument, InvariantViolation, NoStableGainsFound, ToolkitError
 from hybridlfc.lti import StateSpaceModel, eigenvalues
 from hybridlfc.solar import (
     open_circuit_voltage,
@@ -329,6 +331,18 @@ def stepped_states(model, scenario, dtype=float):
                 x = p_mat @ x + qc
                 states[k] = x
     return states
+
+
+def ise(trace, include_ft: bool = False) -> float:
+    """Performance index: integral of squared frequency deviation.
+
+    Trapezoidal integral of dFs(t)^2 over the trace; include_ft adds the
+    dFt(t)^2 term for tuning studies that weight both frequencies.
+    """
+    if trace.times.size == 0:
+        raise InvariantViolation("cannot integrate an empty trace")
+    y = sum(trace.states[:, i] ** 2 for i in _weighted_states(trace.state_labels, include_ft))
+    return float(np.trapezoid(y, trace.times))
 
 
 # --- eager tuner -----------------------------------------------------------------

@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridlfc.assembly import build_closed_loop, output_map
-from hybridlfc.cli import CSV_BLOCK, _csv, main
+from hybridlfc.cli import CSV_BLOCK, csv_blocks, main
 from hybridlfc.config import DEFAULTS, parse_config
-from hybridlfc.engine import integrate, ise
+from hybridlfc.engine import integrate
 from hybridlfc.solar import (
     open_circuit_voltage,
     pv_curve,
@@ -21,7 +22,7 @@ from hybridlfc.solar import (
     voltage_grid_points,
 )
 from hybridlfc.tuning import tune_gains
-from reference import dp_dv, golden_mpp
+from reference import dp_dv, golden_mpp, ise
 
 SHORT_SIM = "scenario.t_end = 1.0\nscenario.dt = 0.01\n"
 STABLE_GAINS = (
@@ -72,20 +73,20 @@ class TestCsvRows:
 
     def test_edge_values_match_per_value_format(self):
         data = np.array(self.EDGES).reshape(4, 4)
-        assert "\n".join(_csv(data)) == "\n".join(per_value_csv(data))
-        assert "\n".join(_csv(data.T)) == "\n".join(per_value_csv(data.T))
+        assert "\n".join(csv_blocks(data)) == "\n".join(per_value_csv(data))
+        assert "\n".join(csv_blocks(data.T)) == "\n".join(per_value_csv(data.T))
 
     def test_random_magnitudes_match_per_value_format(self):
         rng = np.random.default_rng(5)
         data = rng.standard_normal((50, 16)) * 10.0 ** rng.integers(-310, 308, (50, 16))
-        assert "\n".join(_csv(data)) == "\n".join(per_value_csv(data))
+        assert "\n".join(csv_blocks(data)) == "\n".join(per_value_csv(data))
 
     def test_blocks_join_to_every_row(self):
         rng = np.random.default_rng(6)
         rows = 2 * CSV_BLOCK + 1
         data = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-30, 30, (rows, 2))
         flags = rng.integers(0, 2, rows)
-        blocks = list(_csv(data, flags=flags))
+        blocks = list(csv_blocks(data, flags=flags))
         assert len(blocks) == 3
         lines = [f"{line},{flag}" for line, flag in zip(per_value_csv(data), flags)]
         assert "\n".join(blocks) == "\n".join(lines)
@@ -119,8 +120,8 @@ class TestCsvRows:
     @settings(max_examples=300)
     def test_matches_percent_format(self, values):
         cells = ["%.8e" % x for x in values]
-        assert list(_csv(np.array([values]))) == [",".join(cells)]
-        assert list(_csv(np.array(values)[:, None])) == ["\n".join(cells)]
+        assert list(csv_blocks(np.array([values]))) == [",".join(cells)]
+        assert list(csv_blocks(np.array(values)[:, None])) == ["\n".join(cells)]
 
     def test_simulate_output_matches_per_value_format(self, capsys, tmp_path):
         # quiet all-zero rows up to the 0.5 s onset, then a response
@@ -190,7 +191,7 @@ class TestSimulate:
             "scenario.dPiw = 0.005\nscenario.dPiw_onset = 20.0\n"
         )
         argv = ["--command", "simulate", "--config", str(path), "--out", str(tmp_path / "long.csv")]
-        main(argv)  # first use builds `_csv`'s tables, which stay
+        main(argv)  # first use builds `csv_blocks`'s tables, which stay
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -747,3 +748,36 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.strip().endswith("verdict,UNSTABLE")
+
+
+@pytest.mark.parametrize(
+    "script, flags, command, config_text, out, code, error",
+    [
+        ("pv_sweep.py", ["--irradiance", "-5"], "pvcurve", "pv.lambda = -5\n", "x.csv", 2,
+         "InvariantViolation"),
+        ("step_response.py", ["--t-end", "2", "--dt", "0.05"], "simulate",
+         "scenario.t_end = 2\nscenario.dt = 0.05\n", "x.csv", 4, "UnstableStepSize"),
+        ("pv_sweep.py", ["--irradiance", "200"], "pvcurve", None, "missing/x.csv", 3,
+         "FileNotFoundError"),
+        ("step_response.py", ["--t-end", "2"], "simulate", SHORT_SIM, "missing/x.csv", 3,
+         "FileNotFoundError"),
+    ],
+    ids=["config", "step_size", "pv_sweep_out", "step_response_out"],
+)
+def test_scripts_exit_with_the_cli_codes(
+    capsys, tmp_path, script, flags, command, config_text, out, code, error
+):
+    # one rule, errors.report: a script exits with the code that the CLI
+    # returns for the same error class, after the same one error line
+    out = str(tmp_path / out)
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    result = subprocess.run(
+        [sys.executable, str(path), *flags, "--out", out],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    cli_code, _, cli_err = run_cli(capsys, tmp_path, command, config_text, ["--out", out])
+    assert result.returncode == cli_code == code
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: {error}: ") and cli_err.startswith(f"error: {error}: ")

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from reference import stepped_states
+from reference import ise, stepped_states
 
 import hybridlfc.engine
 from hybridlfc.assembly import (
@@ -27,7 +27,6 @@ from hybridlfc.engine import (
     _chunk_propagators,
     _propagators,
     integrate,
-    ise,
     ise_evaluator,
     rk4_growth,
     steady_state,

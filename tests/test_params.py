@@ -25,7 +25,7 @@ from hybridlfc import (
     open_circuit_voltage,
     solve_pv_current,
 )
-from hybridlfc.config import _KEY_NAMES
+from hybridlfc.errors import KEY_NAMES
 
 BOOST = {"L": 1e-3, "C": 1e-3, "R": 10.0, "Ts": 1e-5, "duty": 0.5}
 
@@ -105,6 +105,7 @@ FINITE_FIELDS = [
     (SystemParams, {}, "system."),
     (PvCellParams, {}, "pv."),
     (BoostParams, BOOST, "boost "),
+    (TuneSpec, {}, "tune."),
 ]
 
 
@@ -115,14 +116,15 @@ def test_every_float_field_must_be_finite(cls, valid, prefix):
     # walks the dataclass fields by their declared type, so a field added
     # later is covered by itself: each float field, and the last
     # coefficient of each float-tuple one, refuses nan and both infinities
-    # under its config key (system.F for Fs_nominal, pv.lambda for lam).
+    # under its config key (system.F for Fs_nominal, pv.lambda for lam,
+    # tune.dPl for dpl).
     # Each once built: a nan Td1, say, made governor_residues return (nan, nan)
     base = cls(**valid)
     checked = 0
     for f in fields(cls):
         if f.type not in ("float", "tuple[float, ...]"):
             continue
-        key = _KEY_NAMES.get(prefix + f.name, prefix + f.name)
+        key = KEY_NAMES.get(prefix + f.name, prefix + f.name)
         for bad in (math.nan, math.inf, -math.inf):
             arg = bad if f.type == "float" else getattr(base, f.name)[:-1] + (bad,)
             with pytest.raises(InvariantViolation, match=f"^{re.escape(key)} must be finite$"):
@@ -140,6 +142,23 @@ def test_tune_bound_must_be_a_finite_pair(box):
     # each once built, or failed with a bare TypeError or ValueError from unpacking
     with pytest.raises(InvariantViolation, match=r"^tune\.Kdp_min/_max must be a finite pair"):
         TuneSpec(bounds=dict(TuneSpec().bounds) | {"Kdp": box})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "inputs, key",
+    [
+        (lambda bad: {"disturbances": {"dPl": Step(0.01), "dPiw": Step(bad, 0.5)}}, "dPiw"),
+        (lambda bad: {"disturbances": {"dPis": bad}}, "dPis"),
+        (lambda bad: {"controls": {"dPcd": 0.0, "us": bad}}, "us"),
+    ],
+    ids=["step", "bare_number", "control"],
+)
+def test_scenario_inputs_must_be_finite(inputs, key, bad):
+    # each once built, and its simulation then read "simulation produced
+    # non-finite state values", naming no input
+    with pytest.raises(InvariantViolation, match=f"^scenario\\.{key} must be finite$"):
+        Scenario(t_end=1.0, dt=0.1, **inputs(bad))
 
 
 # mappings and arrays handed to a parameter object are copied when it is

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hybridlfc import solar
 from hybridlfc.assembly import US, SystemParams, assemble_plant, output_map
+from hybridlfc.cli import csv_blocks
 from hybridlfc.engine import steady_state
 from hybridlfc.errors import InvalidArgument, InvariantViolation
 from hybridlfc.lti import eigenvalues
@@ -363,29 +364,29 @@ def load_pv_sweep():
 
 class TestPvSweepScript:
     # at 0.005 V, Voc of the 1000 W/m^2 cell lies in the upper half of a
-    # step, so the sweep's grid runs one point past Voc; 200 W/m^2 stops
-    # below it
+    # step, so a grid rounded to the nearest point would pass Voc; at
+    # 200 W/m^2 it lies in the lower half
     @pytest.mark.parametrize("lam", [1000.0, 200.0, 0.0])
-    def test_rows_solve_the_whole_sweep_grid(self, lam):
+    def test_rows_solve_the_whole_sweep_grid(self, monkeypatch, tmp_path, capsys, lam):
+        # one level's rows are pvcurve's grid, volts and amps with P = V I,
+        # written by the CLI's CSV writer
+        out = tmp_path / "pv.csv"
+        argv = ["pv_sweep.py", "--irradiance", str(lam), "--v-step", "0.005", "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", argv)
+        load_pv_sweep().main()
         cell = PvCellParams(lam=lam)
-        rows, mpp = load_pv_sweep().sweep(cell, 0.005)
-        voc = open_circuit_voltage(cell)
-        grid = np.arange(0.0, voc + 0.5 * 0.005, 0.005)
-        expected = []
-        for v in grid:
-            i = solve_pv_current(cell, float(v))
-            expected.append((float(v), i, float(v) * i))
-        assert rows == expected
-        assert mpp == pv_curve(cell, 0.005)[2]
-        if lam == 1000.0:
-            assert rows[-1][0] > voc
+        volts, amps, (vm, _, pm) = pv_curve(cell, 0.005)
+        assert volts[-1] <= open_circuit_voltage(cell)
+        body = csv_blocks(np.full(volts.size, lam), volts, amps, volts * amps)
+        assert out.read_text() == "\n".join(["lam,V,I,P", *body]) + "\n"
+        assert f"MPP = {pm:.4f} W at {vm:.4f} V" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flags, code, message",
         [
-            (["--irradiance", "-5"], 1, "error: InvariantViolation: pv.lambda must be >= 0"),
-            (["--v-step", "0"], 1, "error: InvariantViolation: v_step must be > 0"),
-            (["--v-step", "1e-9"], 1, "error: InvariantViolation: voltage grid of 6.4e+08 points"),
+            (["--irradiance", "-5"], 2, "error: InvariantViolation: pv.lambda must be >= 0"),
+            (["--v-step", "0"], 2, "error: InvariantViolation: v_step must be > 0"),
+            (["--v-step", "1e-9"], 2, "error: InvariantViolation: voltage grid of 6.4e+08 points"),
             (["--irradiance", "abc"], 2, "error: argument --irradiance: invalid irradiance_levels"),
         ],
         ids=["negative_irradiance", "zero_step", "grid_over_the_cap", "not_a_number"],
@@ -413,7 +414,7 @@ class TestPvSweepScript:
             text=True,
             timeout=60,
         )
-        assert result.returncode != 0 and "Traceback" not in result.stderr
+        assert result.returncode == 3 and "Traceback" not in result.stderr
         [line] = result.stderr.splitlines()
         assert line.startswith("error: FileNotFoundError: ")
 

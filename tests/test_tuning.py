@@ -12,7 +12,8 @@ import pytest
 import hybridlfc.engine
 import hybridlfc.tuning
 from hybridlfc.assembly import ControllerGains, SystemParams, build_closed_loop
-from hybridlfc.engine import integrate, ise, ise_evaluator, rk4_growth
+from hybridlfc.cli import csv_blocks
+from hybridlfc.engine import integrate, ise_evaluator, rk4_growth
 from hybridlfc.errors import InvariantViolation, NonFiniteState, NoStableGainsFound
 from hybridlfc.lti import eigenvalues
 from hybridlfc.tuning import (
@@ -24,7 +25,7 @@ from hybridlfc.tuning import (
     _admissible,
     tune_gains,
 )
-from reference import eager_tune_gains
+from reference import eager_tune_gains, ise
 
 # short horizon keeps each cost evaluation cheap for the search tests
 QUICK = TuneSpec(budget=60, t_end=10.0, dt=0.01)
@@ -506,6 +507,25 @@ class TestStepResponseScript:
         kdp = float(out.split("Kdp = ")[1].split()[0])
         assert 0.0 <= kdp <= 1.0
 
+    def test_csv_is_the_cli_writers(self, monkeypatch, tmp_path, capsys):
+        # the trace's columns through the CLI's CSV writer, and the printed
+        # index is the trapezoid sum over that trace
+        script = load_step_response()
+        traces = []
+
+        def recording_integrate(model, scenario, outputs=None):
+            traces.append(integrate(model, scenario, outputs))
+            return traces[-1]
+
+        monkeypatch.setattr(script, "integrate", recording_integrate)
+        out = tmp_path / "step.csv"
+        monkeypatch.setattr(sys, "argv", ["step_response.py", "--t-end", "2", "--out", str(out)])
+        script.main()
+        [trace] = traces
+        body = csv_blocks(trace.times, *(trace.column(c) for c in script.COLUMNS))
+        assert out.read_text() == "\n".join(["t,dFs,dFt,dPgd,dPgw,dPgs,dP1", *body]) + "\n"
+        assert f"ise(dFs)   = {ise(trace):.6e}\n" in capsys.readouterr().out
+
     def test_undecodable_config_is_one_error_line(self, tmp_path):
         path = tmp_path / "bad.conf"
         path.write_bytes(b"\xff\xfe")
@@ -516,7 +536,7 @@ class TestStepResponseScript:
             text=True,
             timeout=60,
         )
-        assert result.returncode != 0 and result.stdout == ""
+        assert result.returncode == 2 and result.stdout == ""
         want = "error: InvalidValue: config is not valid UTF-8: byte 0xff at offset 0\n"
         assert result.stderr == want
 
@@ -528,6 +548,6 @@ class TestStepResponseScript:
             text=True,
             timeout=60,
         )
-        assert result.returncode != 0 and "Traceback" not in result.stderr
+        assert result.returncode == 3 and "Traceback" not in result.stderr
         [line] = result.stderr.splitlines()
         assert line.startswith("error: FileNotFoundError: ")
