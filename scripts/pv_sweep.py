@@ -29,19 +29,22 @@ def run(args):
     levels = args.irradiance
     curves = []
     mpps = []
+    lines = []
     for lam in levels:
         cell = PvCellParams(lam=lam, T=args.temperature)
         volts, amps, (vm, im, pm) = pv_curve(cell, args.v_step)
         curves.append(np.column_stack((np.full(volts.size, lam), volts, amps, volts * amps)))
         mpps.append((lam, vm, im, pm))
-        print(
+        lines.append(
             f"lam = {lam:7.1f} W/m^2: Voc = {open_circuit_voltage(cell):.4f} V, "
             f"MPP = {pm:.4f} W at {vm:.4f} V"
         )
 
     data = np.concatenate(curves)
     write_lines(chain(["lam,V,I,P"], csv_blocks(data)), args.out)
-    print(f"wrote {data.shape[0]} rows to {args.out}")
+    # printed once the CSV is written, so a failure leaves stdout empty
+    lines.append(f"wrote {data.shape[0]} rows to {args.out}")
+    print("\n".join(lines))
 
     if args.plot:
         plot(levels, data, mpps, args.out.rsplit(".", 1)[0] + ".png")

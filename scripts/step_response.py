@@ -39,24 +39,26 @@ def run(args):
         t_end=args.t_end, dt=args.dt, eta_include_ft=True,
     )
 
+    lines = []
     if args.tune:
         gains, eta = tune_gains(system, spec)
-        print(f"tuned gains (eta = {eta:.6e}):")
-        for name in GAIN_ORDER:
-            print(f"  {name} = {getattr(gains, name)}")
+        lines.append(f"tuned gains (eta = {eta:.6e}):")
+        lines.extend(f"  {name} = {getattr(gains, name)}" for name in GAIN_ORDER)
 
     model = build_closed_loop(system, gains)
     scenario = spec.scenario()
     trace = integrate(model, scenario, outputs=output_map(system, gains))
 
     dfs = trace.column("dFs")
-    print(f"peak |dFs| = {np.max(np.abs(dfs)):.6e} Hz (pu system)")
-    print(f"final dFs  = {dfs[-1]:.6e}, final dFt = {trace.column('dFt')[-1]:.6e}")
-    print(f"ise(dFs)   = {ise_evaluator(model, scenario)(model.a):.6e}")
+    lines.append(f"peak |dFs| = {np.max(np.abs(dfs)):.6e} Hz (pu system)")
+    lines.append(f"final dFs  = {dfs[-1]:.6e}, final dFt = {trace.column('dFt')[-1]:.6e}")
+    lines.append(f"ise(dFs)   = {ise_evaluator(model, scenario)(model.a):.6e}")
 
     header = "t," + ",".join(COLUMNS)
     write_lines(chain([header], csv_blocks(trace.times, *map(trace.column, COLUMNS))), args.out)
-    print(f"wrote {trace.times.size} rows to {args.out}")
+    # printed once the CSV is written, so a failure leaves stdout empty
+    lines.append(f"wrote {trace.times.size} rows to {args.out}")
+    print("\n".join(lines))
 
     if args.plot:
         plot(trace, args.out.rsplit(".", 1)[0] + ".png")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .diesel import DieselParams, governor_residues
-from .errors import InvariantViolation, NonFiniteState, require_finite
+from .errors import InvariantViolation, NonFiniteState, check_fields
 from .lti import StateSpaceModel
 from .solar import SolarChannelParams
 from .wind import WindParams
@@ -78,13 +78,7 @@ class SystemParams:
 
     def __post_init__(self):
         # diesel, wind and solar checked themselves when they were built
-        require_finite(self, "system.")
-        if self.Kp <= 0:
-            raise InvariantViolation("system.Kp must be > 0")
-        if self.Tp <= 0:
-            raise InvariantViolation("system.Tp must be > 0")
-        if self.Fs_nominal <= 0:
-            raise InvariantViolation("system.F must be > 0")
+        check_fields(self, "system.", positive=("Kp", "Tp", "Fs_nominal"))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, require_finite
+from .errors import InvariantViolation, check_fields
 
 __all__ = ["DieselParams", "governor_residues"]
 
@@ -29,15 +29,7 @@ class DieselParams:
     Rd: float = 5.0  # speed regulation (Hz / pu kW)
 
     def __post_init__(self):
-        require_finite(self, "diesel.")
-        if self.Td2 <= 0:
-            raise InvariantViolation("diesel.Td2 must be > 0")
-        if self.Td3 <= 0:
-            raise InvariantViolation("diesel.Td3 must be > 0")
-        if self.Td4 <= 0:
-            raise InvariantViolation("diesel.Td4 must be > 0")
-        if self.Rd <= 0:
-            raise InvariantViolation("diesel.Rd must be > 0")
+        check_fields(self, "diesel.", positive=("Td2", "Td3", "Td4", "Rd"))
         if abs(self.Td2 - self.Td3) < DEGENERACY_TOL:
             raise InvariantViolation("diesel.Td2 must differ from diesel.Td3")
 

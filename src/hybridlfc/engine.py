@@ -63,6 +63,7 @@ from .errors import (
     NonFiniteState,
     SingularSystem,
     UnstableStepSize,
+    check_fields,
 )
 from .lti import StateSpaceModel, eigenvalues
 
@@ -119,8 +120,7 @@ class Scenario:
             x0 = np.array(self.x0, dtype=float)
             x0.flags.writeable = False
             object.__setattr__(self, "x0", x0)
-        if not self.dt > 0:
-            raise InvariantViolation("scenario.dt must be > 0")
+        check_fields(self, "scenario.", positive=("dt",))
         if self.dt > self.t_end:
             raise InvariantViolation("scenario.dt must not exceed scenario.t_end")
         if not math.isfinite(self.t_end / self.dt):

@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit, `report`, which maps one
-onto its exit code, and the finiteness check that the parameter objects
-run first when they are built, with `KEY_NAMES`, the config spellings
-of the fields whose key differs from their name.
+onto its exit code, and the field check (finite, then > 0 or >= 0 where
+named) that the parameter objects run first when they are built, with
+`KEY_NAMES`, the config spellings of the fields whose key differs from
+their name.
 """
 
 import math
@@ -96,12 +97,16 @@ KEY_NAMES = {
 }
 
 
-def require_finite(params, prefix: str) -> None:
-    """Raise InvariantViolation naming the first float field of the
-    parameter object `params`, or float-tuple field, that holds a NaN or
-    an infinity, by its config key: `<prefix><name>`, or that key's
-    spelling in KEY_NAMES (e.g. `system.F` for `Fs_nominal`). Other
-    fields (integers, flags, nested parameter objects) are skipped.
+def check_fields(params, prefix: str, positive=(), nonnegative=()) -> None:
+    """Raise InvariantViolation for the first field of the parameter object
+    `params` that breaks the field rule, named by its config key:
+    `<prefix><name>`, or that key's spelling in KEY_NAMES (e.g. `system.F`
+    for `Fs_nominal`).
+
+    Every float field, and every float-tuple field, must be finite; other
+    fields (integers, flags, nested parameter objects) are skipped. Then
+    each field named in `positive` must be > 0, and each named in
+    `nonnegative` >= 0, in the order given.
 
     Each parameter object's `__post_init__` calls it before its other
     checks: a NaN passes every comparison, and an inf fails only deep in a
@@ -109,7 +114,8 @@ def require_finite(params, prefix: str) -> None:
     """
     # the instance dict holds exactly the dataclass fields, and is several
     # times cheaper to walk than `dataclasses.fields`
-    for name, value in vars(params).items():
+    values = vars(params)
+    for name, value in values.items():
         if isinstance(value, float):
             finite = math.isfinite(value)
         elif isinstance(value, tuple):
@@ -117,5 +123,14 @@ def require_finite(params, prefix: str) -> None:
         else:
             continue
         if not finite:
-            key = prefix + name
-            raise InvariantViolation(f"{KEY_NAMES.get(key, key)} must be finite")
+            _refuse(prefix + name, "finite")
+    for name in positive:
+        if not values[name] > 0:
+            _refuse(prefix + name, "> 0")
+    for name in nonnegative:
+        if not values[name] >= 0:
+            _refuse(prefix + name, ">= 0")
+
+
+def _refuse(key: str, rule: str):
+    raise InvariantViolation(f"{KEY_NAMES.get(key, key)} must be {rule}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, InvariantViolation, NoConvergence, require_finite
+from .errors import InvalidArgument, InvariantViolation, NoConvergence, check_fields
 
 __all__ = [
     "PvCellParams",
@@ -53,17 +53,7 @@ class PvCellParams:
     lam: float = 1000.0  # irradiance (W/m^2)
 
     def __post_init__(self):
-        require_finite(self, "pv.")
-        if self.Isc <= 0:
-            raise InvariantViolation("pv.Isc must be > 0")
-        if self.Isat <= 0:
-            raise InvariantViolation("pv.Isat must be > 0")
-        if self.lam < 0:
-            raise InvariantViolation("pv.lambda must be >= 0")
-        if self.Aq <= 0:
-            raise InvariantViolation("pv.Aq must be > 0")
-        if self.Rs < 0:
-            raise InvariantViolation("pv.Rs must be >= 0")
+        check_fields(self, "pv.", positive=("Isc", "Isat", "Aq"), nonnegative=("lam", "Rs"))
         if self.T <= -273.15:
             raise InvariantViolation("pv.T must be above absolute zero (-273.15 degC)")
         if not self.thermal_voltage > 0.0:
@@ -84,9 +74,7 @@ class BoostParams:
     duty: float  # duty ratio in [0, 1)
 
     def __post_init__(self):
-        require_finite(self, "boost ")
-        if self.L <= 0 or self.C <= 0 or self.R <= 0 or self.Ts <= 0:
-            raise InvariantViolation("boost L, C, R, Ts must all be > 0")
+        check_fields(self, "boost ", positive=("L", "C", "R", "Ts"))
         if not 0.0 <= self.duty < 1.0:
             raise InvariantViolation("boost duty must lie in [0, 1)")
 
@@ -110,7 +98,7 @@ class SolarChannelParams:
             while c and c[-1] == 0.0:
                 c.pop()
             object.__setattr__(self, name, tuple(c))
-        require_finite(self, "solar.")
+        check_fields(self, "solar.")
         if len(self.gbc_num) > len(self.gbc_den):
             raise InvariantViolation("solar.gbc must be a proper transfer function")
         if len(self.gbc_den) != 3:
@@ -249,6 +237,8 @@ def pv_curve(
     apart from it (see `_mpp`). Zero irradiance leaves the single point
     V = 0 and the maximum power point (0, 0, 0).
     """
+    if not math.isfinite(v_step):
+        raise InvariantViolation("v_step must be finite")
     if v_step <= 0:
         raise InvariantViolation("v_step must be > 0")
     voc = open_circuit_voltage(p)

@@ -41,7 +41,7 @@ from .errors import (
     InvariantViolation,
     NoStableGainsFound,
     NonFiniteState,
-    require_finite,
+    check_fields,
 )
 from .lti import eigenvalues
 
@@ -98,7 +98,7 @@ class TuneSpec:
     onset: float = 1.0  # step onset, shared by all channels (s)
 
     def __post_init__(self):
-        require_finite(self, "tune.")
+        check_fields(self, "tune.", positive=("dt",))
         # a read-only copy of tuples: no later change to the caller's dict
         # or lists can undo the box checks
         bounds = {}
@@ -120,8 +120,6 @@ class TuneSpec:
             lo, hi = self.bounds[name]
             if lo > hi:
                 raise InvariantViolation(f"tune.{name}_min must not exceed tune.{name}_max")
-        if self.dt <= 0:
-            raise InvariantViolation("tune.dt must be > 0")
         if self.t_end < self.dt:
             raise InvariantViolation("tune.t_end must be >= tune.dt")
         if not math.isfinite(self.t_end / self.dt):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, require_finite
+from .errors import InvariantViolation, check_fields
 
 __all__ = ["WindParams"]
 
@@ -31,13 +31,7 @@ class WindParams:
     Tp3: float = 1.0  # data-fit time constant (s)
 
     def __post_init__(self):
-        require_finite(self, "wind.")
-        if self.Tw <= 0:
-            raise InvariantViolation("wind.Tw must be > 0")
-        if self.Tp2 <= 0:
-            raise InvariantViolation("wind.Tp2 must be > 0")
-        if self.Tp3 <= 0:
-            raise InvariantViolation("wind.Tp3 must be > 0")
+        check_fields(self, "wind.", positive=("Tw", "Tp2", "Tp3"))
         # Turbine pole is -(1 + Kig - Ktp)/Tw; keep it in the left half plane.
         if 1.0 + self.Kig - self.Ktp <= 0:
             raise InvariantViolation("wind requires 1 + Kig - Ktp > 0")

@@ -755,6 +755,8 @@ def test_module_entry_point(tmp_path):
     [
         ("pv_sweep.py", ["--irradiance", "-5"], "pvcurve", "pv.lambda = -5\n", "x.csv", 2,
          "InvariantViolation"),
+        ("pv_sweep.py", ["--irradiance", "200,-5"], "pvcurve", "pv.lambda = -5\n", "x.csv", 2,
+         "InvariantViolation"),
         ("step_response.py", ["--t-end", "2", "--dt", "0.05"], "simulate",
          "scenario.t_end = 2\nscenario.dt = 0.05\n", "x.csv", 4, "UnstableStepSize"),
         ("pv_sweep.py", ["--irradiance", "200"], "pvcurve", None, "missing/x.csv", 3,
@@ -762,13 +764,15 @@ def test_module_entry_point(tmp_path):
         ("step_response.py", ["--t-end", "2"], "simulate", SHORT_SIM, "missing/x.csv", 3,
          "FileNotFoundError"),
     ],
-    ids=["config", "step_size", "pv_sweep_out", "step_response_out"],
+    ids=["config", "second_level", "step_size", "pv_sweep_out", "step_response_out"],
 )
 def test_scripts_exit_with_the_cli_codes(
     capsys, tmp_path, script, flags, command, config_text, out, code, error
 ):
     # one rule, errors.report: a script exits with the code that the CLI
-    # returns for the same error class, after the same one error line
+    # returns for the same error class, after the same one error line and
+    # with nothing on stdout, also when the error comes after a level or a
+    # trace that succeeded
     out = str(tmp_path / out)
     path = Path(__file__).resolve().parents[1] / "scripts" / script
     result = subprocess.run(
@@ -777,7 +781,8 @@ def test_scripts_exit_with_the_cli_codes(
         text=True,
         timeout=120,
     )
-    cli_code, _, cli_err = run_cli(capsys, tmp_path, command, config_text, ["--out", out])
+    cli_code, cli_out, cli_err = run_cli(capsys, tmp_path, command, config_text, ["--out", out])
     assert result.returncode == cli_code == code
+    assert result.stdout == cli_out == ""
     [line] = result.stderr.splitlines()
     assert line.startswith(f"error: {error}: ") and cli_err.startswith(f"error: {error}: ")

@@ -106,6 +106,7 @@ FINITE_FIELDS = [
     (PvCellParams, {}, "pv."),
     (BoostParams, BOOST, "boost "),
     (TuneSpec, {}, "tune."),
+    (Scenario, {"t_end": 1.0, "dt": 0.1}, "scenario."),
 ]
 
 
@@ -131,6 +132,39 @@ def test_every_float_field_must_be_finite(cls, valid, prefix):
                 cls(**valid | {f.name: arg})
         checked += 1
     assert checked
+
+
+# each field that the one bound rule covers: its class, the class's valid
+# arguments, the field, its config key and its rule
+BOUNDED_FIELDS = [
+    *[(DieselParams, {}, name, f"diesel.{name}", "> 0") for name in ("Td2", "Td3", "Td4", "Rd")],
+    *[(WindParams, {}, name, f"wind.{name}", "> 0") for name in ("Tw", "Tp2", "Tp3")],
+    (SystemParams, {}, "Kp", "system.Kp", "> 0"),
+    (SystemParams, {}, "Tp", "system.Tp", "> 0"),
+    (SystemParams, {}, "Fs_nominal", "system.F", "> 0"),
+    (PvCellParams, {}, "Isc", "pv.Isc", "> 0"),
+    (PvCellParams, {}, "Isat", "pv.Isat", "> 0"),
+    (PvCellParams, {}, "Aq", "pv.Aq", "> 0"),
+    (PvCellParams, {}, "lam", "pv.lambda", ">= 0"),
+    (PvCellParams, {}, "Rs", "pv.Rs", ">= 0"),
+    *[(BoostParams, BOOST, name, f"boost {name}", "> 0") for name in ("L", "C", "R", "Ts")],
+    (TuneSpec, {}, "dt", "tune.dt", "> 0"),
+    (Scenario, {"t_end": 1.0, "dt": 0.1}, "dt", "scenario.dt", "> 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, valid, field, key, rule",
+    BOUNDED_FIELDS,
+    ids=[f"{case[0].__name__}.{case[2]}" for case in BOUNDED_FIELDS],
+)
+def test_bounded_field_refused_by_its_key(cls, valid, field, key, rule):
+    # a > 0 field refuses 0 and -1; a >= 0 field refuses -1 and takes 0
+    for bad in (0.0, -1.0) if rule == "> 0" else (-1.0,):
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(key)} must be {rule}$"):
+            cls(**valid | {field: bad})
+    if rule == ">= 0":
+        assert getattr(cls(**valid | {field: 0.0}), field) == 0.0
 
 
 @pytest.mark.parametrize(

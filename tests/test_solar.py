@@ -386,10 +386,15 @@ class TestPvSweepScript:
         [
             (["--irradiance", "-5"], 2, "error: InvariantViolation: pv.lambda must be >= 0"),
             (["--v-step", "0"], 2, "error: InvariantViolation: v_step must be > 0"),
+            (["--v-step", "nan"], 2, "error: InvariantViolation: v_step must be finite"),
+            (["--v-step", "inf"], 2, "error: InvariantViolation: v_step must be finite"),
             (["--v-step", "1e-9"], 2, "error: InvariantViolation: voltage grid of 6.4e+08 points"),
             (["--irradiance", "abc"], 2, "error: argument --irradiance: invalid irradiance_levels"),
         ],
-        ids=["negative_irradiance", "zero_step", "grid_over_the_cap", "not_a_number"],
+        ids=[
+            "negative_irradiance", "zero_step", "nan_step", "inf_step", "grid_over_the_cap",
+            "not_a_number",
+        ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, flags, code, message):
         path = Path(__file__).resolve().parents[1] / "scripts" / "pv_sweep.py"
