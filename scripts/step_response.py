@@ -11,6 +11,7 @@ traces are also rendered to a PNG next to the CSV.
 
 import argparse
 import dataclasses
+import re
 import sys
 from itertools import chain
 
@@ -20,7 +21,7 @@ from hybridlfc.assembly import ControllerGains, build_closed_loop, output_map
 from hybridlfc.cli import csv_blocks, write_lines
 from hybridlfc.config import parse_config, read_config
 from hybridlfc.engine import integrate, ise_evaluator
-from hybridlfc.errors import ToolkitError, report
+from hybridlfc.errors import InvariantViolation, ToolkitError, report
 from hybridlfc.tuning import GAIN_ORDER, tune_gains
 
 # demo gains: stable everywhere, nothing optimized about them
@@ -34,10 +35,16 @@ def run(args):
     system, gains = cfg.system, (cfg.gains if args.config else DEMO_GAINS)
     # one spec: --tune costs the very steps, horizon and step size simulated,
     # over the config's box, budget and per_loop
-    spec = dataclasses.replace(
-        cfg.tune, dpl=args.dpl, dpiw=args.dpiw, dpis=args.dpis, onset=args.onset,
-        t_end=args.t_end, dt=args.dt, eta_include_ft=True,
-    )
+    try:
+        spec = dataclasses.replace(
+            cfg.tune, dpl=args.dpl, dpiw=args.dpiw, dpis=args.dpis, onset=args.onset,
+            t_end=args.t_end, dt=args.dt, eta_include_ft=True,
+        )
+    except InvariantViolation as exc:
+        # cfg.tune was valid, so the refused value came from a flag: name it
+        # (tune.dPl -> --dpl, tune.t_end -> --t-end), not its config key
+        flag = re.sub(r"tune\.(\w+)", lambda m: "--" + m[1].lower().replace("_", "-"), str(exc))
+        raise InvariantViolation(flag) from None
 
     lines = []
     if args.tune:

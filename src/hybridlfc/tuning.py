@@ -10,8 +10,9 @@ stability should stochastic restarts ever be added.
 Nothing but Ahat depends on the gains, so a run builds one closed loop
 at zero gains (`assembly.build_closed_loop`, whose A is then the
 augmented open loop Abar) and sets up the index's scenario bookkeeping
-once (`engine.ise_evaluator`). A candidate then costs one fill of
-Ahat = Abar + Bbar H (`assembly.closed_loop_matrix`) and one evaluation
+once (`engine.ise_evaluator`). A candidate, a tuple of six gains in
+GAIN_ORDER, then costs one fill of Ahat = Abar + Bbar H from that tuple
+(`assembly.closed_loop_matrix`, no `ControllerGains`) and one evaluation
 of the exact trapezoidal index of its RK4 trace, summed in closed form
 with no stepping. Only a candidate whose index beats the best so far also
 costs an eigenvalue solve and the stability and step headroom screen:
@@ -213,7 +214,7 @@ def tune_gains(params: SystemParams, spec: TuneSpec) -> tuple[ControllerGains, f
             return cache[key]
         if len(cache) >= cap:
             raise _OutOfBudget
-        a = closed_loop_matrix(base.a, base.b, ControllerGains(*key), kig)
+        a = closed_loop_matrix(base.a, base.b, key, kig)
         try:
             c = evaluate(a)
         except NonFiniteState:

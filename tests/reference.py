@@ -352,9 +352,11 @@ def eager_tune_gains(params, spec):
     """`tuning.tune_gains` with the eager cost: every candidate is screened
     (`tuning._admissible` on its eigenvalues) before its index, and one the
     screen refuses costs infinity unevaluated. The search, its budget caps
-    and its groups are the tuner's. It looks up `tuning.closed_loop_matrix`
-    and `tuning._descend` at call time, so a test that wraps them sees this
-    search and the shipped one alike."""
+    and its groups are the tuner's, and so is the fill: each Ahat is filled
+    from the candidate's key tuple, with no `ControllerGains` built. It
+    looks up `tuning.closed_loop_matrix` and `tuning._descend` at call
+    time, so a test that wraps them sees this search and the shipped one
+    alike."""
     base = build_closed_loop(params, ControllerGains())
     evaluate = ise_evaluator(base, spec.scenario(), include_ft=spec.eta_include_ft)
     active = tuning.GAIN_ORDER if params.include_solar else tuning.GAIN_ORDER[:4]
@@ -369,7 +371,7 @@ def eager_tune_gains(params, spec):
             return cache[key]
         if len(cache) >= cap:
             raise tuning._OutOfBudget
-        a = tuning.closed_loop_matrix(base.a, base.b, ControllerGains(*key), params.wind.Kig)
+        a = tuning.closed_loop_matrix(base.a, base.b, key, params.wind.Kig)
         try:
             admissible = tuning._admissible(eigenvalues(a), spec.dt)
         except InvalidArgument:

@@ -16,6 +16,7 @@ from hybridlfc.assembly import (
     assemble_plant,
     build_closed_loop,
     build_feedback_matrix,
+    closed_loop_matrix,
     output_map,
 )
 from hybridlfc.engine import steady_state
@@ -193,6 +194,38 @@ class TestFeedbackMatrix:
         assert h[0, self.ORDER.index("iFs")] == -2.0
         assert h[2, self.ORDER.index("iFs")] == -3.0
         assert np.all(h[:, : len(PLANT_STATE_ORDER)] == 0.0)
+
+    def test_any_six_gains_in_gain_order_give_the_same_matrix(self, default_params):
+        # the tuner passes a tuple, a caller may pass an array: H and Ahat
+        # are those of the ControllerGains, float64 and bit for bit
+        base = build_closed_loop(default_params, ControllerGains())
+        rng = random.Random(3101)
+        for _ in range(200):
+            gains = draw_gains(rng)
+            want_h = build_feedback_matrix(gains, 0.9969)
+            want_a = closed_loop_matrix(base.a, base.b, gains, 0.9969)
+            for other in (tuple(gains), np.array(tuple(gains))):
+                h = build_feedback_matrix(other, 0.9969)
+                assert h.dtype == np.float64 and h.tobytes() == want_h.tobytes()
+                a = closed_loop_matrix(base.a, base.b, other, 0.9969)
+                assert a.tobytes() == want_a.tobytes()
+
+    def test_complex_step_is_the_analytic_derivative(self, default_params, stable_gains):
+        # Ahat = Abar + Bbar H is affine in each gain, with dAhat/dK_i =
+        # Bbar H(e_i); a complex step of a power of two scales exactly, so
+        # its imaginary part over the step is that derivative exactly, and
+        # its real part is the real fill
+        base = build_closed_loop(default_params, ControllerGains())
+        kig = default_params.wind.Kig
+        gains = np.array(tuple(stable_gains))
+        real = closed_loop_matrix(base.a, base.b, gains, kig)
+        step = 2.0**-60
+        for e in np.eye(len(GAIN_ORDER)):
+            a = closed_loop_matrix(base.a, base.b, gains + 1j * step * e, kig)
+            assert a.dtype == np.complex128
+            np.testing.assert_array_equal(a.imag / step, base.b @ build_feedback_matrix(e, kig))
+            assert a.real.tobytes() == real.tobytes()
+            assert np.any(a.imag != 0.0)
 
 
 class TestAugmentation:

@@ -299,6 +299,22 @@ class TestSearch:
         assert len(calls) == 1
         assert built == [ControllerGains()]
 
+    def test_candidates_build_no_controller_gains(self, default_params, monkeypatch):
+        # the tuner fills each candidate from its key tuple: an acceptance
+        # tune at the budget of 300 builds only the zero-gain base and the
+        # result
+        built = []
+        real_check = ControllerGains.__post_init__
+
+        def counting_check(gains):
+            built.append(tuple(gains))
+            real_check(gains)
+
+        monkeypatch.setattr(ControllerGains, "__post_init__", counting_check)
+        spec = TuneSpec(dpiw=0.01, dpis=0.01, eta_include_ft=True)
+        gains, _ = tune_gains(default_params, spec)
+        assert built == [(0.0,) * len(GAIN_ORDER), tuple(gains)]
+
     def test_per_loop_mode(self, default_params):
         spec = replace(QUICK, per_loop=True, budget=90)
         gains, eta = tune_gains(default_params, spec)
@@ -362,7 +378,7 @@ def record_search(monkeypatch, tune, params, spec):
     real_descend = hybridlfc.tuning._descend
 
     def recording_fill(abar, bbar, gains, kig):
-        filled.append(astuple(gains))
+        filled.append(tuple(gains))
         return real_fill(abar, bbar, gains, kig)
 
     def recording_descend(cost, x, names, bounds):
@@ -525,6 +541,28 @@ class TestStepResponseScript:
         body = csv_blocks(trace.times, *(trace.column(c) for c in script.COLUMNS))
         assert out.read_text() == "\n".join(["t,dFs,dFt,dPgd,dPgw,dPgs,dP1", *body]) + "\n"
         assert f"ise(dFs)   = {ise(trace):.6e}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dt", "0"], "--dt must be > 0"),
+            (["--t-end", "nan"], "--t-end must be finite"),
+            (["--dpl", "nan"], "--dpl must be finite"),
+            (["--onset", "99", "--t-end", "5"], "--onset must lie within [0, --t-end]"),
+        ],
+        ids=["dt_0", "t_end_nan", "dpl_nan", "onset_past_t_end"],
+    )
+    def test_bad_flag_is_named_by_its_flag(self, monkeypatch, tmp_path, capsys, flags, message):
+        # the script's own flags, not the tune.* config keys it fills from
+        # them; one error line, exit 2, nothing on stdout and no CSV
+        script = load_step_response()
+        out = tmp_path / "step.csv"
+        monkeypatch.setattr(sys, "argv", ["step_response.py", *flags, "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_:
+            script.main()
+        assert exit_.value.code == 2
+        assert capsys.readouterr() == ("", f"error: InvariantViolation: {message}\n")
+        assert not out.exists()
 
     def test_undecodable_config_is_one_error_line(self, tmp_path):
         path = tmp_path / "bad.conf"
