@@ -77,6 +77,25 @@ def test_invalid_field_rejected_directly_and_by_replace(cls, valid, bad, message
         replace(base, **bad)
 
 
+@pytest.mark.parametrize("field", ["Isc", "KI", "Isat", "Rs", "Aq", "T", "lam"])
+def test_pv_cell_fields_must_be_finite(field):
+    # each non-finite field once built and failed late: a nan or inf grid,
+    # an overflowing series-resistance drop, or an underflowing Vt
+    key = "lambda" if field == "lam" else field
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvariantViolation, match=f"^pv\\.{key} must be finite$"):
+            PvCellParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["L", "C", "R", "Ts"])
+def test_boost_fields_must_be_finite(field):
+    # a nan field once built and stepped to (nan, 0.0); an inf L with an
+    # inf Ts built too
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvariantViolation, match=f"^boost {field} must be finite$"):
+            BoostParams(**BOOST | {field: value})
+
+
 # per class, its valid arguments and the prefix of its messages: the config
 # section and a dot, or "boost ", which has no section
 FINITE_FIELDS = [
