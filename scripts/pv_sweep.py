@@ -10,12 +10,14 @@ next to the CSV.
 """
 
 import argparse
+import os
 import sys
 from itertools import chain
 
 import numpy as np
 
 from hybridlfc.cli import csv_blocks, write_lines
+from hybridlfc.config import DEFAULTS
 from hybridlfc.errors import ToolkitError, report
 from hybridlfc.solar import PvCellParams, open_circuit_voltage, pv_curve
 
@@ -47,7 +49,7 @@ def run(args):
     print("\n".join(lines))
 
     if args.plot:
-        plot(levels, data, mpps, args.out.rsplit(".", 1)[0] + ".png")
+        plot(levels, data, mpps, os.path.splitext(args.out)[0] + ".png")
 
 
 def plot(levels, data, mpps, path):
@@ -82,8 +84,8 @@ def main():
         default="200,400,600,800,1000",
         help="comma-separated irradiance levels (W/m^2)",
     )
-    ap.add_argument("--temperature", type=float, default=25.0, help="cell temp (degC)")
-    ap.add_argument("--v-step", type=float, default=0.005, help="voltage grid (V)")
+    ap.add_argument("--temperature", type=float, default=DEFAULTS["pv.T"], help="cell temp (degC)")
+    ap.add_argument("--v-step", type=float, default=DEFAULTS["pv.v_step"], help="voltage grid (V)")
     ap.add_argument("--out", default="pv_sweep.csv")
     ap.add_argument("--plot", action="store_true")
     try:

@@ -1,50 +1,35 @@
 """Closed-loop frequency response study.
 
-Builds the hybrid system with a chosen gain set (from a config file, the
-built-in demo set, or a fresh tuner run), applies step disturbances and
-writes the frequency deviations and power shares to CSV. With --plot the
-traces are also rendered to a PNG next to the CSV.
+Takes the whole study from --config, parsed as the CLI parses it: the
+gains are `gains.*`, or with --tune the tuner's over `tune.*`, and the
+simulated scenario is `tune.*`'s, the one --tune costs. Writes the
+frequency deviations and power shares to CSV; with --plot the traces are
+also rendered to a PNG next to the CSV.
 
-    python3 scripts/step_response.py --dpl 0.01 --out step.csv
-    python3 scripts/step_response.py --tune --dpl 0.01 --dpiw 0.01 --plot
+    python3 scripts/step_response.py --config study.conf --out step.csv
+    python3 scripts/step_response.py --config study.conf --tune --plot
 """
 
 import argparse
-import dataclasses
-import re
+import os
 import sys
 from itertools import chain
 
 import numpy as np
 
-from hybridlfc.assembly import ControllerGains, build_closed_loop, output_map
+from hybridlfc.assembly import build_closed_loop, output_map
 from hybridlfc.cli import csv_blocks, write_lines
 from hybridlfc.config import parse_config, read_config
 from hybridlfc.engine import integrate, ise_evaluator
-from hybridlfc.errors import InvariantViolation, ToolkitError, report
+from hybridlfc.errors import ToolkitError, report
 from hybridlfc.tuning import GAIN_ORDER, tune_gains
-
-# demo gains: stable everywhere, nothing optimized about them
-DEMO_GAINS = ControllerGains(Kdp=10.0, Kdi=5.0, Kpp=10.0, Kpi=5.0, Ksp=10.0, Ksi=5.0)
 
 COLUMNS = ("dFs", "dFt", "dPgd", "dPgw", "dPgs", "dP1")
 
 
 def run(args):
     cfg = parse_config(read_config(args.config) if args.config else "")
-    system, gains = cfg.system, (cfg.gains if args.config else DEMO_GAINS)
-    # one spec: --tune costs the very steps, horizon and step size simulated,
-    # over the config's box, budget and per_loop
-    try:
-        spec = dataclasses.replace(
-            cfg.tune, dpl=args.dpl, dpiw=args.dpiw, dpis=args.dpis, onset=args.onset,
-            t_end=args.t_end, dt=args.dt, eta_include_ft=True,
-        )
-    except InvariantViolation as exc:
-        # cfg.tune was valid, so the refused value came from a flag: name it
-        # (tune.dPl -> --dpl, tune.t_end -> --t-end), not its config key
-        flag = re.sub(r"tune\.(\w+)", lambda m: "--" + m[1].lower().replace("_", "-"), str(exc))
-        raise InvariantViolation(flag) from None
+    system, gains, spec = cfg.system, cfg.gains, cfg.tune
 
     lines = []
     if args.tune:
@@ -68,7 +53,7 @@ def run(args):
     print("\n".join(lines))
 
     if args.plot:
-        plot(trace, args.out.rsplit(".", 1)[0] + ".png")
+        plot(trace, os.path.splitext(args.out)[0] + ".png")
 
 
 def plot(trace, path):
@@ -101,12 +86,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--config", help="key = value configuration file")
     ap.add_argument("--tune", action="store_true", help="run the gain search first")
-    ap.add_argument("--dpl", type=float, default=0.01, help="load step (pu kW)")
-    ap.add_argument("--dpiw", type=float, default=0.0, help="wind input step (pu kW)")
-    ap.add_argument("--dpis", type=float, default=0.0, help="solar input step (pu kW)")
-    ap.add_argument("--onset", type=float, default=1.0, help="step onset (s)")
-    ap.add_argument("--t-end", type=float, default=60.0)
-    ap.add_argument("--dt", type=float, default=0.005)
     ap.add_argument("--out", default="step_response.csv")
     ap.add_argument("--plot", action="store_true")
     try:

@@ -1,12 +1,13 @@
 """Exception types shared across the toolkit, `report`, which maps one
-onto its exit code, and the field check (finite, then > 0 or >= 0 where
-named) that the parameter objects run first when they are built, with
-`KEY_NAMES`, the config spellings of the fields whose key differs from
-their name.
+onto its exit code, and the field check (real and finite, then > 0 or
+>= 0 where named) that the parameter objects run first when they are
+built, with `KEY_NAMES`, the config spellings of the fields whose key
+differs from their name.
 """
 
 import math
 import sys
+from numbers import Complex, Number, Real
 
 
 class ToolkitError(Exception):
@@ -97,14 +98,35 @@ KEY_NAMES = {
 }
 
 
+# `_rule`'s verdict per type, memoized: an abstract-class test costs
+# several times a dict lookup
+_RULES: dict[type, str] = {}
+
+
+def _rule(tp: type) -> str:
+    """How `check_fields` treats a field of type `tp`, neither float nor
+    tuple: "finite" for a real number type (numpy float32, Decimal), "real"
+    for a complex one, and "skip" for ints, flags and non-numbers."""
+    if issubclass(tp, int) or not issubclass(tp, Number):
+        rule = "skip"
+    elif issubclass(tp, Complex) and not issubclass(tp, Real):
+        rule = "real"
+    else:
+        rule = "finite"
+    _RULES[tp] = rule
+    return rule
+
+
 def check_fields(params, prefix: str, positive=(), nonnegative=()) -> None:
     """Raise InvariantViolation for the first field of the parameter object
     `params` that breaks the field rule, named by its config key:
     `<prefix><name>`, or that key's spelling in KEY_NAMES (e.g. `system.F`
     for `Fs_nominal`).
 
-    Every float field, and every float-tuple field, must be finite; other
-    fields (integers, flags, nested parameter objects) are skipped. Then
+    Every real-number field of any type, and every float-tuple field,
+    must be finite, and a complex field is refused as not real (the
+    closed loop would drop its imaginary part); other fields (integers,
+    flags, nested parameter objects, mappings, arrays) are skipped. Then
     each field named in `positive` must be > 0, and each named in
     `nonnegative` >= 0, in the order given.
 
@@ -116,12 +138,18 @@ def check_fields(params, prefix: str, positive=(), nonnegative=()) -> None:
     # times cheaper to walk than `dataclasses.fields`
     values = vars(params)
     for name, value in values.items():
+        # Python floats, the common case, take the first and cheapest test
         if isinstance(value, float):
             finite = math.isfinite(value)
         elif isinstance(value, tuple):
             finite = all(map(math.isfinite, value))
         else:
-            continue
+            rule = _RULES.get(type(value)) or _rule(type(value))
+            if rule == "skip":
+                continue
+            if rule == "real":
+                _refuse(prefix + name, "real")
+            finite = math.isfinite(value)
         if not finite:
             _refuse(prefix + name, "finite")
     for name in positive:

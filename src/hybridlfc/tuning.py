@@ -4,8 +4,9 @@ index subject to closed-loop stability.
 The cost surface has a hard discontinuity at the stability boundary
 (unstable candidates cost infinity), so a derivative-free coordinate
 pattern search with step halving is used instead of gradient descent.
-No randomized moves are taken; the seed field exists for interface
-stability should stochastic restarts ever be added.
+No randomized moves are taken, so the seed field is read by nothing; it is
+kept only because existing configs, the benchmark's among them, still set
+`tune.seed`, and it goes with ROADMAP item 13.
 
 Nothing but Ahat depends on the gains, so a run builds one closed loop
 at zero gains (`assembly.build_closed_loop`, whose A is then the
@@ -88,7 +89,7 @@ def _default_bounds() -> dict[str, tuple[float, float]]:
 class TuneSpec:
     bounds: Mapping[str, tuple[float, float]] = field(default_factory=_default_bounds)
     budget: int = 300  # max cost evaluations
-    seed: int = 0  # reserved; the default search is deterministic
+    seed: int = 0  # read by nothing; kept so configs that set tune.seed parse
     per_loop: bool = False  # tune controller pairs one at a time
     eta_include_ft: bool = False  # add the dFt^2 term to the index
     t_end: float = 30.0  # evaluation horizon (s)

@@ -117,9 +117,9 @@ FINITE_FIELDS = [
 def test_every_float_field_must_be_finite(cls, valid, prefix):
     # walks the dataclass fields by their declared type, so a field added
     # later is covered by itself: each float field, and the last
-    # coefficient of each float-tuple one, refuses nan and both infinities
-    # under its config key (system.F for Fs_nominal, pv.lambda for lam,
-    # tune.dPl for dpl).
+    # coefficient of each float-tuple one, refuses nan and both infinities,
+    # as Python floats and as numpy float32 scalars, under its config key
+    # (system.F for Fs_nominal, pv.lambda for lam, tune.dPl for dpl).
     # Each once built: a nan Td1, say, made governor_residues return (nan, nan)
     base = cls(**valid)
     checked = 0
@@ -127,12 +127,19 @@ def test_every_float_field_must_be_finite(cls, valid, prefix):
         if f.type not in ("float", "tuple[float, ...]"):
             continue
         key = KEY_NAMES.get(prefix + f.name, prefix + f.name)
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, *np.float32([math.nan, math.inf, -math.inf])):
             arg = bad if f.type == "float" else getattr(base, f.name)[:-1] + (bad,)
             with pytest.raises(InvariantViolation, match=f"^{re.escape(key)} must be finite$"):
                 cls(**valid | {f.name: arg})
         checked += 1
     assert checked
+
+
+def test_complex_field_must_be_real():
+    # once built, and build_closed_loop then dropped the imaginary part
+    # under a ComplexWarning
+    with pytest.raises(InvariantViolation, match=r"^gains\.Kdp must be real$"):
+        ControllerGains(Kdp=1 + 1e-20j)
 
 
 # each field that the one bound rule covers: its class, the class's valid

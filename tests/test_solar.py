@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hybridlfc import solar
 from hybridlfc.assembly import US, SystemParams, assemble_plant, output_map
 from hybridlfc.cli import csv_blocks
+from hybridlfc.config import parse_config
 from hybridlfc.engine import steady_state
 from hybridlfc.errors import InvalidArgument, InvariantViolation
 from hybridlfc.lti import eigenvalues
@@ -380,6 +381,36 @@ class TestPvSweepScript:
         body = csv_blocks(np.full(volts.size, lam), volts, amps, volts * amps)
         assert out.read_text() == "\n".join(["lam,V,I,P", *body]) + "\n"
         assert f"MPP = {pm:.4f} W at {vm:.4f} V" in capsys.readouterr().out
+
+    def test_defaults_are_the_config_defaults(self, monkeypatch, tmp_path, capsys):
+        # --temperature and --v-step default to pv.T and pv.v_step, so the
+        # sweep's grid is pvcurve's on an empty config
+        out = tmp_path / "pv.csv"
+        monkeypatch.setattr(sys, "argv", ["pv_sweep.py", "--irradiance", "200", "--out", str(out)])
+        load_pv_sweep().main()
+        capsys.readouterr()
+        cfg = parse_config("pv.lambda = 200\n")
+        volts, amps, _ = pv_curve(cfg.pv, cfg.pv_v_step)
+        body = csv_blocks(np.full(volts.size, 200.0), volts, amps, volts * amps)
+        assert out.read_text() == "\n".join(["lam,V,I,P", *body]) + "\n"
+
+    @pytest.mark.parametrize(
+        "out, png",
+        [("pv.csv", "pv.png"), ("./pv", "./pv.png"), ("runs.v2/sweep", "runs.v2/sweep.png")],
+        ids=["csv", "no_extension", "dotted_directory"],
+    )
+    def test_plot_sits_next_to_the_csv(self, monkeypatch, tmp_path, capsys, out, png):
+        # only the extension of the file name itself is swapped for .png
+        script = load_pv_sweep()
+        paths = []
+        monkeypatch.setattr(script, "plot", lambda levels, data, mpps, path: paths.append(path))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs.v2").mkdir()
+        argv = ["pv_sweep.py", "--irradiance", "200", "--plot", "--out", out]
+        monkeypatch.setattr(sys, "argv", argv)
+        script.main()
+        capsys.readouterr()
+        assert paths == [png]
 
     @pytest.mark.parametrize(
         "flags, code, message",

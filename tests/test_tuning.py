@@ -13,7 +13,8 @@ import hybridlfc.engine
 import hybridlfc.tuning
 from hybridlfc.assembly import ControllerGains, SystemParams, build_closed_loop
 from hybridlfc.cli import csv_blocks
-from hybridlfc.engine import integrate, ise_evaluator, rk4_growth
+from hybridlfc.config import parse_config
+from hybridlfc.engine import Step, integrate, ise_evaluator, rk4_growth
 from hybridlfc.errors import InvariantViolation, NonFiniteState, NoStableGainsFound
 from hybridlfc.lti import eigenvalues
 from hybridlfc.tuning import (
@@ -460,68 +461,96 @@ def load_step_response():
 
 
 class TestStepResponseScript:
-    def test_tunes_for_the_simulated_steps(self, monkeypatch, tmp_path, capsys):
-        # --tune must cost the same load, wind and solar steps that the
-        # script then simulates
+    # each config also sets a short tune.t_end, so each run stays quick
+    @staticmethod
+    def run(monkeypatch, tmp_path, config_text, *flags):
+        """Run the script on a config file holding `config_text`; return that
+        config parsed and, per call, the spec --tune was handed, the gains
+        the closed loop was built with and the scenario simulated."""
         script = load_step_response()
-        specs = []
+        calls = {"specs": [], "gains": [], "scenarios": []}
 
         def recording_tune(params, spec):
-            specs.append(spec)
-            return tune_gains(params, replace(spec, budget=10))
+            calls["specs"].append(spec)
+            return tune_gains(params, replace(spec, budget=min(spec.budget, 10)))
 
-        monkeypatch.setattr(script, "tune_gains", recording_tune)
-        argv = ["step_response.py", "--tune", "--dpl", "0.02", "--dpiw", "0.01", "--dpis", "0.005"]
-        argv += ["--t-end", "2", "--out", str(tmp_path / "step.csv")]
-        monkeypatch.setattr(sys, "argv", argv)
-        script.main()
-        capsys.readouterr()
-        assert [(s.dpl, s.dpiw, s.dpis) for s in specs] == [(0.02, 0.01, 0.005)]
-
-    def test_tunes_the_simulated_onset_and_horizon(self, monkeypatch, tmp_path, capsys):
-        # one spec: --tune costs the onset, horizon and step size that the
-        # script then simulates, and the simulated scenario is that spec's
-        script = load_step_response()
-        specs, scenarios = [], []
-
-        def recording_tune(params, spec):
-            specs.append(spec)
-            return tune_gains(params, replace(spec, budget=10))
+        def recording_build(params, gains):
+            calls["gains"].append(gains)
+            return build_closed_loop(params, gains)
 
         def recording_integrate(model, scenario, outputs=None):
-            scenarios.append(scenario)
+            calls["scenarios"].append(scenario)
             return integrate(model, scenario, outputs)
 
         monkeypatch.setattr(script, "tune_gains", recording_tune)
+        monkeypatch.setattr(script, "build_closed_loop", recording_build)
         monkeypatch.setattr(script, "integrate", recording_integrate)
-        argv = ["step_response.py", "--tune", "--onset", "5", "--t-end", "8", "--dt", "0.01"]
-        monkeypatch.setattr(sys, "argv", argv + ["--out", str(tmp_path / "step.csv")])
+        config = tmp_path / "study.conf"
+        config.write_text(config_text)
+        argv = [
+            "step_response.py", "--config", str(config), *flags, "--out", str(tmp_path / "step.csv")
+        ]
+        monkeypatch.setattr(sys, "argv", argv)
         script.main()
-        capsys.readouterr()
-        assert [(s.onset, s.t_end, s.dt) for s in specs] == [(5.0, 8.0, 0.01)]
-        assert scenarios == [specs[0].scenario()]
+        return parse_config(config_text), calls
+
+    def assert_tunes_for_the_simulated_scenario(self, monkeypatch, tmp_path, capsys, config_text):
+        # one spec, the config's tune.*: --tune costs the very scenario that
+        # the script then simulates, and the tuned gains are simulated
+        cfg, calls = self.run(monkeypatch, tmp_path, config_text, "--tune")
+        out = capsys.readouterr().out
+        assert calls["specs"] == [cfg.tune]
+        assert calls["scenarios"] == [cfg.tune.scenario()]
+        [gains] = calls["gains"]
+        assert all(f"  {name} = {value}\n" in out for name, value in zip(GAIN_ORDER, gains))
+        return cfg.tune, gains
+
+    def test_tunes_for_the_simulated_steps(self, monkeypatch, tmp_path, capsys):
+        config_text = "tune.dPl = 0.02\ntune.dPiw = 0.01\ntune.dPis = 0.005\ntune.t_end = 2\n"
+        spec, _ = self.assert_tunes_for_the_simulated_scenario(
+            monkeypatch, tmp_path, capsys, config_text
+        )
+        assert (spec.dpl, spec.dpiw, spec.dpis) == (0.02, 0.01, 0.005)
+        # dFt is weighed only where tune.eta_include_ft says so
+        assert not spec.eta_include_ft
+
+    def test_tunes_the_simulated_onset_and_horizon(self, monkeypatch, tmp_path, capsys):
+        config_text = "tune.onset = 5\ntune.t_end = 8\ntune.dt = 0.01\n"
+        spec, _ = self.assert_tunes_for_the_simulated_scenario(
+            monkeypatch, tmp_path, capsys, config_text
+        )
+        assert (spec.onset, spec.t_end, spec.dt) == (5.0, 8.0, 0.01)
 
     def test_tunes_within_the_configured_box_and_budget(self, monkeypatch, tmp_path, capsys):
-        # the config's tune.* keys reach the spec; the flags set only the steps
-        script = load_step_response()
-        specs = []
-
-        def recording_tune(params, spec):
-            specs.append(spec)
-            return tune_gains(params, spec)
-
-        config = tmp_path / "tune.conf"
-        config.write_text("tune.budget = 5\ntune.Kdp_max = 1.0\ntune.per_loop = true\n")
-        monkeypatch.setattr(script, "tune_gains", recording_tune)
-        argv = ["step_response.py", "--config", str(config), "--tune", "--t-end", "2"]
-        monkeypatch.setattr(sys, "argv", argv + ["--out", str(tmp_path / "step.csv")])
-        script.main()
-        out = capsys.readouterr().out
-        [spec] = specs
+        # the box, budget, per_loop and index weighting are the config's too
+        config_text = (
+            "tune.budget = 5\ntune.Kdp_max = 1.0\ntune.per_loop = true\ntune.t_end = 2\n"
+            "tune.eta_include_ft = true\n"
+        )
+        spec, gains = self.assert_tunes_for_the_simulated_scenario(
+            monkeypatch, tmp_path, capsys, config_text
+        )
         assert (spec.budget, spec.bounds["Kdp"], spec.per_loop) == (5, (0.0, 1.0), True)
-        assert (spec.t_end, spec.eta_include_ft) == (2.0, True)
-        kdp = float(out.split("Kdp = ")[1].split()[0])
-        assert 0.0 <= kdp <= 1.0
+        assert spec.eta_include_ft
+        assert 0.0 <= gains.Kdp <= 1.0
+
+    @pytest.mark.parametrize(
+        "gains_text",
+        ["", "gains.Kdp = 10\ngains.Kdi = 5\ngains.Kpp = 10\ngains.Kpi = 5\n"],
+        ids=["zero_gains", "configured_gains"],
+    )
+    def test_simulates_the_configs_steps_and_gains(self, monkeypatch, tmp_path, capsys, gains_text):
+        # this config once wrote 12 001 rows of a 60 s, 0.01 pu, 1 s onset
+        # run with the demo gains: the tune.* keys were overwritten by flag
+        # defaults. Now its 5 s at tune.dt = 0.005 give 1 001 rows
+        config_text = "tune.t_end = 5\ntune.dPl = 0.05\ntune.onset = 2\n" + gains_text
+        cfg, calls = self.run(monkeypatch, tmp_path, config_text)
+        assert calls["specs"] == []
+        assert calls["gains"] == [cfg.gains]
+        assert calls["scenarios"] == [cfg.tune.scenario()]
+        assert cfg.tune.scenario().disturbances == {"dPl": Step(0.05, 2.0)}
+        assert capsys.readouterr().out.endswith(f"wrote 1001 rows to {tmp_path / 'step.csv'}\n")
+        assert len((tmp_path / "step.csv").read_text().splitlines()) == 1 + 1001
 
     def test_csv_is_the_cli_writers(self, monkeypatch, tmp_path, capsys):
         # the trace's columns through the CLI's CSV writer, and the printed
@@ -534,8 +563,10 @@ class TestStepResponseScript:
             return traces[-1]
 
         monkeypatch.setattr(script, "integrate", recording_integrate)
-        out = tmp_path / "step.csv"
-        monkeypatch.setattr(sys, "argv", ["step_response.py", "--t-end", "2", "--out", str(out)])
+        config, out = tmp_path / "study.conf", tmp_path / "step.csv"
+        config.write_text("tune.t_end = 2\n")
+        argv = ["step_response.py", "--config", str(config), "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", argv)
         script.main()
         [trace] = traces
         body = csv_blocks(trace.times, *(trace.column(c) for c in script.COLUMNS))
@@ -543,25 +574,38 @@ class TestStepResponseScript:
         assert f"ise(dFs)   = {ise(trace):.6e}\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "flags, message",
+        "out, png",
         [
-            (["--dt", "0"], "--dt must be > 0"),
-            (["--t-end", "nan"], "--t-end must be finite"),
-            (["--dpl", "nan"], "--dpl must be finite"),
-            (["--onset", "99", "--t-end", "5"], "--onset must lie within [0, --t-end]"),
+            ("step.csv", "step.png"),
+            ("./step", "./step.png"),
+            ("runs.v2/trace", "runs.v2/trace.png"),
         ],
-        ids=["dt_0", "t_end_nan", "dpl_nan", "onset_past_t_end"],
+        ids=["csv", "no_extension", "dotted_directory"],
     )
-    def test_bad_flag_is_named_by_its_flag(self, monkeypatch, tmp_path, capsys, flags, message):
-        # the script's own flags, not the tune.* config keys it fills from
-        # them; one error line, exit 2, nothing on stdout and no CSV
+    def test_plot_sits_next_to_the_csv(self, monkeypatch, tmp_path, capsys, out, png):
+        # only the extension of the file name itself is swapped for .png
+        script = load_step_response()
+        paths = []
+        monkeypatch.setattr(script, "plot", lambda trace, path: paths.append(path))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs.v2").mkdir()
+        (tmp_path / "study.conf").write_text("tune.t_end = 2\n")
+        argv = ["step_response.py", "--config", "study.conf", "--plot", "--out", out]
+        monkeypatch.setattr(sys, "argv", argv)
+        script.main()
+        capsys.readouterr()
+        assert paths == [png]
+
+    @pytest.mark.parametrize("flag", ["--dpl", "--dpiw", "--dpis", "--onset", "--t-end", "--dt"])
+    def test_removed_step_flag_is_a_usage_error(self, monkeypatch, tmp_path, capsys, flag):
+        # the steps, onset, horizon and step size are tune.* config keys only
         script = load_step_response()
         out = tmp_path / "step.csv"
-        monkeypatch.setattr(sys, "argv", ["step_response.py", *flags, "--out", str(out)])
+        monkeypatch.setattr(sys, "argv", ["step_response.py", flag, "1", "--out", str(out)])
         with pytest.raises(SystemExit) as exit_:
             script.main()
         assert exit_.value.code == 2
-        assert capsys.readouterr() == ("", f"error: InvariantViolation: {message}\n")
+        assert f"error: unrecognized arguments: {flag} 1\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_undecodable_config_is_one_error_line(self, tmp_path):
@@ -579,9 +623,10 @@ class TestStepResponseScript:
         assert result.stderr == want
 
     def test_unwritable_out_is_one_error_line(self, tmp_path):
-        out = tmp_path / "missing" / "step.csv"
+        config, out = tmp_path / "study.conf", tmp_path / "missing" / "step.csv"
+        config.write_text("tune.t_end = 2\n")
         result = subprocess.run(
-            [sys.executable, str(STEP_RESPONSE), "--t-end", "2", "--out", str(out)],
+            [sys.executable, str(STEP_RESPONSE), "--config", str(config), "--out", str(out)],
             capture_output=True,
             text=True,
             timeout=60,
